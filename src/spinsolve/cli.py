@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -150,9 +151,27 @@ def _print_table(result) -> None:
 
 
 def _load_array(path: str) -> IntersectionArray:
+    """Read {"b": [...], "c": [...], "a": [...] (optional)} from a JSON file;
+    any other shape raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object with \"b\" and \"c\" lists")
+    for key in ("b", "c", "a"):
+        if key == "a" and data.get(key) is None:
+            continue
+        if key not in data:
+            raise ValueError(f"{path}: missing \"{key}\"")
+        values = data[key]
+        if not (isinstance(values, list) and all(map(_is_finite_number, values))):
+            raise ValueError(f"{path}: \"{key}\" must be a list of finite numbers")
     return IntersectionArray.from_dict(data)
+
+
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
 def _build_scheme(args, cfg: SolverConfig):

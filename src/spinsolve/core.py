@@ -10,7 +10,10 @@ the eigenmatrix P with entries P_j(i); self-duality means P^2 = |X| I.
 
 Array parameters are kept as exact Fractions (every named family yields
 integers), with float views for the numeric solver.  All types are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads, so each
+array computes its validation result, its exact valencies and its float
+views once, on first use; the public accessors hand out fresh copies or
+read-only arrays.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -123,13 +127,51 @@ class IntersectionArray:
         return self.c[i - 1] if 1 <= i <= len(self.c) else Fraction(0)
 
     def b_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.b])
+        return self._b_float.copy()
 
     def c_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.c])
+        return self._c_float.copy()
 
     def a_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.a])
+        return self._a_float.copy()
+
+    def float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only float views (v, a, b, c) of v_0..v_N, a_0..a_N,
+        b_0..b_{N-1} and c_1..c_N, computed once per array.  Validates
+        the array on every call, like valencies()."""
+        valencies(self)
+        return self._v_float, self._a_float, self._b_float, self._c_float
+
+    # Derived data, cached on first use (the fields never change).  The
+    # public accessors copy out of these, so no caller can alter them.
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        return tuple(_find_problems(self))
+
+    @cached_property
+    def _valencies(self) -> tuple[Fraction, ...]:
+        """Exact v_0..v_N; read only once the array is known to be valid."""
+        v = [Fraction(1)]
+        for bj, cj in zip(self.b, self.c):
+            v.append(v[-1] * bj / cj)
+        return tuple(v)
+
+    @cached_property
+    def _v_float(self) -> np.ndarray:
+        return _read_only_floats(self._valencies)
+
+    @cached_property
+    def _a_float(self) -> np.ndarray:
+        return _read_only_floats(self.a)
+
+    @cached_property
+    def _b_float(self) -> np.ndarray:
+        return _read_only_floats(self.b)
+
+    @cached_property
+    def _c_float(self) -> np.ndarray:
+        return _read_only_floats(self.c)
 
     def as_dict(self) -> dict:
         return {
@@ -145,8 +187,18 @@ class IntersectionArray:
         return cls(data["b"], data["c"], data.get("a"))
 
 
+def _read_only_floats(values) -> np.ndarray:
+    out = np.array([float(x) for x in values])
+    out.setflags(write=False)
+    return out
+
+
 def validate_array(arr: IntersectionArray) -> list[str]:
     """Return every invariant violation of the array; empty list = valid."""
+    return list(arr._problems)
+
+
+def _find_problems(arr: IntersectionArray) -> list[str]:
     problems: list[str] = []
     n = arr.n_classes
     if arr.a[0] != 0:
@@ -168,6 +220,8 @@ def validate_array(arr: IntersectionArray) -> list[str]:
     # valency positivity follows from b, c > 0; recheck defensively
     v = Fraction(1)
     for j in range(n):
+        if arr.c[j] == 0:
+            break  # v_{j+1} is undefined; c_{j+1} is already reported
         v = v * arr.b[j] / arr.c[j]
         if v <= 0:
             problems.append(f"v_{j + 1} = {v} must be positive")
@@ -183,10 +237,7 @@ def ensure_valid(arr: IntersectionArray) -> None:
 def valencies(arr: IntersectionArray) -> list[Fraction]:
     """v_0..v_N with v_j = prod_{i=0}^{j-1} b_i / c_{i+1} (exact)."""
     ensure_valid(arr)
-    v = [Fraction(1)]
-    for j in range(arr.n_classes):
-        v.append(v[-1] * arr.b[j] / arr.c[j])
-    return v
+    return list(arr._valencies)
 
 
 @dataclass(frozen=True)
@@ -224,7 +275,7 @@ class SchemeInstance:
         return max_abs(resid) / self.size_float
 
     def valencies_float(self) -> np.ndarray:
-        return np.array([float(v) for v in valencies(self.array)])
+        return self.array.float_params()[0].copy()
 
     def as_dict(self) -> dict:
         return {

@@ -163,10 +163,11 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     if theta.shape != (n + 1,):
         raise ValueError(f"need {n + 1} eigenvalues, got {theta.shape}")
     scale = max(1.0, float(np.max(np.abs(theta))))
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if abs(theta[i] - theta[j]) <= 1e-12 * scale:
-                raise ValueError(f"eigenvalues {i} and {j} coincide")
+    coincide = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :]) <= 1e-12 * scale
+    hits = np.argwhere(np.triu(coincide, k=1))  # row-major: first (i, j) first
+    if len(hits):
+        i, j = hits[0]
+        raise ValueError(f"eigenvalues {i} and {j} coincide")
     a = arr.a_floats()
     b = arr.b_floats()
     c = arr.c_floats()
@@ -194,13 +195,7 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
     giving up.
     """
     n = len(eigs) - 1
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    pairs = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if abs(abs(eigs[i]) - abs(eigs[j])) <= 1e-9 * scale
-    ]
+    pairs = _equal_magnitude_pairs(eigs)
 
     def orders():
         for chosen in itertools.chain.from_iterable(
@@ -231,6 +226,15 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
         if defect <= tol:
             break
     return best
+
+
+def _equal_magnitude_pairs(eigs: np.ndarray) -> list[tuple[int, int]]:
+    """Index pairs 1 <= i < j <= N with |theta_i| = |theta_j| (relative
+    to the largest |theta|), in row-major order."""
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    mags = np.abs(eigs[1:])
+    equal = np.abs(mags[:, np.newaxis] - mags[np.newaxis, :]) <= 1e-9 * scale
+    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(np.triu(equal, k=1))]
 
 
 def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:

@@ -29,7 +29,6 @@ from .core import (
     SolutionCandidate,
     SolverConfig,
     max_abs,
-    valencies,
 )
 
 __all__ = [
@@ -210,10 +209,7 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     if x == 0:
         raise ValueError("x must be nonzero")
     n = arr.n_classes
-    v = np.array([float(w) for w in valencies(arr)])
-    a = arr.a_floats()
-    b = arr.b_floats()
-    c = arr.c_floats()
+    v, a, b, c = arr.float_params()
     th = np.asarray(theta, dtype=float)
     t = np.zeros(n + 1, dtype=complex)
     t[0] = 1.0
@@ -229,9 +225,9 @@ def _terminal_gap(arr: IntersectionArray, theta, x: complex, t: np.ndarray):
     """Left and right sides of the final recurrence equation (the i = N
     instance, which has no forward term and so constrains x)."""
     n = arr.n_classes
-    v = [float(w) for w in valencies(arr)]
-    lhs = v[n] * t[n] * (x * float(theta[n]) - float(arr.a[n]))
-    rhs = float(arr.b[n - 1]) * v[n - 1] * t[n - 1]
+    v, a, b, _ = arr.float_params()
+    lhs = float(v[n]) * t[n] * (x * float(theta[n]) - float(a[n]))
+    rhs = float(b[n - 1]) * float(v[n - 1]) * t[n - 1]
     return lhs, rhs
 
 
@@ -240,16 +236,23 @@ def filter_x(arr: IntersectionArray, theta, x: complex,
     """Accept x iff t_i(x) t_i(1/x) = 1 for every i and the terminal
     recurrence equation holds (scale-relative, since valencies can be
     large)."""
+    ok, reason, _ = _filter_with_profile(arr, theta, x, cfg)
+    return ok, reason
+
+
+def _filter_with_profile(arr: IntersectionArray, theta, x: complex,
+                         cfg: SolverConfig) -> tuple[bool, str | None, np.ndarray]:
+    """filter_x, also returning the profile t(x) it computed."""
     t = t_profile(arr, theta, x)
     s = t_profile(arr, theta, 1.0 / x)
     for i in range(1, arr.n_classes + 1):
         if abs(t[i] * s[i] - 1.0) > cfg.filter_tol:
-            return False, f"reciprocal_identity_failed at i={i}"
+            return False, f"reciprocal_identity_failed at i={i}", t
     lhs, rhs = _terminal_gap(arr, theta, x, t)
     gap_scale = max(abs(lhs), abs(rhs))
     if gap_scale > 0 and abs(lhs - rhs) > cfg.filter_tol * gap_scale:
-        return False, "terminal_failed"
-    return True, None
+        return False, "terminal_failed", t
+    return True, None, t
 
 
 class ScalarCube(NamedTuple):
@@ -299,7 +302,7 @@ def _candidate_polynomial(arr: IntersectionArray, theta) -> list[float]:
 
 def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolutionSet:
     """Run the full pipeline and return every verified diagonal solution,
-    dedulicated by the T vector, along with each rejected x and why."""
+    deduplicated by the T vector, along with each rejected x and why."""
     arr = scheme.array
     theta = scheme.theta
     pmat = scheme.eigenmatrix
@@ -321,11 +324,10 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
     for x in roots_of_quartic(coeffs, cfg):
-        ok, reason = filter_x(arr, theta, x, cfg)
+        ok, reason, t = _filter_with_profile(arr, theta, x, cfg)
         if not ok:
             rejected.append((x, reason))
             continue
-        t = t_profile(arr, theta, x)
         cube = scalar_and_T0(pmat, t, cfg)
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))

@@ -61,6 +61,22 @@ def test_malformed_array_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"b": [3, Infinity, 1], "c": [1, 2, 3]}',
+    '{"c": [1, 2, 3]}',
+    '{"b": [3, "x", 1], "c": [1, 2, 3]}',
+    '[[3, 2, 1], [1, 2, 3]]',
+], ids=["infinity", "missing-b", "string-entry", "top-level-list"])
+def test_malformed_array_schema_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "arr.json"
+    path.write_text(payload, encoding="utf-8")
+    code, _, err = run_cli(capsys, "solve", "--family", "custom",
+                           "--array-file", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_invalid_parameters_exit_2(capsys):
     code, _, err = run_cli(capsys, "solve", "--family", "bilinear",
                            "--M", "2", "--N", "2", "--q", "6")

@@ -99,3 +99,55 @@ def test_report_is_valid_json():
     arr = IntersectionArray(b=[2, 1, 1], c=[1, 1, 2])
     parsed = json.loads(dumps_report(arr))
     assert parsed["valencies"] == [1, 2, 2, 1]
+
+
+def test_zero_c_is_reported_not_raised():
+    arr = IntersectionArray(b=[2, 1], c=[0, 2])
+    assert any("c_1" in p for p in validate_array(arr))
+
+
+def test_returned_lists_and_arrays_are_fresh_copies():
+    arr = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
+    valencies(arr).append(Fraction(99))
+    valencies(arr)[0] = Fraction(7)
+    assert valencies(arr) == [1, 3, 3, 1]
+    bad = IntersectionArray(b=[2], c=[1], a=[0, 2])
+    validate_array(bad).clear()
+    assert len(validate_array(bad)) == 1
+    for getter, expected in ((arr.b_floats, [3, 2, 1]), (arr.c_floats, [1, 2, 3]),
+                             (arr.a_floats, [0, 0, 0, 0])):
+        getter()[0] = -5.0
+        assert getter().tolist() == expected
+
+
+def test_float_params_are_read_only_and_match_exact_data():
+    arr = IntersectionArray(b=[7, 3], c=[2, 7])
+    v, a, b, c = arr.float_params()
+    assert v.tolist() == [float(x) for x in valencies(arr)]
+    assert (a.tolist(), b.tolist(), c.tolist()) == ([0.0, 2.0, 0.0], [7.0, 3.0], [2.0, 7.0])
+    for view in (v, a, b, c):
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+
+
+def test_invalid_array_reports_and_raises_every_time():
+    arr = IntersectionArray(b=[2, -1], c=[0, 2], a=[1, 2, 0])
+    first = validate_array(arr)
+    assert len(first) >= 4  # a_0, b_1, c_1 and the row sums
+    assert validate_array(arr) == first
+    for _ in range(3):
+        with pytest.raises(ValueError, match="invalid intersection array"):
+            valencies(arr)
+        with pytest.raises(ValueError, match="invalid intersection array"):
+            arr.float_params()
+
+
+def test_caching_leaves_equality_and_hash_alone():
+    arr = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
+    before = hash(arr)
+    valencies(arr)
+    arr.float_params()
+    twin = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
+    assert arr == twin and hash(arr) == hash(twin) == before
+    assert arr != IntersectionArray(b=[3, 2, 1], c=[1, 2, 2], a=[0, 0, 0, 1])
+    assert len({arr, twin}) == 1

@@ -10,6 +10,7 @@ import spinsolve as sp
 from spinsolve.core import valencies
 from spinsolve.families import (
     BuildError,
+    _equal_magnitude_pairs,
     FamilySpec,
     build,
     build_custom,
@@ -90,6 +91,26 @@ def test_eigenvalues_from_array_ngon7():
 def test_eigenmatrix_rejects_repeated_eigenvalues(hamming32):
     with pytest.raises(ValueError, match="coincide"):
         eigenmatrix(hamming32.array, [3, 1, 1, -3])
+
+
+def test_eigenmatrix_names_first_coinciding_pair(hamming32):
+    # pairs (0, 3) and (1, 2) coincide; (0, 3) comes first row by row
+    with pytest.raises(ValueError, match="eigenvalues 0 and 3 coincide"):
+        eigenmatrix(hamming32.array, [3, 1, 1, 3])
+
+
+@pytest.mark.parametrize("n", [8, 12, 398])
+def test_equal_magnitude_pairs_match_double_loop(n):
+    eigs = build(FamilySpec("ngon", {"n": n})).theta
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    loop = [
+        (i, j)
+        for i in range(1, len(eigs))
+        for j in range(i + 1, len(eigs))
+        if abs(abs(eigs[i]) - abs(eigs[j])) <= 1e-9 * scale
+    ]
+    assert loop  # even n-gons pair theta_i with -theta_i
+    assert _equal_magnitude_pairs(eigs) == loop
 
 
 @pytest.mark.parametrize("spec", [
