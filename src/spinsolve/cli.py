@@ -12,8 +12,8 @@ Subcommands:
 Reports are JSON on stdout (floats use shortest round-trip repr, so a
 fixed invocation is byte-identical run to run); wall-clock timings go to
 stderr unless --timings pulls them into the report.  Exit codes: 0 = ran
-and all assertions passed, 1 = an assertion mismatched, 2 = usage error.
-SPINSOLVE_THREADS caps sweep parallelism (default 1).
+and all assertions passed, 1 = an assertion mismatched, 2 = usage error
+or a numerically singular cube (P diag t)^3.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -29,7 +28,7 @@ from . import __version__, theorems
 from .core import DEFAULT_CONFIG, IntersectionArray, SolverConfig, dumps_report, to_jsonable
 from .families import BuildError, FamilySpec, build, build_custom
 from .oracle import CensusError, PointSpace, census, verify_family
-from .solver import DegenerateSchemeError, candidate_quartic, solve
+from .solver import DegenerateSchemeError, SingularCubeError, candidate_quartic, solve
 from .symbolic import (
     bilinear_identity_checks,
     hamming_factor_check,
@@ -39,13 +38,6 @@ from .symbolic import (
 
 USAGE_ERROR = 2
 ASSERTION_ERROR = 1
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPINSOLVE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_range(text: str) -> list[int]:
@@ -222,11 +214,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config(args)
     start = time.perf_counter()
-    kwargs = {"workers": _workers()}
+    kwargs = {}
     if args.theorem == 1:
         kwargs["n_random"] = args.random_arrays or 200
         kwargs["seed"] = args.seed
-        kwargs.pop("workers")
     if args.theorem == 2:
         if args.N:
             kwargs["n_range"] = _parse_range(args.N)
@@ -246,8 +237,6 @@ def _cmd_verify(args) -> int:
         ]
     if args.theorem == 6 and args.n:
         kwargs["n_range"] = _parse_range(args.n)
-    if args.theorem in (1, 3, 4, 5):
-        kwargs.pop("workers", None)
     result = theorems.verify_theorem(args.theorem, cfg, **kwargs)
     _report("verify", _echo(args), cfg, result, time.perf_counter() - start,
             args.format, args.timings)
@@ -374,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BuildError, CensusError, DegenerateSchemeError, ValueError,
-            OSError, json.JSONDecodeError) as err:
+    except (BuildError, CensusError, DegenerateSchemeError, SingularCubeError,
+            ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

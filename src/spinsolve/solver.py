@@ -10,6 +10,11 @@ t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation; finally
 cube roots of 1/mu.  At most 4 x-values times 3 cube roots can survive,
 so no input yields more than 12 solutions.
 
+The cube is formed once per x: (P diag(T_0 t))^3 = T_0^3 (P diag(t))^3,
+so each root's reported residual is max |T_0^3 (P diag(t))^3 - I|.
+verify_solution, which cubes P diag(T) directly, is the independent
+check that tests compare against.
+
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
 """
@@ -34,6 +39,7 @@ from .core import (
 __all__ = [
     "SolutionSet",
     "DegenerateSchemeError",
+    "SingularCubeError",
     "candidate_quartic",
     "roots_of_quartic",
     "t_profile",
@@ -255,17 +261,24 @@ def _filter_with_profile(arr: IntersectionArray, theta, x: complex,
     return True, None, t
 
 
+class SingularCubeError(ArithmeticError):
+    """(P diag(t))^3 is numerically zero, so no cube root T_0 of 1/mu
+    exists; P and t were expected invertible."""
+
+
 class ScalarCube(NamedTuple):
     is_scalar: bool
     mu: complex
     t0_roots: tuple[complex, ...]
     defect: float
+    matrix: np.ndarray | None = None  # (P diag(t))^3
 
 
 def scalar_and_T0(p: np.ndarray, t: np.ndarray,
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
     """Check that (P diag(t))^3 is a scalar matrix mu I and return the
-    three cube roots of 1/mu (principal value first, then +2*pi/3 steps)."""
+    three cube roots of 1/mu (principal value first, then +2*pi/3 steps)
+    together with the cube itself."""
     pt = p * np.asarray(t, dtype=complex)[np.newaxis, :]
     m = pt @ pt @ pt
     dim = m.shape[0]
@@ -273,16 +286,16 @@ def scalar_and_T0(p: np.ndarray, t: np.ndarray,
     defect = max_abs(m - mu * np.eye(dim))
     norm = max_abs(m)
     if not defect <= cfg.residual_tol * norm:
-        return ScalarCube(False, mu, (), defect)
+        return ScalarCube(False, mu, (), defect, m)
     if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * norm:
-        raise ArithmeticError(
+        raise SingularCubeError(
             "cube of P diag(t) is numerically singular; P and t were "
             "expected invertible"
         )
     w = 1.0 / mu
     r = abs(w) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(w) / 3.0)
     step = cmath.exp(2j * cmath.pi / 3.0)
-    return ScalarCube(True, mu, (r, r * step, r * step * step), defect)
+    return ScalarCube(True, mu, (r, r * step, r * step * step), defect, m)
 
 
 def verify_solution(p: np.ndarray, diag) -> float:
@@ -320,7 +333,9 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
             "x is unconstrained for this array"
         )
 
+    eye = np.eye(pmat.shape[0])
     accepted: list[SolutionCandidate] = []
+    kept_diags: list[np.ndarray] = []
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
     for x in roots_of_quartic(coeffs, cfg):
@@ -332,40 +347,36 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))
             continue
-        survivors = []
+        survived = False
         for t0 in cube.t0_roots:
-            diag = t0 * t
             raw_count += 1
-            residual = verify_solution(pmat, diag)
-            if residual <= cfg.residual_tol:
-                survivors.append(
-                    SolutionCandidate(
-                        x=x,
-                        t=tuple(complex(z) for z in t),
-                        mu=cube.mu,
-                        t0=t0,
-                        diag=tuple(complex(z) for z in diag),
-                        residual=residual,
-                    )
+            residual = max_abs(t0**3 * cube.matrix - eye)
+            if not residual <= cfg.residual_tol:
+                continue
+            survived = True
+            diag = t0 * t
+            dedup_tol = cfg.root_dedup_tol * max(1.0, max_abs(diag))
+            if kept_diags and np.any(
+                np.max(np.abs(np.array(kept_diags) - diag), axis=1) <= dedup_tol
+            ):
+                continue
+            kept_diags.append(diag)
+            accepted.append(
+                SolutionCandidate(
+                    x=x,
+                    t=tuple(t.tolist()),
+                    mu=cube.mu,
+                    t0=t0,
+                    diag=tuple(diag.tolist()),
+                    residual=residual,
                 )
-        if survivors:
-            accepted.extend(survivors)
-        else:
+            )
+        if not survived:
             rejected.append((x, "residual_failed"))
 
-    deduped: list[SolutionCandidate] = []
-    for sol in accepted:
-        vec = np.array(sol.diag)
-        dup = any(
-            max_abs(vec - np.array(kept.diag))
-            <= cfg.root_dedup_tol * max(1.0, max_abs(vec))
-            for kept in deduped
-        )
-        if not dup:
-            deduped.append(sol)
     return SolutionSet(
         scheme=scheme,
-        accepted=tuple(deduped),
+        accepted=tuple(accepted),
         rejected_x=tuple(rejected),
         raw_count=raw_count,
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 from .core import DEFAULT_CONFIG, IntersectionArray, SchemeInstance, SolverConfig
@@ -35,16 +34,6 @@ __all__ = [
 PROFILE_TOL = 1e-9
 CONSTANT_TOL = 1e-9
 RECIPROCAL_TOL = 1e-8
-
-
-def _map_ordered(fn, items, workers: int = 1) -> list:
-    """Apply fn to items, optionally on a thread pool; results keep the
-    input order either way, so sweep reports are deterministic."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def random_intersection_array(rng: random.Random, n_classes: int) -> IntersectionArray:
@@ -144,12 +133,10 @@ def verify_hamming_classification(
     n_range: Sequence[int] = range(3, 7),
     q_range: Sequence[int] = (2, 3, 4, 5),
     cfg: SolverConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> dict:
     """Every solution is T_i = c x^i with 1 - 2x + qx + x^2 = 0 and
     c^3 (q(1+(q-1)x))^N = 1: 6 solutions for q != 4, 3 for q = 4."""
-    grid = [(n, q) for n in n_range for q in q_range]
-    records = _map_ordered(lambda nq: _check_hamming_instance(*nq, cfg), grid, workers)
+    records = [_check_hamming_instance(n, q, cfg) for n in n_range for q in q_range]
     return {"theorem": 2, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
@@ -288,12 +275,11 @@ def _check_ngon_instance(n: int, cfg: SolverConfig) -> dict:
 def verify_ngon_classification(
     n_range: Sequence[int] = range(6, 13),
     cfg: SolverConfig = DEFAULT_CONFIG,
-    workers: int = 1,
 ) -> dict:
     """Even n: exactly 12 solutions, six per closed-form family; odd n:
     exactly 6, all alternating-sign, the others failing the terminal
     equation; constants match the quarter-turn case table."""
-    records = _map_ordered(lambda n: _check_ngon_instance(n, cfg), n_range, workers)
+    records = [_check_ngon_instance(n, cfg) for n in n_range]
     return {"theorem": 6, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
@@ -313,7 +299,6 @@ def verify_theorem(number: int, cfg: SolverConfig = DEFAULT_CONFIG, **kwargs) ->
             kwargs.get("n_range", range(3, 7)),
             kwargs.get("q_range", (2, 3, 4, 5)),
             cfg,
-            workers=kwargs.get("workers", 1),
         )
     if number == 3:
         return verify_bilinear_nonexistence(
@@ -328,8 +313,5 @@ def verify_theorem(number: int, cfg: SolverConfig = DEFAULT_CONFIG, **kwargs) ->
             kwargs.get("instances", ({"n": 3, "q": 2},)), cfg
         )
     if number == 6:
-        return verify_ngon_classification(
-            kwargs.get("n_range", range(6, 13)), cfg,
-            workers=kwargs.get("workers", 1),
-        )
+        return verify_ngon_classification(kwargs.get("n_range", range(6, 13)), cfg)
     raise ValueError(f"no claim numbered {number}")

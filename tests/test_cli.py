@@ -187,3 +187,18 @@ def test_timings_flag_adds_block(capsys):
     _, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "6",
                         "--timings")
     assert "wall_seconds" in json.loads(out)["timings" ]
+
+
+def test_singular_cube_exits_2(monkeypatch, capsys):
+    from spinsolve import solver
+
+    def singular(*args, **kwargs):
+        raise solver.SingularCubeError("cube of P diag(t) is numerically singular")
+
+    monkeypatch.setattr(solver, "scalar_and_T0", singular)
+    code, out, err = run_cli(capsys, "solve", "--family", "hamming",
+                             "--N", "3", "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cube of P diag(t) is numerically singular")
+    assert "Traceback" not in err

@@ -307,3 +307,55 @@ def test_solution_sets_serialize(hamming32):
     assert out["count"] == 6
     assert len(out["accepted"]) == 6
     assert {"re", "im"} == set(out["accepted"][0]["x"])
+
+
+# -- one cube per x ------------------------------------------------------------
+
+# T0 ranges over the three cube roots of 1/mu, and (P diag(T0 t))^3 =
+# T0^3 (P diag(t))^3, so an x either keeps all three roots or none.
+def _spec_id(spec):
+    return f"{spec.family}{spec.params}"
+
+
+CUBE_ROOT_GRID = (
+    [FamilySpec("hamming", {"N": n, "q": q})
+     for q in (2, 3, 4, 5, 7) for n in range(1, 23)
+     if (n, q) != (2, 2)]  # hamming(2,2) is the square
+    + [FamilySpec("ngon", {"n": n}) for n in (5, 6, 99, 100, 101, 398)]
+)
+
+
+@pytest.mark.parametrize("spec", CUBE_ROOT_GRID, ids=_spec_id)
+def test_counts_are_whole_cube_root_triples(spec):
+    assert solve(build(spec)).count % 3 == 0
+
+
+@pytest.mark.parametrize("n,q,expected", [(10, 5, 6), (7, 7, 6), (22, 4, 3)])
+def test_hamming_keeps_every_cube_root_at_scale(n, q, expected):
+    # here a cube rounded separately per root rejects some roots of an x
+    assert solve(build(FamilySpec("hamming", {"N": n, "q": q}))).count == expected
+
+
+RESIDUAL_GRID = (
+    [FamilySpec("hamming", {"N": n, "q": q})
+     for n in range(1, 7) for q in (2, 3, 4, 5, 7) if (n, q) != (2, 2)]
+    + [FamilySpec("ngon", {"n": n}) for n in range(3, 13) if n != 4]
+    + [FamilySpec("bilinear", {"M": 3, "N": 3, "q": 2})]
+)
+
+
+@pytest.mark.parametrize("spec", RESIDUAL_GRID, ids=_spec_id)
+def test_residual_agrees_with_direct_cube(spec):
+    scheme = build(spec)
+    for s in solve(scheme).accepted:
+        direct = verify_solution(scheme.eigenmatrix, s.diag)
+        assert s.residual <= CFG.residual_tol
+        assert direct <= CFG.residual_tol
+        assert abs(s.residual - direct) <= 0.5 * CFG.residual_tol
+
+
+def test_scalar_cube_carries_the_cube(hamming32):
+    t = t_profile(hamming32.array, hamming32.theta, 1j)
+    cube = scalar_and_T0(hamming32.eigenmatrix, t, CFG)
+    pt = hamming32.eigenmatrix * t[np.newaxis, :]
+    assert np.allclose(cube.matrix, pt @ pt @ pt)
