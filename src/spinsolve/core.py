@@ -55,8 +55,6 @@ class SolverConfig:
     root_dedup_tol: float = 1e-8
     filter_tol: float = 1e-8
     self_dual_tol: float = 1e-8
-    max_solutions_expected: int = 12
-    census_representatives: int = 5
     census_max_points: int = 1_000_000
 
     def __post_init__(self):

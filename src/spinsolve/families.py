@@ -8,13 +8,15 @@ this module honest about schemes it cannot write down directly.
 Eigenvalues are computed from the tridiagonal intersection matrix
 (rows c_i, a_i, b_i) after symmetrizing it; the array's positivity makes
 the symmetrized matrix real tridiagonal with positive off-diagonals, so
-the spectrum is real and simple.  Row ordering is chosen so that the
-resulting eigenmatrix satisfies P^2 = |X| I.
+the spectrum is real and simple.  The row order of P comes from the
+self-duality identity theta_i = k P_i(theta_1)/k_i (Bannai-Ito,
+Algebraic Combinatorics I, 1984, section 2.3): once theta_1 is chosen the
+rest follows, so at most N + 2 orders are measured against P^2 = |X| I
+before build() gives up with a BuildError.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -183,58 +185,42 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
 
 
 def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
-                        tol: float, exhaustive: bool = False):
-    """Search orderings of the non-leading eigenvalues for the one meeting
-    P^2 = |X| I.
+                        tol: float):
+    """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P).
 
-    Candidates, cheapest first: descending order; the index permutations
-    reached by swapping pairs of equal absolute value (bipartite-like
-    spectra); magnitude-descending order (Hermitian-forms spectra
-    alternate in sign, so their self-dual order is by |theta|).  With
-    exhaustive=True every permutation of positions 1..N is tried before
-    giving up.
+    In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
+    so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole
+    order.  Row j of the descending eigenmatrix holds P_i(eigs[j]), so one
+    matrix yields the order implied by every candidate theta_1.  Tried in
+    turn: descending order, then each theta_1 = eigs[1..N] whose implied
+    values snap to a permutation of the spectrum.  When none is self-dual,
+    the lower-defect of descending and |theta|-descending order is returned
+    (ties to descending), so at most N + 2 orders are measured.
     """
     n = len(eigs) - 1
-    pairs = _equal_magnitude_pairs(eigs)
+    identity = np.arange(n + 1)
 
-    def orders():
-        for chosen in itertools.chain.from_iterable(
-            itertools.combinations(pairs, k) for k in range(len(pairs) + 1)
-        ):
-            order = list(range(n + 1))
-            for i, j in chosen:
-                order[i], order[j] = order[j], order[i]
-            yield order
-        tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
-        yield [0] + tail
-        if exhaustive:
-            for perm in itertools.permutations(range(1, n + 1)):
-                yield [0] + list(perm)
-
-    best = None
-    seen: set[tuple[int, ...]] = set()
-    for order in orders():
-        key = tuple(order)
-        if key in seen:
-            continue
-        seen.add(key)
+    def measure(order):
         theta = eigs[order]
         p = eigenmatrix(arr, theta)
-        defect = max_abs(p @ p - size * np.eye(n + 1)) / size
-        if best is None or defect < best[0]:
-            best = (defect, theta, p)
-        if defect <= tol:
-            break
-    return best
+        return max_abs(p @ p - size * np.eye(n + 1)) / size, theta, p
 
-
-def _equal_magnitude_pairs(eigs: np.ndarray) -> list[tuple[int, int]]:
-    """Index pairs 1 <= i < j <= N with |theta_i| = |theta_j| (relative
-    to the largest |theta|), in row-major order."""
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    mags = np.abs(eigs[1:])
-    equal = np.abs(mags[:, np.newaxis] - mags[np.newaxis, :]) <= 1e-9 * scale
-    return [(int(i) + 1, int(j) + 1) for i, j in np.argwhere(np.triu(equal, k=1))]
+    desc = measure(identity)
+    if desc[0] <= tol:
+        return desc
+    v = arr.float_params()[0]
+    implied = v[1] * desc[2] / v
+    for row in implied[1:]:
+        order = np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
+        is_permutation = np.array_equal(np.sort(order), identity)
+        if not is_permutation or np.array_equal(order, identity):
+            continue
+        found = measure(order)
+        if found[0] <= tol:
+            return found
+    tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
+    by_magnitude = measure([0] + tail)
+    return by_magnitude if by_magnitude[0] < desc[0] else desc
 
 
 def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
@@ -258,9 +244,8 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
     vsum = sum(valencies(arr))
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
-    ordered = _self_dual_ordering(arr, np.asarray(theta, float), float(size),
-                                  cfg.self_dual_tol, exhaustive=True)
-    defect, theta_arr, pmat = ordered
+    defect, theta_arr, pmat = _self_dual_ordering(
+        arr, np.asarray(theta, float), float(size), cfg.self_dual_tol)
     if defect > cfg.self_dual_tol:
         raise BuildError(
             f"no eigenvalue ordering meets the self-duality tolerance "
@@ -308,19 +293,16 @@ def _two_cos_two_pi(i: int, n: int) -> float:
     return 2.0 * math.cos(2.0 * math.pi * i / n)
 
 
-def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG,
-                 require_self_dual: bool = False) -> SchemeInstance:
+def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
     """Wrap an arbitrary valid array as a Custom instance with |X| = sum v_i.
 
-    Self-duality is measured, not demanded, unless require_self_dual is set;
-    the solver is well-defined either way and simply finds no solutions on
-    arrays that do not come from a self-dual scheme.
+    Self-duality is measured, not demanded: the solver is well-defined
+    either way and simply finds no solutions on arrays that do not come
+    from a self-dual scheme.
     """
     ensure_valid(arr)
     size = sum(valencies(arr))
     eigs = eigenvalues_from_array(arr)
-    defect, theta, pmat = _self_dual_ordering(arr, eigs, float(size), cfg.self_dual_tol)
-    if require_self_dual and defect > cfg.self_dual_tol:
-        raise BuildError(f"array is not self-dual (defect {defect:.3e})")
+    _, theta, pmat = _self_dual_ordering(arr, eigs, float(size), cfg.self_dual_tol)
     return SchemeInstance(family="custom", params={}, array=arr, size=size,
                           theta=theta, eigenmatrix=pmat)

@@ -27,6 +27,9 @@ from .ffield import FiniteField
 
 __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "verify_family"]
 
+# Points per class whose p_{1,j}^r rows must agree.
+CENSUS_REPRESENTATIVES = 5
+
 
 class CensusError(RuntimeError):
     """The enumeration is too large, or the measured structure is not a
@@ -301,11 +304,10 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
         raise CensusError("empty distance class")
 
     neighbors = codes[cls == 1]
-    n_reps = max(1, cfg.census_representatives)
     p_table: list[tuple[int, ...]] = []
     reps_checked: list[int] = []
     for r in range(n_classes + 1):
-        members = codes[cls == r][:n_reps]
+        members = codes[cls == r][:CENSUS_REPRESENTATIVES]
         rows = []
         for y in members:
             raw_j = space.raw_between(int(y), neighbors)

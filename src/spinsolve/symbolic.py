@@ -419,43 +419,6 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     return _bareiss_determinant(rows, one)
 
 
-def _int_resultant(cp: list[int], cq: list[int]) -> int:
-    """Resultant of two integer univariate polynomials given low-to-high,
-    same convention as sylvester_resultant; used by the per-point checks."""
-    vars_ = ("_",)
-
-    def to_poly(value: int) -> MultiPoly:
-        return MultiPoly(vars_, {(0,): value})
-
-    while cp and cp[-1] == 0:
-        cp = cp[:-1]
-    while cq and cq[-1] == 0:
-        cq = cq[:-1]
-    if not cp or not cq:
-        raise ValueError("resultant of a zero polynomial")
-    m, n = len(cp) - 1, len(cq) - 1
-    one = to_poly(1)
-    if m == 0:
-        return cp[0] ** n
-    if n == 0:
-        return cq[0] ** m
-    size = m + n
-    zero = to_poly(0)
-    rows = []
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(cp)):
-            row[i + k] = to_poly(c)
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(cq)):
-            row[i + k] = to_poly(c)
-        rows.append(row)
-    det = _bareiss_determinant(rows, one)
-    return det.terms.get((0,), 0)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic profiles t_i(x)
 # ---------------------------------------------------------------------------
@@ -747,6 +710,12 @@ def _coeffs_at(poly: MultiPoly, var: str, point: dict) -> list:
     return [c.substitute(point) for c in poly.coefficients_in(var)]
 
 
+def _univariate_at(poly: MultiPoly, var: str, point: dict) -> MultiPoly:
+    """poly with every variable but var set from point, as a MultiPoly in var."""
+    coeffs = _coeffs_at(poly, var, point)
+    return MultiPoly((var,), {(k,): c for k, c in enumerate(coeffs)})
+
+
 def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
     """Verify the bilinear-forms elimination against the printed formulas
     by exact evaluation at seeded large integer points.
@@ -842,8 +811,8 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         )
 
         point_d = {"x": xv, "d": 0, "e": ev, "q": qv}
-        res = _int_resultant(_coeffs_at(g1, "d", point_d),
-                             _coeffs_at(g2, "d", point_d))
+        res = sylvester_resultant(_univariate_at(g1, "d", point_d),
+                                  _univariate_at(g2, "d", point_d), "d").terms.get((0,), 0)
         quad = 1 - 2 * xv + ev * xv + xv**2
         bigquad = c0 + c1 * xv + c0 * xv**2
         printed_r = ((qv - 1) ** 5 * qv**12 * (ev - qv) ** 6 * (ev - qv**2) ** 4

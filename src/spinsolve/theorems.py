@@ -34,6 +34,7 @@ __all__ = [
 PROFILE_TOL = 1e-9
 CONSTANT_TOL = 1e-9
 RECIPROCAL_TOL = 1e-8
+MAX_SOLUTIONS = 12  # 4 ratios x times 3 cube roots T_0
 
 
 def random_intersection_array(rng: random.Random, n_classes: int) -> IntersectionArray:
@@ -78,7 +79,7 @@ def verify_solution_bound(
             "index": index,
             "n_classes": arr.n_classes,
             "count": sol.count,
-            "bound_ok": sol.count <= cfg.max_solutions_expected,
+            "bound_ok": sol.count <= MAX_SOLUTIONS,
             "reciprocal_ok": _reciprocal_closed(sol.accepted_x()),
         }
         ok = ok and rec["bound_ok"] and rec["reciprocal_ok"]
@@ -89,7 +90,7 @@ def verify_solution_bound(
             "kind": scheme.family,
             "params": scheme.params,
             "count": sol.count,
-            "bound_ok": sol.count <= cfg.max_solutions_expected,
+            "bound_ok": sol.count <= MAX_SOLUTIONS,
             "reciprocal_ok": _reciprocal_closed(sol.accepted_x()),
         }
         ok = ok and rec["bound_ok"] and rec["reciprocal_ok"]
@@ -287,31 +288,14 @@ def verify_ngon_classification(
 def verify_theorem(number: int, cfg: SolverConfig = DEFAULT_CONFIG, **kwargs) -> dict:
     """Dispatch by claim number (1: bound, 2: Hamming, 3: bilinear,
     4: alternating, 5: Hermitian, 6: n-gons)."""
-    if number == 1:
-        return verify_solution_bound(
-            n_random=kwargs.get("n_random", 200),
-            seed=kwargs.get("seed", 7),
-            cfg=cfg,
-            extra_schemes=kwargs.get("extra_schemes", ()),
-        )
-    if number == 2:
-        return verify_hamming_classification(
-            kwargs.get("n_range", range(3, 7)),
-            kwargs.get("q_range", (2, 3, 4, 5)),
-            cfg,
-        )
-    if number == 3:
-        return verify_bilinear_nonexistence(
-            kwargs.get("instances", ((3, 3, 2), (3, 4, 2), (3, 3, 3))), cfg
-        )
-    if number == 4:
-        return verify_alternating_nonexistence(
-            kwargs.get("instances", ({"n": 6, "q": 2}, {"n": 7, "q": 2})), cfg
-        )
-    if number == 5:
-        return verify_hermitian_nonexistence(
-            kwargs.get("instances", ({"n": 3, "q": 2},)), cfg
-        )
-    if number == 6:
-        return verify_ngon_classification(kwargs.get("n_range", range(6, 13)), cfg)
-    raise ValueError(f"no claim numbered {number}")
+    claims = {
+        1: verify_solution_bound,
+        2: verify_hamming_classification,
+        3: verify_bilinear_nonexistence,
+        4: verify_alternating_nonexistence,
+        5: verify_hermitian_nonexistence,
+        6: verify_ngon_classification,
+    }
+    if number not in claims:
+        raise ValueError(f"no claim numbered {number}")
+    return claims[number](cfg=cfg, **kwargs)

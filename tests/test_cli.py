@@ -1,8 +1,13 @@
 """Command-line front end: reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsolve.cli import main
 
@@ -82,6 +87,32 @@ def test_invalid_parameters_exit_2(capsys):
                            "--M", "2", "--N", "2", "--q", "6")
     assert code == 2
     assert "prime power" in err
+
+
+def test_non_self_dual_family_exits_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "--family", "hamming",
+                             "--N", "30", "--q", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no eigenvalue ordering meets the self-duality tolerance")
+
+
+FAMILY_ARGS = st.one_of(
+    st.builds(lambda n, q: ["--family", "hamming", "--N", str(n), "--q", str(q)],
+              st.integers(1, 40), st.integers(2, 16)),
+    st.builds(lambda n: ["--family", "ngon", "--n", str(n)], st.integers(3, 400)),
+)
+
+
+@given(FAMILY_ARGS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_solve_named_family_exits_0_or_2_quickly(family_args):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        code = main(["solve", *family_args])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2)
+    assert elapsed < 2.0
 
 
 def test_verify_hamming_range(capsys):

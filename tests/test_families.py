@@ -1,6 +1,7 @@
 """Family builders: arrays, eigenvalues, eigenmatrices, self-duality."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ import spinsolve as sp
 from spinsolve.core import valencies
 from spinsolve.families import (
     BuildError,
-    _equal_magnitude_pairs,
     FamilySpec,
     build,
     build_custom,
@@ -99,20 +99,6 @@ def test_eigenmatrix_names_first_coinciding_pair(hamming32):
         eigenmatrix(hamming32.array, [3, 1, 1, 3])
 
 
-@pytest.mark.parametrize("n", [8, 12, 398])
-def test_equal_magnitude_pairs_match_double_loop(n):
-    eigs = build(FamilySpec("ngon", {"n": n})).theta
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    loop = [
-        (i, j)
-        for i in range(1, len(eigs))
-        for j in range(i + 1, len(eigs))
-        if abs(abs(eigs[i]) - abs(eigs[j])) <= 1e-9 * scale
-    ]
-    assert loop  # even n-gons pair theta_i with -theta_i
-    assert _equal_magnitude_pairs(eigs) == loop
-
-
 @pytest.mark.parametrize("spec", [
     FamilySpec("hamming", {"N": 5, "q": 4}),
     FamilySpec("bilinear", {"M": 2, "N": 4, "q": 3}),
@@ -125,6 +111,16 @@ def test_self_duality_and_valency_sum(spec):
     p = scheme.eigenmatrix
     assert np.max(np.abs(p @ p - size * np.eye(p.shape[0]))) <= 1e-8 * size
     assert sum(valencies(scheme.array)) == scheme.size
+
+
+@pytest.mark.parametrize("N, q", [(30, 5), (60, 2), (20, 16)])
+def test_non_self_dual_build_fails_fast(N, q):
+    # the float P of these misses P^2 = |X| I under every order, so build()
+    # must give up after the orders that theta_1 implies, not try all N!
+    start = time.perf_counter()
+    with pytest.raises(BuildError, match=r"best defect \d\.\d{3}e[+-]\d+ >"):
+        build(FamilySpec("hamming", {"N": N, "q": q}))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ngon_end_classes():
