@@ -16,6 +16,7 @@ no floating point enters this module.  The engine reproduces, exactly:
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,25 +248,45 @@ def polynomial_ring(*names: str):
 def divide_with_remainder(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     """Multivariate division of p by a single divisor q over Z, reducing by
     the lexicographic leading term; terms whose lead is not divisible
-    (monomial-wise and coefficient-wise) move to the remainder."""
+    (monomial-wise and coefficient-wise) move to the remainder.
+
+    The working polynomial is one dict reduced in place: its exponents sit
+    in a heap (keyed by the negated exponent, so the lexicographically
+    largest pops first), each step subtracts m * q term by term, and a
+    term that cancels to zero stays in the dict until its heap entry pops
+    and is skipped.  The leading exponent strictly decreases, so every
+    exponent pops at most once (heap-based sparse division after Monagan
+    and Pearce, J. Symbolic Comput. 46 (2011)).
+    """
+    q = p._wrap(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     lt_e, lt_c = q.leading_term()
-    quotient = MultiPoly.constant(p.vars, 0)
-    remainder = MultiPoly.constant(p.vars, 0)
-    work = p
-    while not work.is_zero():
-        expo, coeff = work.leading_term()
+    tail = [(e, c) for e, c in q.terms.items() if e != lt_e]
+    work = dict(p.terms)
+    heap = [tuple(-a for a in e) for e in work]
+    heapq.heapify(heap)
+    quotient: dict = {}
+    remainder: dict = {}
+    while heap:
+        expo = tuple(-a for a in heapq.heappop(heap))
+        coeff = work.pop(expo)
+        if not coeff:
+            continue
         delta = tuple(a - b for a, b in zip(expo, lt_e))
         if min(delta) < 0 or coeff % lt_c != 0:
-            move = MultiPoly(p.vars, {expo: coeff})
-            remainder = remainder + move
-            work = work - move
+            remainder[expo] = coeff
             continue
-        mono = MultiPoly(p.vars, {delta: coeff // lt_c})
-        quotient = quotient + mono
-        work = work - mono * q
-    return quotient, remainder
+        factor = coeff // lt_c
+        quotient[delta] = factor
+        for e, c in tail:
+            mono = tuple(a + b for a, b in zip(delta, e))
+            if mono in work:
+                work[mono] -= factor * c
+            else:
+                work[mono] = -factor * c
+                heapq.heappush(heap, tuple(-a for a in mono))
+    return MultiPoly(p.vars, quotient), MultiPoly(p.vars, remainder)
 
 
 def exact_divide(p: MultiPoly, q: MultiPoly) -> MultiPoly:

@@ -137,6 +137,38 @@ def test_verify_ngon_range(capsys):
     assert json.loads(out)["result"]["pass"]
 
 
+DEGENERATE = "candidate polynomial vanishes identically"
+
+
+def test_verify_hamming_reports_the_degenerate_4_cycle(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "2",
+                           "--N", "2..3", "--q", "2..3")
+    assert code == 0
+    report = json.loads(out)["result"]
+    assert report["pass"]
+    records = {(r["N"], r["q"]): r for r in report["instances"]}
+    assert set(records) == {(2, 2), (2, 3), (3, 2), (3, 3)}
+    cycle = records.pop((2, 2))
+    assert cycle["degenerate"].startswith(DEGENERATE)
+    assert cycle["asserted"] is False
+    assert "count" not in cycle
+    assert all(r["count"] == 6 and r["pass"] for r in records.values())
+
+
+def test_verify_ngon_reports_the_degenerate_4_cycle(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "4..12")
+    assert code == 0
+    assert json.loads(out)["result"]["pass"]
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "3..12")
+    assert code in (0, 1)  # a report, not a usage error
+    records = {r["n"]: r for r in json.loads(out)["result"]["instances"]}
+    assert sorted(records) == list(range(3, 13))
+    cycle = records.pop(4)
+    assert cycle["degenerate"].startswith(DEGENERATE)
+    assert cycle["asserted"] is False
+    assert all(r["count"] == (12 if n % 2 == 0 else 6) for n, r in records.items())
+
+
 def test_verify_alternating_within_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "4", "--n", "6",
                            "--q", "2")

@@ -1,5 +1,6 @@
 """Exact engine: ring laws, division, resultants, identity reports."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from spinsolve.symbolic import (
     MultiPoly,
     NonExactDivision,
     RationalFunction,
+    _bilinear_system,
     bilinear_identity_checks,
+    divide_with_remainder,
     exact_divide,
     hamming_factor_check,
     hamming_profile_params,
@@ -63,6 +66,46 @@ def test_substitution_is_a_ring_morphism(p, a, b, c):
     assert (p * p).substitute(point) == p.substitute(point) ** 2
 
 
+def reference_divide_with_remainder(p, q):
+    """Division by whole-polynomial subtraction, one new MultiPoly per
+    step: the slow but obviously lexicographic oracle for the in-place
+    heap division."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    lt_e, lt_c = q.leading_term()
+    quotient = MultiPoly.constant(p.vars, 0)
+    remainder = MultiPoly.constant(p.vars, 0)
+    work = p
+    while not work.is_zero():
+        expo, coeff = work.leading_term()
+        delta = tuple(a - b for a, b in zip(expo, lt_e))
+        if min(delta) < 0 or coeff % lt_c != 0:
+            move = MultiPoly(p.vars, {expo: coeff})
+            remainder = remainder + move
+            work = work - move
+            continue
+        mono = MultiPoly(p.vars, {delta: coeff // lt_c})
+        quotient = quotient + mono
+        work = work - mono * q
+    return quotient, remainder
+
+
+@given(sparse_polys(), sparse_polys(), sparse_polys(max_terms=3),
+       st.sampled_from((1, -1, 2, -3, 6)))
+@settings(max_examples=200, deadline=None)
+def test_division_matches_reference(p, q, r, scale):
+    q = q * scale  # leading coefficients that are not units
+    if q.is_zero():
+        return
+    for dividend in (p, p * q + r):
+        quotient, remainder = divide_with_remainder(dividend, q)
+        ref_quotient, ref_remainder = reference_divide_with_remainder(dividend, q)
+        # same terms in the same order
+        assert list(quotient.terms.items()) == list(ref_quotient.terms.items())
+        assert list(remainder.terms.items()) == list(ref_remainder.terms.items())
+        assert dividend == quotient * q + remainder
+
+
 def test_simple_products_and_division():
     x, y, z = polynomial_ring(*VARS)
     assert (x + 1) * (x - 1) == x**2 - 1
@@ -74,6 +117,7 @@ def test_non_exact_division_reports_witness():
     with pytest.raises(NonExactDivision) as err:
         exact_divide(x**2 + 1, x + 1)
     assert not err.value.remainder.is_zero()
+    assert err.value.remainder == reference_divide_with_remainder(x**2 + 1, x + 1)[1]
 
 
 def test_resultant_linear_convention():
@@ -180,6 +224,19 @@ def test_exact_quartic_matches_numeric_for_integer_instances():
                                  int(arr.b[1]), int(arr.c[0]))
         numeric = candidate_quartic(arr, scheme.theta)
         assert numeric == exact  # floats carry the integers exactly
+
+
+def test_bilinear_elimination_is_pinned():
+    # term counts and digests of g1, g2 as the whole-polynomial reference
+    # division produced them
+    system = _bilinear_system()
+    for name, n_terms, digest in (("g1", 43, "3864db7905d91a25"),
+                                  ("g2", 464, "1c12e8b5cc25b78d")):
+        terms = system[name].terms
+        assert len(terms) == n_terms
+        assert hashlib.sha256(
+            repr(sorted(terms.items())).encode()
+        ).hexdigest().startswith(digest)
 
 
 def test_bilinear_identity_report():
