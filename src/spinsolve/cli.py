@@ -26,7 +26,7 @@ import time
 
 from . import __version__, theorems
 from .core import DEFAULT_CONFIG, IntersectionArray, SolverConfig, dumps_report, to_jsonable
-from .families import BuildError, FamilySpec, build, build_custom
+from .families import FAMILIES, BuildError, FamilySpec, build, build_custom
 from .oracle import CensusError, PointSpace, census, verify_family
 from .solver import DegenerateSchemeError, SingularCubeError, candidate_quartic, solve
 from .symbolic import (
@@ -249,13 +249,11 @@ def _cmd_symbolic(args) -> int:
     if args.symbolic_action == "quartic":
         scheme = _build_scheme(args, cfg)
         arr = scheme.array
-        if arr.n_classes < 2:
-            raise ValueError("the quartic needs at least two classes")
         theta1 = scheme.theta[1]
-        exact = all(v.denominator == 1 for v in (arr.a[1], arr.b[1], arr.c[0]))
+        b1 = arr.b_at(1)
+        exact = all(v.denominator == 1 for v in (arr.a[1], b1, arr.c[0]))
         if exact and float(theta1).is_integer():
-            coeffs = symbolic_quartic(int(theta1), int(arr.a[1]), int(arr.b[1]),
-                                      int(arr.c[0]))
+            coeffs = symbolic_quartic(int(theta1), int(arr.a[1]), int(b1), int(arr.c[0]))
         else:
             coeffs = candidate_quartic(arr, scheme.theta)
         result = {"family": scheme.family, "params": scheme.params,
@@ -283,9 +281,7 @@ def _echo(args) -> dict:
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, with_custom: bool = True) -> None:
-    choices = ["hamming", "bilinear", "alternating", "hermitian", "ngon"]
-    if with_custom:
-        choices.append("custom")
+    choices = FAMILIES if with_custom else tuple(f for f in FAMILIES if f != "custom")
     parser.add_argument("--family", required=True, choices=choices)
     parser.add_argument("--N", help="word length / matrix columns")
     parser.add_argument("--M", help="matrix rows (bilinear)")
@@ -342,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbolic", help="exact identity reports")
     p.add_argument("symbolic_action",
                    choices=["quartic", "hamming-resultant", "bilinear-identities"])
-    p.add_argument("--family",
-                   choices=["hamming", "bilinear", "alternating", "hermitian",
-                            "ngon", "custom"])
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--N")
     p.add_argument("--M")
     p.add_argument("--q")

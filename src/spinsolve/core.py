@@ -272,9 +272,6 @@ class SchemeInstance:
         resid = p @ p - self.size_float * np.eye(p.shape[0])
         return max_abs(resid) / self.size_float
 
-    def valencies_float(self) -> np.ndarray:
-        return self.array.float_params()[0].copy()
-
     def as_dict(self) -> dict:
         return {
             "family": self.family,

@@ -2,7 +2,10 @@
 
 The pipeline is family-agnostic and works on any valid intersection array
 with its eigenvalues: the ratio x = T_1/T_0 must satisfy a palindromic
-quartic (from the reciprocal identity of the degree-2 profile entry); each
+quartic (from the reciprocal identity of the degree-2 profile entry; with
+one class it is the square of the terminal equation).  Every such quartic
+is solved in z = x + 1/x, a quadratic whose degree drops when the leading
+coefficients vanish, and each z gives a reciprocal pair x, 1/x.  Each
 surviving x generates the full profile t_i = T_i/T_0 by a three-term
 forward recurrence; x is filtered by the reciprocal identities
 t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation; finally
@@ -91,39 +94,17 @@ def candidate_quartic(arr: IntersectionArray, theta) -> list[float]:
     With the scheme normalization c_1 = 1 this is
     A4 = theta_1, A3 = a_1 (theta_1 - 1), A2 = -(theta_1^2 + a_1^2 - b_1^2 + 1);
     the c_1 factors below extend the same identity to arbitrary valid arrays.
+    With one class, b_1 = 0 and theta_1 = -c_1, so the quartic is
+    -(c_1 x^2 + a_1 x + c_1)^2, the square of the terminal equation.
     """
-    if arr.n_classes < 2:
-        raise ValueError("the quartic needs at least two classes")
     th1 = float(theta[1])
     a1 = float(arr.a[1])
-    b1 = float(arr.b[1])
+    b1 = float(arr.b_at(1))
     c1 = float(arr.c[0])
     a4 = c1 * th1
     a3 = a1 * (th1 - c1)
     a2 = -(th1 * th1 + a1 * a1 + c1 * c1 - b1 * b1)
     return [a4, a3, a2, a3, a4]
-
-
-def _polish_root(coeffs: np.ndarray, x: complex, steps: int = 3) -> complex:
-    """Newton iteration on p/p', which keeps quadratic convergence at
-    multiple roots (palindromic quartics often carry doubled roots)."""
-    deriv = np.polyder(coeffs)
-    second = np.polyder(deriv)
-    for _ in range(steps):
-        p = np.polyval(coeffs, x)
-        dp = np.polyval(deriv, x)
-        d2p = np.polyval(second, x)
-        denom = dp * dp - p * d2p
-        if abs(denom) > 1e-30:
-            step = p * dp / denom
-        elif abs(dp) > 1e-30:
-            step = p / dp
-        else:
-            break
-        x -= step
-        if abs(step) < 1e-15 * max(1.0, abs(x)):
-            break
-    return x
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
@@ -138,21 +119,44 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
     return [r1, r2]
 
 
-def _palindromic_quartic_roots(a4: complex, a3: complex, a2: complex) -> list[complex]:
-    """Roots of A4 x^4 + A3 x^3 + A2 x^2 + A3 x + A4 via z = x + 1/x:
-    the quartic collapses to A4 z^2 + A3 z + (A2 - 2 A4), and each z gives
-    the reciprocal pair solving x^2 - z x + 1 = 0.
+def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex]:
+    """All distinct nonzero roots of a palindromic candidate polynomial
+    A4 x^4 + A3 x^3 + A2 x^2 + A3 x + A4, multiplicity collapsed (x = 0
+    never yields an invertible T).
 
-    Nearly coincident pair members are snapped to their mean: the pair sum
-    is exact in the coefficients, so this recovers doubled roots that
-    coefficient noise (for example eigenvalues computed in floating
-    point) would otherwise split by the square root of that noise.
+    Every candidate polynomial the pipeline produces is palindromic, so
+    its roots come in reciprocal pairs and z = x + 1/x solves
+    A4 z^2 + A3 z + (A2 - 2 A4) = 0; each z gives the pair solving
+    x^2 - z x + 1 = 0.  The degree drops with the coefficients: a
+    negligible A4 leaves x (A3 x^2 + A2 x + A3), so z = -A2/A3, and a
+    negligible A3 as well leaves only x = 0.  An identically zero or
+    non-palindromic polynomial is an error.
+
+    Nearly coincident z (and the pair members of z = +-2) are snapped to
+    their mean: the sums are exact in the coefficients, so this recovers
+    doubled roots that coefficient noise (for example eigenvalues computed
+    in floating point) would otherwise split by the square root of that
+    noise.
     """
-    z1, z2 = _quadratic_roots(a4, a3, a2 - 2 * a4)
-    if abs(z1 - z2) <= 1e-6 * max(1.0, abs(z1), abs(z2)):
-        z1 = z2 = (z1 + z2) / 2
-    roots: list[complex] = []
-    for z in (z1, z2):
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (5,) or coeffs[0] != coeffs[4] or coeffs[1] != coeffs[3]:
+        raise ValueError("candidate polynomial must be a palindromic quartic "
+                         "[A4, A3, A2, A3, A4]")
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        raise ValueError("all-zero candidate polynomial")
+    a4, a3, a2 = coeffs[:3]
+    if abs(a4) > 1e-13 * scale:
+        z1, z2 = _quadratic_roots(a4, a3, a2 - 2 * a4)
+        if abs(z1 - z2) <= 1e-6 * max(1.0, abs(z1), abs(z2)):
+            z1 = z2 = (z1 + z2) / 2
+        zs = [z1, z2]
+    elif abs(a3) > 1e-13 * scale:
+        zs = [-a2 / a3]
+    else:
+        zs = []
+    found: list[complex] = []
+    for z in zs:
         s = cmath.sqrt(z * z - 4)
         if (z.conjugate() * s).real < 0:
             s = -s
@@ -161,49 +165,11 @@ def _palindromic_quartic_roots(a4: complex, a3: complex, a2: complex) -> list[co
             x = z / 2  # doubled self-reciprocal root (x = +-1 up to noise)
         if x == 0:
             continue
-        roots.extend([x, 1 / x])
-    return roots
-
-
-def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex]:
-    """All distinct roots of the candidate polynomial, multiplicity
-    collapsed, excluding x = 0 (T must be invertible).
-
-    Palindromic quartics (the only kind the pipeline produces) are solved
-    in closed form through z = x + 1/x, which stays exact at doubled
-    roots; other inputs fall back to companion-matrix eigenvalues with a
-    multiplicity-aware Newton polish.  Leading zero coefficients drop the
-    degree; an identically zero polynomial is an error.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if scale == 0.0:
-        raise ValueError("all-zero candidate polynomial")
-    palindromic = (
-        len(coeffs) == 5
-        and coeffs[0] == coeffs[4]
-        and coeffs[1] == coeffs[3]
-        and abs(coeffs[0]) > 1e-13 * scale
-    )
-    if palindromic:
-        found = _palindromic_quartic_roots(*coeffs[:3])
-    else:
-        keep = np.abs(coeffs) > 1e-13 * scale
-        first = int(np.argmax(keep))
-        trimmed = coeffs[first:]
-        if len(trimmed) <= 1:
-            return []
-        if len(trimmed) == 3:
-            found = _quadratic_roots(*trimmed)
-        elif len(trimmed) == 2:
-            found = [-trimmed[1] / trimmed[0]]
-        else:
-            raw = np.roots(trimmed)
-            found = [_polish_root(trimmed, complex(z)) for z in raw]
+        found.extend([x, 1 / x])
     roots: list[complex] = []
     for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
         if abs(z) <= cfg.root_dedup_tol:
-            continue  # x = 0 never yields an invertible diagonal
+            continue
         if all(abs(z - kept) > cfg.root_dedup_tol * max(1.0, abs(z)) for kept in roots):
             roots.append(z)
     return roots
@@ -305,28 +271,15 @@ def verify_solution(p: np.ndarray, diag) -> float:
     return max_abs(pt @ pt @ pt - np.eye(p.shape[0]))
 
 
-def _candidate_polynomial(arr: IntersectionArray, theta) -> list[float]:
-    if arr.n_classes >= 2:
-        return candidate_quartic(arr, theta)
-    # single class: the terminal equation itself is quadratic in x
-    v1 = float(arr.b[0]) / float(arr.c[0])
-    return [v1 * float(theta[1]), -v1 * float(arr.a[1]), -float(arr.b[0])]
-
-
 def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolutionSet:
     """Run the full pipeline and return every verified diagonal solution,
     deduplicated by the T vector, along with each rejected x and why."""
     arr = scheme.array
     theta = scheme.theta
     pmat = scheme.eigenmatrix
-    coeffs = _candidate_polynomial(arr, theta)
+    coeffs = candidate_quartic(arr, theta)
     th1 = float(theta[1])
-    coeff_scale = max(
-        1.0,
-        th1 * th1,
-        float(arr.a[1 if arr.n_classes >= 2 else 0]) ** 2,
-        float(arr.b[0]) ** 2,
-    )
+    coeff_scale = max(1.0, th1 * th1, float(arr.a[1]) ** 2, float(arr.b[0]) ** 2)
     if max(abs(c) for c in coeffs) <= 1e-12 * coeff_scale:
         raise DegenerateSchemeError(
             "candidate polynomial vanishes identically; the diagonal ratio "

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,45 @@ def test_solve_named_family_exits_0_or_2_quickly(family_args):
     assert elapsed < 2.0
 
 
+@st.composite
+def int_arrays(draw) -> dict:
+    """Integer arrays with 1..6 classes and b_0 <= 12; some are invalid
+    (a negative a_i), which must exit 2."""
+    b0 = draw(st.integers(1, 12))
+    n_classes = draw(st.integers(1, 6))
+    b, c = [b0], []
+    for _ in range(1, n_classes):
+        ci = draw(st.integers(1, b0))
+        b.append(draw(st.integers(1, max(1, b0 - ci))))
+        c.append(ci)
+    c.append(draw(st.integers(1, b0)))
+    return {"b": b, "c": c}
+
+
+def _reported_x(result: dict) -> list[complex]:
+    entries = [s["x"] for s in result["accepted"]] + [r["x"] for r in result["rejected_x"]]
+    return [complex(e["re"], e["im"]) for e in entries]
+
+
+@given(int_arrays())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_solve_custom_array_exits_0_or_2_with_reciprocal_x(array):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arr.json"
+        path.write_text(json.dumps(array), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            start = time.perf_counter()
+            code = main(["solve", "--family", "custom", "--array-file", str(path)])
+            elapsed = time.perf_counter() - start
+    assert code in (0, 2)
+    assert elapsed < 2.0
+    if code == 0:
+        xs = _reported_x(json.loads(out.getvalue())["result"])
+        for x in xs:
+            assert any(abs(1 / x - w) <= 1e-8 * max(1, abs(1 / x)) for w in xs), (x, xs)
+
+
 def test_verify_hamming_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "2",
                            "--N", "3..4", "--q", "2..3")
@@ -169,6 +210,15 @@ def test_verify_ngon_reports_the_degenerate_4_cycle(capsys):
     assert all(r["count"] == (12 if n % 2 == 0 else 6) for n, r in records.items())
 
 
+def test_verify_ngon_accepts_the_triangle(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "3..12")
+    assert code == 0
+    report = json.loads(out)["result"]
+    assert report["pass"]
+    triangle = report["instances"][0]
+    assert triangle["n"] == 3 and triangle["count"] == 6 and triangle["issues"] == []
+
+
 def test_verify_alternating_within_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "4", "--n", "6",
                            "--q", "2")
@@ -221,6 +271,21 @@ def test_symbolic_quartic_ngon(capsys):
                            "--n", "6")
     assert code == 0
     assert json.loads(out)["result"]["coefficients_high_to_low"] == [1, 0, -1, 0, 1]
+
+
+def test_symbolic_quartic_one_class(capsys):
+    # K_4 = hamming(1, 4): -(x^2 + 2x + 1)^2
+    code, out, _ = run_cli(capsys, "symbolic", "quartic", "--family", "hamming",
+                           "--N", "1", "--q", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["coefficients_high_to_low"] == [-1, -4, -6, -4, -1]
+
+
+def test_family_choices_follow_the_family_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "census", "--family", "custom"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
 
 
 def test_symbolic_hamming_resultant(capsys):

@@ -69,10 +69,13 @@ def test_quartic_is_palindromic_on_random_arrays():
         assert a4 == a0 and a3 == a1
 
 
-def test_quartic_needs_two_classes():
-    arr = sp.IntersectionArray(b=[2], c=[2])
-    with pytest.raises(ValueError):
-        candidate_quartic(arr, [2.0, -2.0])
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_one_class_quartic_is_the_squared_terminal_equation(q):
+    scheme = build(FamilySpec("hamming", {"N": 1, "q": q}))
+    arr = scheme.array
+    c1, a1 = float(arr.c[0]), float(arr.a[1])
+    squared = -np.polymul([c1, a1, c1], [c1, a1, c1])
+    assert np.allclose(candidate_quartic(arr, scheme.theta), squared, rtol=0, atol=1e-12)
 
 
 # -- roots -------------------------------------------------------------------
@@ -95,6 +98,17 @@ def test_roots_exclude_zero_after_degree_drop():
 def test_roots_all_zero_is_an_error():
     with pytest.raises(ValueError, match="all-zero"):
         roots_of_quartic([0, 0, 0, 0, 0], CFG)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 2, 0, 2],
+    [1, 1, 2, 0, 1],
+    [0, 1, 2, 1],
+    [1, 2, 1],
+])
+def test_roots_reject_non_palindromic_input(coeffs):
+    with pytest.raises(ValueError, match="palindromic"):
+        roots_of_quartic(coeffs, CFG)
 
 
 def test_roots_closed_under_reciprocal_on_random_palindromics():
@@ -257,6 +271,32 @@ def test_solve_single_class_triangle():
     for s in sol.accepted:
         assert abs(s.x**2 + s.x + 1) < 1e-10
         assert abs(abs(s.mu) - 3**1.5) < 1e-10
+
+
+def test_solve_complete_graph_keeps_its_doubled_root():
+    # K4: the quartic is -(x + 1)^4, so x = -1 is the only ratio
+    scheme = build_custom(sp.IntersectionArray(b=[3], c=[1]), CFG)
+    sol = solve(scheme)
+    assert sol.count == 3 and not sol.rejected_x
+    for s in sol.accepted:
+        assert abs(s.x + 1) <= 1e-12
+        assert verify_solution(scheme.eigenmatrix, s.diag) <= CFG.residual_tol
+
+
+def test_solve_vanishing_theta1_invents_no_ratio():
+    # theta_1 = a_1 = 0: the quartic is -32 x^2 up to rounding in A4
+    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[6, 8]), CFG))
+    assert sol.count == 0
+    assert sol.rejected_x == ()
+
+
+def test_solve_vanishing_theta1_keeps_the_doubled_root_whole():
+    # theta_1 = 0, a_1 = 2: x (-8 x^2 - 16 x - 8), a doubled x = -1
+    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[4, 8]), CFG))
+    assert sol.count == 0
+    assert len(sol.rejected_x) == 1
+    x, reason = sol.rejected_x[0]
+    assert abs(x + 1) <= 1e-12 and reason == "terminal_failed"
 
 
 def test_solve_square_is_degenerate():
