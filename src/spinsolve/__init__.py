@@ -1,6 +1,13 @@
 """Solver, verifier, and classifier for the diagonal-matrix equation
 (PT)^3 = I over self-dual P-polynomial association schemes."""
 
+import os
+
+# OpenBLAS threading slows the small complex matmuls the solver does by
+# one to two orders of magnitude; this only takes effect if numpy has not
+# been imported yet, and never overrides a value the caller set.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     DEFAULT_CONFIG,
     IntersectionArray,

@@ -3,15 +3,21 @@
 Every point space here is a translation scheme: words, cyclic-group
 elements, or matrices over a finite field, with the class of a pair
 determined by the difference (Hamming weight, circular distance, or rank).
+One distance function, `raw_between(y, z)`, measures the weight of z - y;
+the distance from the base point is its case y = 0.  A matrix point's
+matrix is additive in its coordinates (negation and Hermitian conjugation
+are additive), so the matrix of z - y is M(z) - M(y).
+
 The census fixes the base point 0, classifies every point, then measures
 the table p_{1,j}^r by histogramming the classes of y - z over all
 first-class points z, for several representatives y of each class r.
 Representatives must agree exactly, which catches wrong distance
 functions without trusting translation invariance blindly.
 
-GF(2) matrix families use a bit-packed vectorized rank so that spaces of
-a few million points finish in seconds; everything else at desk scale is
-small enough for the scalar path.
+GF(2) matrices are bit-packed and ranked in one vectorized batch, so that
+spaces of a few million points finish in seconds; over larger fields the
+difference matrices are built as one (points, rows, cols) array and each
+is ranked by the scalar path.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig
-from .families import FamilySpec
+from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig, valencies
+from .families import FamilySpec, closed_form_array
 from .ffield import FiniteField
 
 __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "verify_family"]
@@ -130,28 +136,24 @@ class PointSpace:
             self.n_classes = min(p["M"], p["N"])
         elif fam == "alternating":
             self.field = FiniteField(p["q"])
-            self.n = p["n"]
-            self.upper = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-            self.n_points = p["q"] ** len(self.upper)
-            self.n_classes = self.n // 2
+            self.shape = (p["n"], p["n"])
+            self.upper = np.triu_indices(p["n"], 1)
+            self.n_points = p["q"] ** len(self.upper[0])
+            self.n_classes = p["n"] // 2
         elif fam == "hermitian":
             q = p["q"]
             self.field = FiniteField(q * q)
-            self.n = p["n"]
+            self.shape = (p["n"], p["n"])
             self.conj = self.field.conjugation()
-            self.fixed = self.field.fixed_elements(self.conj)
+            self.fixed = np.array(self.field.fixed_elements(self.conj), dtype=np.int16)
             if len(self.fixed) != q:
                 raise CensusError(f"conjugation of GF({q * q}) fixes {len(self.fixed)} "
                                   f"elements, expected {q}")
-            self.upper = [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-            # mixed radix: diagonal digits over the fixed subfield, then
-            # off-diagonal digits over the full field
-            self.radices = [q] * self.n + [q * q] * len(self.upper)
-            self.n_points = q ** (self.n**2)
+            self.upper = np.triu_indices(p["n"], 1)
+            self.n_points = q ** (p["n"] ** 2)
+            self.n_classes = p["n"]
         else:
             raise CensusError(f"no point space for family {fam!r}")
-        if fam == "hermitian":
-            self.n_classes = self.n
 
     # -- enumeration ------------------------------------------------------
 
@@ -162,46 +164,25 @@ class PointSpace:
 
     def raw_from_zero(self, codes: np.ndarray) -> np.ndarray:
         """Raw distance (weight, circular distance, or rank) from 0."""
-        fam = self.family
-        if fam == "ngon":
-            return np.minimum(codes, self.n - codes)
-        if fam == "hamming":
-            digits = self._digits(codes, self.alphabet, self.word_len)
-            return np.count_nonzero(digits, axis=1)
-        if fam == "bilinear":
-            if self.field.q == 2:
-                m, n = self.shape
-                rows = np.empty((len(codes), m), dtype=np.uint16)
-                for i in range(m):
-                    rows[:, i] = (codes >> (i * n)) & ((1 << n) - 1)
-                return rank_batch_gf2(rows, n)
-            return self._rank_scalar(codes)
-        if fam == "alternating":
-            if self.field.q == 2:
-                return rank_batch_gf2(self._alt_rows_gf2(codes), self.n)
-            return self._rank_scalar(codes)
-        if fam == "hermitian":
-            return self._rank_scalar(codes)
-        raise CensusError(f"no distance function for {fam!r}")
+        return self.raw_between(0, codes)
 
     def raw_between(self, code_y: int, codes_z: np.ndarray) -> np.ndarray:
-        """Raw distance between y and each z, via the difference z - y."""
-        fam = self.family
-        if fam == "ngon":
+        """Raw distance between y and each z: the weight of z - y."""
+        if self.family == "ngon":
             diff = (codes_z - code_y) % self.n
             return np.minimum(diff, self.n - diff)
-        if fam == "hamming":
-            dy = self._digits(np.array([code_y], dtype=np.int64), self.alphabet,
-                              self.word_len)[0]
+        y = np.array([code_y], dtype=np.int64)
+        if self.family == "hamming":
+            dy = self._digits(y, self.alphabet, self.word_len)[0]
             dz = self._digits(codes_z, self.alphabet, self.word_len)
             return np.count_nonzero((dz - dy) % self.alphabet, axis=1)
-        if fam in ("bilinear", "alternating") and self.field.q == 2:
-            return self.raw_from_zero(codes_z ^ code_y)
-        # generic path: subtract coordinates in the field, then rank
-        dy = self._coord_digits(np.array([code_y], dtype=np.int64))[0]
-        dz = self._coord_digits(codes_z)
-        diff = self.field.sub[dz, dy[None, :]]
-        return self._rank_of_coords(diff)
+        # matrix spaces: the matrix of z - y is M(z) - M(y)
+        if self.field.q == 2:
+            rows = self._gf2_rows(codes_z)
+            rows ^= self._gf2_rows(y)[0]
+            return rank_batch_gf2(rows, self.shape[1])
+        diff = self.field.sub[self._matrices(codes_z), self._matrices(y)[0]]
+        return np.array([rank(mat, self.field) for mat in diff.tolist()], dtype=np.int64)
 
     # -- internals --------------------------------------------------------
 
@@ -214,63 +195,42 @@ class PointSpace:
             rest //= base
         return out
 
-    def _coord_digits(self, codes: np.ndarray) -> np.ndarray:
-        """Decode codes to per-coordinate field-element indices."""
-        fam = self.family
-        if fam == "bilinear":
-            m, n = self.shape
-            return self._digits(codes, self.field.q, m * n)
-        if fam == "alternating":
-            return self._digits(codes, self.field.q, len(self.upper))
-        if fam == "hermitian":
-            out = np.empty((len(codes), len(self.radices)), dtype=np.int16)
-            rest = codes.copy()
-            fixed = np.array(self.fixed, dtype=np.int16)
-            for k, radix in enumerate(self.radices):
-                digit = (rest % radix).astype(np.int16)
-                out[:, k] = fixed[digit] if k < self.n else digit
-                rest //= radix
-            return out
-        raise CensusError(f"no coordinates for {fam!r}")
-
-    def _materialize(self, coords: np.ndarray) -> list[list[int]]:
-        """Full matrix of field-element indices from one coordinate vector."""
-        fam = self.family
-        f = self.field
-        if fam == "bilinear":
-            m, n = self.shape
-            return [list(coords[i * n:(i + 1) * n]) for i in range(m)]
-        mat = [[0] * self.n for _ in range(self.n)]
-        if fam == "alternating":
-            for k, (i, j) in enumerate(self.upper):
-                val = int(coords[k])
-                mat[i][j] = val
-                mat[j][i] = int(f.neg[val])
-            return mat
-        if fam == "hermitian":
-            for i in range(self.n):
-                mat[i][i] = int(coords[i])
-            for k, (i, j) in enumerate(self.upper):
-                val = int(coords[self.n + k])
-                mat[i][j] = val
-                mat[j][i] = int(self.conj[val])
-            return mat
-        raise CensusError(f"no matrix form for {fam!r}")
-
-    def _rank_of_coords(self, coords: np.ndarray) -> np.ndarray:
-        return np.array([rank(self._materialize(row), self.field) for row in coords],
-                        dtype=np.int64)
-
-    def _rank_scalar(self, codes: np.ndarray) -> np.ndarray:
-        return self._rank_of_coords(self._coord_digits(codes))
-
-    def _alt_rows_gf2(self, codes: np.ndarray) -> np.ndarray:
-        rows = np.zeros((len(codes), self.n), dtype=np.uint16)
-        for k, (i, j) in enumerate(self.upper):
+    def _gf2_rows(self, codes: np.ndarray) -> np.ndarray:
+        """GF(2) matrices as per-row bitmasks, shape (points, rows)."""
+        m, n = self.shape
+        rows = np.zeros((len(codes), m), dtype=np.uint16)
+        if self.family == "bilinear":
+            for i in range(m):
+                rows[:, i] = (codes >> (i * n)) & ((1 << n) - 1)
+            return rows
+        for k, (i, j) in enumerate(np.transpose(self.upper).tolist()):
             bit = ((codes >> k) & 1).astype(np.uint16)
             rows[:, i] |= bit << j
             rows[:, j] |= bit << i
         return rows
+
+    def _matrices(self, codes: np.ndarray) -> np.ndarray:
+        """Matrices of field-element indices, shape (points, rows, cols)."""
+        f = self.field
+        m, n = self.shape
+        if self.family == "bilinear":
+            return self._digits(codes, f.q, m * n).reshape(-1, m, n)
+        iu, ju = self.upper
+        mats = np.zeros((len(codes), n, n), dtype=np.int16)
+        if self.family == "alternating":
+            off = self._digits(codes, f.q, len(iu))
+            mats[:, iu, ju] = off
+            mats[:, ju, iu] = f.neg[off]
+            return mats
+        # hermitian mixed radix: diagonal digits over the fixed subfield,
+        # then off-diagonal digits over the full field
+        q = len(self.fixed)
+        diag = np.arange(n)
+        mats[:, diag, diag] = self.fixed[self._digits(codes, q, n)]
+        off = self._digits(codes // q**n, f.q, len(iu))
+        mats[:, iu, ju] = off
+        mats[:, ju, iu] = self.conj[off]
+        return mats
 
 
 def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensus:
@@ -346,10 +306,6 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
 def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
     """Census vs closed form (exact), or internal consistency for the
     families whose arrays the census itself supplies."""
-    from .families import closed_form_array  # local: families builds via census
-
-    from .core import valencies
-
     cen = census(PointSpace(spec), cfg)
     arr = cen.derived_array()
     mismatches: list[str] = []

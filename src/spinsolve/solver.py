@@ -273,7 +273,9 @@ def verify_solution(p: np.ndarray, diag) -> float:
 
 def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> SolutionSet:
     """Run the full pipeline and return every verified diagonal solution,
-    deduplicated by the T vector, along with each rejected x and why."""
+    along with each rejected x and why.  No solution needs merging: the
+    three cube roots of one x differ by a factor omega, and distinct x are
+    already root_dedup_tol apart."""
     arr = scheme.array
     theta = scheme.theta
     pmat = scheme.eigenmatrix
@@ -288,7 +290,6 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
 
     eye = np.eye(pmat.shape[0])
     accepted: list[SolutionCandidate] = []
-    kept_diags: list[np.ndarray] = []
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
     for x in roots_of_quartic(coeffs, cfg):
@@ -307,20 +308,13 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
             if not residual <= cfg.residual_tol:
                 continue
             survived = True
-            diag = t0 * t
-            dedup_tol = cfg.root_dedup_tol * max(1.0, max_abs(diag))
-            if kept_diags and np.any(
-                np.max(np.abs(np.array(kept_diags) - diag), axis=1) <= dedup_tol
-            ):
-                continue
-            kept_diags.append(diag)
             accepted.append(
                 SolutionCandidate(
                     x=x,
                     t=tuple(t.tolist()),
                     mu=cube.mu,
                     t0=t0,
-                    diag=tuple(diag.tolist()),
+                    diag=tuple((t0 * t).tolist()),
                     residual=residual,
                 )
             )

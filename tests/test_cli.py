@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinsolve
 from spinsolve.cli import main
 
 
@@ -241,6 +245,43 @@ def test_verify_hermitian(capsys):
                            "--q", "2")
     assert code == 0
     assert json.loads(out)["result"]["pass"]
+
+
+def test_verify_bilinear_default_instances(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "3")
+    assert code == 0
+    records = json.loads(out)["result"]["instances"]
+    assert len(records) == 3
+    assert all(r["count"] == 0 and r["rejected"] for r in records)
+
+
+def test_verify_bilinear_ranges(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "3", "--M", "2..3",
+                           "--N", "3", "--q", "2..3")
+    assert code == 0
+    records = json.loads(out)["result"]["instances"]
+    assert [(r["M"], r["N"], r["q"]) for r in records] == [
+        (2, 3, 2), (2, 3, 3), (3, 3, 2), (3, 3, 3)]
+
+
+def test_tol_flag_sets_the_residual_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--family", "hamming", "--N", "3",
+                           "--q", "2", "--tol", "1e-12")
+    assert code == 0
+    assert json.loads(out)["config"]["residual_tol"] == 1e-12
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_threads_unless_set(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(spinsolve.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, spinsolve; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == expected
 
 
 def test_oracle_verify_match(capsys):

@@ -61,6 +61,9 @@ def test_batch_rank_agrees_with_scalar():
     ("ngon", {"n": 6}),
     ("ngon", {"n": 7}),
     ("ngon", {"n": 8}),
+    # n = 1 has no off-diagonal entries: the space is the fixed subfield
+    ("hermitian", {"n": 1, "q": 2}),
+    ("hermitian", {"n": 1, "q": 3}),
 ])
 def test_census_matches_closed_form(family, params):
     report = verify_family(sp.FamilySpec(family, params))
@@ -112,6 +115,69 @@ def test_alternating_q3_census():
     report = verify_family(sp.FamilySpec("alternating", {"n": 4, "q": 3}))
     assert report["match"], report["mismatches"]
     assert report["census"]["point_count"] == 3 ** 6
+
+
+def _mixed_radix(code, radices):
+    digits = []
+    for radix in radices:
+        digits.append(code % radix)
+        code //= radix
+    return digits
+
+
+def _point_matrix(family, params, code):
+    """The field and the matrix of one point, decoded digit by digit:
+    row-major entries for bilinear forms, the strict upper triangle
+    (row-major) for alternating and Hermitian forms, whose Hermitian
+    diagonal digits come first and index the fixed subfield."""
+    q = params["q"]
+    if family == "bilinear":
+        m, n = params["M"], params["N"]
+        digits = _mixed_radix(code, [q] * (m * n))
+        return FiniteField(q), [digits[i * n:(i + 1) * n] for i in range(m)]
+    n = params["n"]
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mat = [[0] * n for _ in range(n)]
+    if family == "alternating":
+        f = FiniteField(q)
+        mirror = f.neg
+        digits = _mixed_radix(code, [q] * len(upper))
+    else:
+        f = FiniteField(q * q)
+        mirror = f.conjugation()
+        fixed = f.fixed_elements(mirror)
+        digits = _mixed_radix(code, [q] * n + [q * q] * len(upper))
+        for i in range(n):
+            mat[i][i] = fixed[digits[i]]
+        digits = digits[n:]
+    for (i, j), d in zip(upper, digits):
+        mat[i][j] = d
+        mat[j][i] = int(mirror[d])
+    return f, mat
+
+
+@pytest.mark.parametrize("family,params", [
+    ("bilinear", {"M": 2, "N": 3, "q": 3}),
+    ("alternating", {"n": 4, "q": 3}),
+    ("hermitian", {"n": 2, "q": 2}),
+    ("hermitian", {"n": 2, "q": 4}),  # fixed subfield {0, 1, 6, 7}: not the first q indices
+    ("bilinear", {"M": 2, "N": 3, "q": 2}),
+    ("alternating", {"n": 4, "q": 2}),
+])
+def test_distance_is_the_rank_of_the_difference(family, params):
+    space = PointSpace(sp.FamilySpec(family, params))
+    f = _point_matrix(family, params, 0)[0]
+
+    def matrix(code):
+        return _point_matrix(family, params, int(code))[1]
+
+    rng = np.random.default_rng(5)
+    for y in rng.integers(0, space.n_points, size=4):
+        zs = rng.integers(0, space.n_points, size=30)
+        expected = [rank([[int(f.sub[a, b]) for a, b in zip(rz, ry)]
+                          for rz, ry in zip(matrix(z), matrix(y))], f) for z in zs]
+        assert space.raw_between(int(y), zs).tolist() == expected
+        assert space.raw_from_zero(zs).tolist() == [rank(matrix(z), f) for z in zs]
 
 
 def test_representatives_are_recorded():

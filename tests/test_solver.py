@@ -1,6 +1,7 @@
 """Solver pipeline: quartic, roots, profiles, filters, full enumeration."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -247,6 +248,16 @@ def test_solve_ngon6_count(ngon6):
     sol = solve(ngon6)
     assert sol.count == 12
     assert sol.raw_count == 12
+
+
+def test_solve_keeps_every_solution_of_a_scaled_eigenmatrix(ngon6):
+    # P scaled by 1e9 scales every T by 1e-9; no absolute tolerance may
+    # merge the twelve distinct solutions
+    scheme = dataclasses.replace(ngon6, eigenmatrix=ngon6.eigenmatrix * 1e9)
+    sol = solve(scheme)
+    assert sol.count == 12
+    for s in sol.accepted:
+        assert verify_solution(scheme.eigenmatrix, s.diag) <= CFG.residual_tol
 
 
 def test_solve_ngon7_alternating_only():
