@@ -19,6 +19,7 @@ or a numerically singular cube (P diag t)^3.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ import time
 
 from . import __version__, theorems
 from .core import DEFAULT_CONFIG, IntersectionArray, SolverConfig, dumps_report, to_jsonable
-from .families import FAMILIES, BuildError, FamilySpec, build, build_custom
+from .families import FAMILIES, FAMILY_PARAMS, BuildError, FamilySpec, build, build_custom
 from .oracle import CensusError, PointSpace, census, verify_family
 from .solver import DegenerateSchemeError, SingularCubeError, candidate_quartic, solve
 from .symbolic import (
@@ -53,16 +54,10 @@ def _parse_range(text: str) -> list[int]:
 
 def _family_spec(args) -> FamilySpec:
     fam = args.family
-    if fam == "hamming":
-        return FamilySpec(fam, {"N": _one(args.N, "--N"), "q": _one(args.q, "--q")})
-    if fam == "bilinear":
-        return FamilySpec(fam, {"M": _one(args.M, "--M"), "N": _one(args.N, "--N"),
-                                "q": _one(args.q, "--q")})
-    if fam in ("alternating", "hermitian"):
-        return FamilySpec(fam, {"n": _one(args.n, "--n"), "q": _one(args.q, "--q")})
-    if fam == "ngon":
-        return FamilySpec(fam, {"n": _one(args.n, "--n")})
-    raise ValueError(f"--family {fam} needs --array-file")
+    if fam not in FAMILY_PARAMS:
+        raise ValueError(f"--family {fam} needs --array-file")
+    return FamilySpec(fam, {name: _one(getattr(args, name), f"--{name}")
+                            for name in FAMILY_PARAMS[fam]})
 
 
 def _one(value, flag: str) -> int:
@@ -90,13 +85,7 @@ def _report(command: str, args_echo: dict, cfg: SolverConfig, result,
         payload = {
             "command": command,
             "version": __version__,
-            "config": {
-                "residual_tol": cfg.residual_tol,
-                "root_dedup_tol": cfg.root_dedup_tol,
-                "filter_tol": cfg.filter_tol,
-                "self_dual_tol": cfg.self_dual_tol,
-                "census_max_points": cfg.census_max_points,
-            },
+            "config": dataclasses.asdict(cfg),
             "args": args_echo,
             "result": to_jsonable(result),
         }
@@ -216,7 +205,10 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     kwargs = {}
     if args.theorem == 1:
-        kwargs["n_random"] = args.random_arrays or 200
+        n_random = 200 if args.random_arrays is None else args.random_arrays
+        if n_random < 1:
+            raise ValueError(f"--random-arrays must be at least 1, got {n_random}")
+        kwargs["n_random"] = n_random
         kwargs["seed"] = args.seed
     if args.theorem == 2:
         if args.N:

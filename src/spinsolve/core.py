@@ -9,16 +9,18 @@ its |X|, the N+1 distinct eigenvalues theta_i of the first relation, and
 the eigenmatrix P with entries P_j(i); self-duality means P^2 = |X| I.
 
 Array parameters are kept as exact Fractions (every named family yields
-integers), with float views for the numeric solver.  All types are
-immutable after construction and safe to share across threads, so each
-array computes its validation result, its exact valencies and its float
-views once, on first use; the public accessors hand out fresh copies or
-read-only arrays.
+integers).  All types are immutable after construction and safe to share
+across threads, so each array computes its validation result, its exact
+valencies and one read-only float view (v, a, b, c) once, on first use;
+float_params() is the only float accessor, and the numeric solver and
+eigenmatrix builders read it without copying.  validate_array and
+valencies hand out fresh lists.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -59,8 +61,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("residual_tol", "root_dedup_tol", "filter_tol", "self_dual_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def with_(self, **kwargs) -> "SolverConfig":
         return replace(self, **kwargs)
@@ -124,24 +127,15 @@ class IntersectionArray:
         """c_i with the convention c_0 = 0."""
         return self.c[i - 1] if 1 <= i <= len(self.c) else Fraction(0)
 
-    def b_floats(self) -> np.ndarray:
-        return self._b_float.copy()
-
-    def c_floats(self) -> np.ndarray:
-        return self._c_float.copy()
-
-    def a_floats(self) -> np.ndarray:
-        return self._a_float.copy()
-
     def float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only float views (v, a, b, c) of v_0..v_N, a_0..a_N,
-        b_0..b_{N-1} and c_1..c_N, computed once per array.  Validates
-        the array on every call, like valencies()."""
-        valencies(self)
-        return self._v_float, self._a_float, self._b_float, self._c_float
+        b_0..b_{N-1} and c_1..c_N: the same arrays on every call.  An
+        invalid array raises on every call, like valencies()."""
+        return self._float_params
 
     # Derived data, cached on first use (the fields never change).  The
-    # public accessors copy out of these, so no caller can alter them.
+    # public accessors copy out of these or hand out read-only arrays, so
+    # no caller can alter them.
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -156,20 +150,11 @@ class IntersectionArray:
         return tuple(v)
 
     @cached_property
-    def _v_float(self) -> np.ndarray:
-        return _read_only_floats(self._valencies)
-
-    @cached_property
-    def _a_float(self) -> np.ndarray:
-        return _read_only_floats(self.a)
-
-    @cached_property
-    def _b_float(self) -> np.ndarray:
-        return _read_only_floats(self.b)
-
-    @cached_property
-    def _c_float(self) -> np.ndarray:
-        return _read_only_floats(self.c)
+    def _float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # cached_property stores nothing when this raises, so an invalid
+        # array is checked (and rejected) again on the next call
+        ensure_valid(self)
+        return tuple(_read_only_floats(x) for x in (self._valencies, self.a, self.b, self.c))
 
     def as_dict(self) -> dict:
         return {

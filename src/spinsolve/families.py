@@ -28,7 +28,6 @@ from .core import (
     IntersectionArray,
     SchemeInstance,
     SolverConfig,
-    ensure_valid,
     max_abs,
     valencies,
     validate_array,
@@ -45,7 +44,15 @@ __all__ = [
     "BuildError",
 ]
 
-FAMILIES = ("hamming", "bilinear", "alternating", "hermitian", "ngon", "custom")
+# Each named family's integer parameters, in the order they are reported.
+FAMILY_PARAMS = {
+    "hamming": ("N", "q"),
+    "bilinear": ("M", "N", "q"),
+    "alternating": ("n", "q"),
+    "hermitian": ("n", "q"),
+    "ngon": ("n",),
+}
+FAMILIES = tuple(FAMILY_PARAMS) + ("custom",)
 
 # GF families stay within orders whose tables we can build and afford.
 DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -139,17 +146,15 @@ def family_size(spec: FamilySpec) -> Fraction:
 def eigenvalues_from_array(arr: IntersectionArray) -> np.ndarray:
     """The N+1 distinct eigenvalues of the tridiagonal intersection matrix,
     sorted descending so theta_0 = b_0 leads."""
-    ensure_valid(arr)
-    n = arr.n_classes
-    a = arr.a_floats()
-    off = np.sqrt(arr.b_floats() * arr.c_floats())
+    _, a, b, c = arr.float_params()
+    off = np.sqrt(b * c)
     sym = np.diag(a)
     sym += np.diag(off, 1) + np.diag(off, -1)
     eigs = np.linalg.eigvalsh(sym)[::-1]
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.diff(np.sort(eigs))) <= 1e-9 * scale:
         raise BuildError("repeated eigenvalue in intersection matrix")
-    b0 = float(arr.b[0])
+    b0 = float(b[0])
     if abs(eigs[0] - b0) > 1e-8 * scale:
         raise BuildError(f"largest eigenvalue {eigs[0]} differs from b_0 = {b0}")
     eigs[0] = b0  # exact by the row-sum constraint
@@ -159,7 +164,7 @@ def eigenvalues_from_array(arr: IntersectionArray) -> np.ndarray:
 def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     """Column recurrence theta_i P_j(i) = b_{j-1} P_{j-1}(i) + a_j P_j(i)
     + c_{j+1} P_{j+1}(i), seeded by P_0 = 1 and P_1 = theta."""
-    ensure_valid(arr)
+    _, a, b, c = arr.float_params()
     theta = np.asarray(theta, dtype=float)
     n = arr.n_classes
     if theta.shape != (n + 1,):
@@ -170,9 +175,6 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     if len(hits):
         i, j = hits[0]
         raise ValueError(f"eigenvalues {i} and {j} coincide")
-    a = arr.a_floats()
-    b = arr.b_floats()
-    c = arr.c_floats()
     p = np.zeros((n + 1, n + 1))
     p[:, 0] = 1.0
     p[:, 1] = theta
@@ -300,7 +302,6 @@ def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     either way and simply finds no solutions on arrays that do not come
     from a self-dual scheme.
     """
-    ensure_valid(arr)
     size = sum(valencies(arr))
     eigs = eigenvalues_from_array(arr)
     _, theta, pmat = _self_dual_ordering(arr, eigs, float(size), cfg.self_dual_tol)

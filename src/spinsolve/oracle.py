@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig, valencies
-from .families import FamilySpec, closed_form_array
+from .families import FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
 __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "verify_family"]
@@ -123,22 +123,18 @@ class PointSpace:
         self.family = fam
         if fam == "hamming":
             self.word_len, self.alphabet = p["N"], p["q"]
-            self.n_points = self.alphabet**self.word_len
             self.n_classes = self.word_len
         elif fam == "ngon":
             self.n = p["n"]
-            self.n_points = self.n
             self.n_classes = self.n // 2
         elif fam == "bilinear":
             self.field = FiniteField(p["q"])
             self.shape = (p["M"], p["N"])
-            self.n_points = p["q"] ** (p["M"] * p["N"])
             self.n_classes = min(p["M"], p["N"])
         elif fam == "alternating":
             self.field = FiniteField(p["q"])
             self.shape = (p["n"], p["n"])
             self.upper = np.triu_indices(p["n"], 1)
-            self.n_points = p["q"] ** len(self.upper[0])
             self.n_classes = p["n"] // 2
         elif fam == "hermitian":
             q = p["q"]
@@ -150,10 +146,10 @@ class PointSpace:
                 raise CensusError(f"conjugation of GF({q * q}) fixes {len(self.fixed)} "
                                   f"elements, expected {q}")
             self.upper = np.triu_indices(p["n"], 1)
-            self.n_points = q ** (p["n"] ** 2)
             self.n_classes = p["n"]
         else:
             raise CensusError(f"no point space for family {fam!r}")
+        self.n_points = int(family_size(self.spec))
 
     # -- enumeration ------------------------------------------------------
 

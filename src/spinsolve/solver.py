@@ -193,16 +193,6 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     return t
 
 
-def _terminal_gap(arr: IntersectionArray, theta, x: complex, t: np.ndarray):
-    """Left and right sides of the final recurrence equation (the i = N
-    instance, which has no forward term and so constrains x)."""
-    n = arr.n_classes
-    v, a, b, _ = arr.float_params()
-    lhs = float(v[n]) * t[n] * (x * float(theta[n]) - float(a[n]))
-    rhs = float(b[n - 1]) * float(v[n - 1]) * t[n - 1]
-    return lhs, rhs
-
-
 def filter_x(arr: IntersectionArray, theta, x: complex,
              cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[bool, str | None]:
     """Accept x iff t_i(x) t_i(1/x) = 1 for every i and the terminal
@@ -217,10 +207,14 @@ def _filter_with_profile(arr: IntersectionArray, theta, x: complex,
     """filter_x, also returning the profile t(x) it computed."""
     t = t_profile(arr, theta, x)
     s = t_profile(arr, theta, 1.0 / x)
-    for i in range(1, arr.n_classes + 1):
+    n = arr.n_classes
+    for i in range(1, n + 1):
         if abs(t[i] * s[i] - 1.0) > cfg.filter_tol:
             return False, f"reciprocal_identity_failed at i={i}", t
-    lhs, rhs = _terminal_gap(arr, theta, x, t)
+    # the i = N recurrence equation has no forward term, so it constrains x
+    v, a, b, _ = arr.float_params()
+    lhs = v[n] * t[n] * (x * float(theta[n]) - a[n])
+    rhs = b[n - 1] * v[n - 1] * t[n - 1]
     gap_scale = max(abs(lhs), abs(rhs))
     if gap_scale > 0 and abs(lhs - rhs) > cfg.filter_tol * gap_scale:
         return False, "terminal_failed", t

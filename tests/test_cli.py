@@ -1,6 +1,7 @@
 """Command-line front end: reports, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -176,6 +177,24 @@ def test_verify_solution_bound_seeded(capsys):
     assert json.loads(out)["result"]["pass"]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_random_arrays_below_one_exits_2(capsys, count):
+    code, out, err = run_cli(capsys, "verify", "--theorem", "1",
+                             "--random-arrays", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --random-arrays must be at least 1")
+
+
+def test_verify_solution_bound_defaults_to_200_arrays(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert "random_arrays" not in report["args"]
+    records = report["result"]["instances"]
+    assert sum(r["kind"] == "random" for r in records) == 200
+
+
 def test_verify_ngon_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "6..8")
     assert code == 0
@@ -230,6 +249,14 @@ def test_verify_alternating_within_cap(capsys):
     assert json.loads(out)["result"]["pass"]
 
 
+def test_verify_alternating_default_fits_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "4")
+    assert code == 0
+    records = json.loads(out)["result"]["instances"]
+    assert [(r["params"], r["count"], r["asserted"]) for r in records] == [
+        ({"n": 6, "q": 2}, 0, True)]
+
+
 def test_verify_alternating_needs_cap_override(capsys):
     code, _, err = run_cli(capsys, "verify", "--theorem", "4", "--n", "7",
                            "--q", "2")
@@ -269,6 +296,23 @@ def test_tol_flag_sets_the_residual_tolerance(capsys):
                            "--q", "2", "--tol", "1e-12")
     assert code == 0
     assert json.loads(out)["config"]["residual_tol"] == 1e-12
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_exits_2_before_any_work(capsys, value):
+    code, out, err = run_cli(capsys, "solve", "--family", "hamming", "--N", "4",
+                             "--q", "3", "--tol", value, "--format", "table")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: residual_tol must be finite and positive")
+
+
+def test_report_config_lists_every_solver_config_field(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "5")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config) == [f.name for f in dataclasses.fields(spinsolve.SolverConfig)]
+    assert config["census_max_points"] == spinsolve.DEFAULT_CONFIG.census_max_points
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])

@@ -170,3 +170,12 @@ def test_custom_requires_valid_array():
     bad = sp.IntersectionArray(b=[2], c=[1], a=[0, 2])
     with pytest.raises(ValueError):
         build_custom(bad)
+
+
+def test_eigen_builders_reject_invalid_arrays():
+    bad = sp.IntersectionArray(b=[2, -1], c=[0, 2], a=[1, 2, 0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid intersection array"):
+            eigenvalues_from_array(bad)
+        with pytest.raises(ValueError, match="invalid intersection array"):
+            eigenmatrix(bad, [2.0, 0.0, -1.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spinsolve as sp
+from spinsolve.families import family_size
 from spinsolve.ffield import FiniteField
 from spinsolve.oracle import (
     CensusError,
@@ -90,6 +91,18 @@ def test_census_size_cap():
     space = PointSpace(sp.FamilySpec("alternating", {"n": 7, "q": 2}))
     with pytest.raises(CensusError, match="cap"):
         census(space, sp.DEFAULT_CONFIG)  # 2^21 points > 10^6 default
+
+
+@pytest.mark.parametrize("family,params", [
+    ("hamming", {"N": 3, "q": 3}),
+    ("ngon", {"n": 7}),
+    ("bilinear", {"M": 2, "N": 3, "q": 2}),
+    ("alternating", {"n": 4, "q": 3}),
+    ("hermitian", {"n": 2, "q": 2}),
+])
+def test_point_count_is_the_family_size(family, params):
+    spec = sp.FamilySpec(family, params)
+    assert PointSpace(spec).n_points == family_size(spec)
 
 
 def test_census_point_counts():
