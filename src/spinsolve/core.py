@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +65,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        cap = self.census_max_points
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap <= 0:
+            raise ValueError(f"census_max_points must be a positive integer, got {cap!r}")
 
     def with_(self, **kwargs) -> "SolverConfig":
         return replace(self, **kwargs)

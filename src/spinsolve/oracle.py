@@ -14,10 +14,13 @@ first-class points z, for several representatives y of each class r.
 Representatives must agree exactly, which catches wrong distance
 functions without trusting translation invariance blindly.
 
-GF(2) matrices are bit-packed and ranked in one vectorized batch, so that
-spaces of a few million points finish in seconds; over larger fields the
-difference matrices are built as one (points, rows, cols) array and each
-is ranked by the scalar path.
+GF(2) matrices are bit-packed, one small unsigned integer per row, and
+streamed in blocks of GF2_BLOCK points: each block's rows are built and
+ranked by a branch-free elimination whose every pass is one in-place numpy
+operation over the block, so the working set stays in cache and spaces of
+a few million points finish in well under a second.  Over larger fields
+the difference matrices are built as one (points, rows, cols) array and
+each is ranked by the scalar path.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "ver
 
 # Points per class whose p_{1,j}^r rows must agree.
 CENSUS_REPRESENTATIVES = 5
+
+# GF(2) points ranked per batch: large enough that numpy's per-call cost
+# is small, small enough that a block's rows and pivots stay in cache.
+GF2_BLOCK = 1 << 15
 
 
 class CensusError(RuntimeError):
@@ -68,43 +75,52 @@ def rank(matrix: Sequence[Sequence[int]], f: FiniteField) -> int:
     return rk
 
 
-_LSB_TABLE: np.ndarray | None = None
-
-
-def _lsb_table() -> np.ndarray:
-    global _LSB_TABLE
-    if _LSB_TABLE is None:
-        idx = np.arange(1, 1 << 16, dtype=np.int64)
-        table = np.zeros(1 << 16, dtype=np.int8)
-        table[1:] = np.log2(idx & -idx).astype(np.int8)  # exact: powers of two
-        _LSB_TABLE = table
-    return _LSB_TABLE
+def _gf2_dtype(ncols: int) -> type:
+    """Narrowest unsigned type that holds a row of ncols bits."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if ncols <= 8 * np.dtype(dtype).itemsize:
+            return dtype
+    raise ValueError(f"GF(2) rows of {ncols} columns do not fit in 64 bits")
 
 
 def rank_batch_gf2(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Ranks of a batch of GF(2) matrices given as per-row bitmasks.
 
-    rows has shape (n_matrices, n_rows); bit j of rows[m, i] is entry (i, j).
-    Elimination is position-free: each incoming row is reduced against the
-    pivots collected so far (per column, in increasing column order); a
-    surviving nonzero row becomes the pivot for its lowest set bit.
+    rows has shape (n_matrices, n_rows); bit j of rows[m, i] is entry (i, j),
+    and ncols <= 64.  Elimination is position-free and branch-free: row i
+    of every matrix is reduced at once against each earlier reduced row k,
+    in order, by `row ^= pivots[k] & -(row & low[k])`, where low[k] is the
+    lowest set bit of pivots[k] (0 for a zero row).  The mask is all ones
+    from that bit up exactly when row has it, and pivots[k] has no lower
+    bit, so each pass clears bit low[k]; later pivots lack the lowest bits
+    of earlier ones, so bits once cleared stay clear.  The reduced row is
+    nonzero iff row i is independent of rows 0..i-1, so the rank is the
+    number of nonzero reduced rows.
+
+    The rows are worked on as a transposed copy, (n_rows, n_matrices), in
+    the narrowest unsigned type that holds ncols bits, so every pass is
+    one contiguous in-place numpy operation; callers keep the batch
+    cache-sized (GF2_BLOCK).
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint16)
+    rows = np.asarray(rows)
     nmat, nrows = rows.shape
-    pivots = np.zeros((nmat, ncols), dtype=np.uint16)
+    dtype = _gf2_dtype(ncols)
+    if np.any(rows >> ncols):
+        raise ValueError(f"row bitmasks have bits at or above column {ncols}")
+    pivots = np.array(rows.T, dtype=dtype, order="C")
+    low = np.empty_like(pivots)
+    mask = np.empty(nmat, dtype=dtype)
     ranks = np.zeros(nmat, dtype=np.int64)
-    lsb = _lsb_table()
     for i in range(nrows):
-        row = rows[:, i].copy()
-        for c in range(ncols):
-            use = (((row >> c) & 1) == 1) & (pivots[:, c] != 0)
-            if use.any():
-                row[use] ^= pivots[use, c]
-        nz = np.flatnonzero(row)
-        if nz.size:
-            cols = lsb[row[nz]]
-            pivots[nz, cols] = row[nz]
-            ranks[nz] += 1
+        row = pivots[i]
+        for k in range(i):
+            np.bitwise_and(row, low[k], out=mask)
+            np.negative(mask, out=mask)
+            np.bitwise_and(mask, pivots[k], out=mask)
+            np.bitwise_xor(row, mask, out=row)
+        np.negative(row, out=low[i])
+        np.bitwise_and(low[i], row, out=low[i])
+        ranks += row != 0
     return ranks
 
 
@@ -174,9 +190,13 @@ class PointSpace:
             return np.count_nonzero((dz - dy) % self.alphabet, axis=1)
         # matrix spaces: the matrix of z - y is M(z) - M(y)
         if self.field.q == 2:
-            rows = self._gf2_rows(codes_z)
-            rows ^= self._gf2_rows(y)[0]
-            return rank_batch_gf2(rows, self.shape[1])
+            rows_y = self._gf2_rows(y)
+            ranks = np.empty(len(codes_z), dtype=np.int64)
+            for start in range(0, len(codes_z), GF2_BLOCK):
+                rows = self._gf2_rows(codes_z[start:start + GF2_BLOCK])
+                rows ^= rows_y
+                ranks[start:start + rows.shape[1]] = rank_batch_gf2(rows.T, self.shape[1])
+            return ranks
         diff = self.field.sub[self._matrices(codes_z), self._matrices(y)[0]]
         return np.array([rank(mat, self.field) for mat in diff.tolist()], dtype=np.int64)
 
@@ -192,17 +212,23 @@ class PointSpace:
         return out
 
     def _gf2_rows(self, codes: np.ndarray) -> np.ndarray:
-        """GF(2) matrices as per-row bitmasks, shape (points, rows)."""
+        """GF(2) matrices as per-row bitmasks, shape (rows, points)."""
         m, n = self.shape
-        rows = np.zeros((len(codes), m), dtype=np.uint16)
+        rows = np.empty((m, len(codes)), dtype=_gf2_dtype(n))
         if self.family == "bilinear":
             for i in range(m):
-                rows[:, i] = (codes >> (i * n)) & ((1 << n) - 1)
+                rows[i] = (codes >> (i * n)) & ((1 << n) - 1)
             return rows
-        for k, (i, j) in enumerate(np.transpose(self.upper).tolist()):
-            bit = ((codes >> k) & 1).astype(np.uint16)
-            rows[:, i] |= bit << j
-            rows[:, j] |= bit << i
+        # alternating: row i's upper triangle is the next n-1-i bits of the
+        # code; its lower triangle mirrors column i of the rows above
+        shift = 0
+        for i in range(n):
+            width = n - 1 - i
+            rows[i] = ((codes >> shift) & ((1 << width) - 1)) << (i + 1)
+            shift += width
+        for i in range(1, n):
+            for j in range(i):
+                rows[i] |= ((rows[j] >> i) & 1) << j
         return rows
 
     def _matrices(self, codes: np.ndarray) -> np.ndarray:
@@ -240,7 +266,7 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
     codes = space.codes()
     raws = space.raw_from_zero(codes)
 
-    observed = np.unique(raws)
+    observed = np.flatnonzero(np.bincount(raws))
     if space.family == "alternating" and np.any(observed % 2 != 0):
         raise CensusError(f"odd ranks {observed[observed % 2 != 0]} in an "
                           "alternating-forms space")

@@ -307,6 +307,22 @@ def test_non_finite_tol_exits_2_before_any_work(capsys, value):
     assert err.startswith("error: residual_tol must be finite and positive")
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_max_points_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "oracle", "census", "--family", "ngon", "--n", "6",
+                             "--max-points", value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: census_max_points must be a positive integer")
+
+
+def test_oracle_verify_of_rows_wider_than_16_bits(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "verify", "--family", "bilinear",
+                           "--M", "1", "--N", "17", "--q", "2")
+    assert code == 0
+    assert json.loads(out)["result"]["match"]
+
+
 def test_report_config_lists_every_solver_config_field(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "5")
     assert code == 0

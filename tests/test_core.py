@@ -91,6 +91,12 @@ def test_config_rejects_non_finite_tolerances(name, value):
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [0, -5, 2.5, True])
+def test_config_rejects_non_positive_or_non_integer_census_cap(value):
+    with pytest.raises(ValueError, match="census_max_points must be a positive integer"):
+        SolverConfig(census_max_points=value)
+
+
 def test_array_json_round_trip():
     arr = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
     data = json.loads(json.dumps(arr.as_dict()))

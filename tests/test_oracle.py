@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve.families import family_size
 from spinsolve.ffield import FiniteField
 from spinsolve.oracle import (
+    GF2_BLOCK,
     CensusError,
     PointSpace,
     census,
@@ -50,6 +53,86 @@ def test_batch_rank_agrees_with_scalar():
     batch = rank_batch_gf2(rows, n)
     scalar = np.array([rank(m.tolist(), GF2) for m in mats])
     assert np.array_equal(batch, scalar)
+
+
+def _rank_of_masks(masks, ncols):
+    """Scalar rank of one matrix given as per-row bitmasks."""
+    return rank([[(r >> j) & 1 for j in range(ncols)] for r in masks], GF2)
+
+
+@st.composite
+def gf2_batches(draw, min_cols=1, max_cols=16):
+    """(rows, cols, matrices as row bitmasks); an all-zero matrix and a
+    duplicate-row copy of every drawn matrix always ride along."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(min_cols, max_cols))
+    row = st.integers(0, (1 << ncols) - 1)
+    mats = draw(st.lists(st.lists(row, min_size=nrows, max_size=nrows), max_size=10))
+    mats += [[0] * nrows] + [m[:-1] + m[:1] for m in mats if nrows > 1]
+    return nrows, ncols, mats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gf2_batches())
+def test_batch_rank_matches_scalar_rank(batch):
+    nrows, ncols, mats = batch
+    rows = np.array(mats, dtype=np.uint16).reshape(len(mats), nrows)
+    assert rank_batch_gf2(rows, ncols).tolist() == [_rank_of_masks(m, ncols) for m in mats]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gf2_batches(min_cols=17, max_cols=64))
+def test_batch_rank_of_rows_wider_than_16_bits(batch):
+    nrows, ncols, mats = batch
+    rows = np.array(mats, dtype=np.uint64).reshape(len(mats), nrows)
+    assert rank_batch_gf2(rows, ncols).tolist() == [_rank_of_masks(m, ncols) for m in mats]
+
+
+@pytest.mark.parametrize("size", [0, 1, GF2_BLOCK - 1, GF2_BLOCK, GF2_BLOCK + 1])
+def test_batch_rank_at_block_sizes(size):
+    rng = np.random.default_rng(size)
+    nrows, ncols = 6, 9
+    base = rng.integers(0, 1 << ncols, size=(37, nrows))
+    base[0] = 0
+    base[1, -1] = base[1, 0]
+    picks = rng.integers(0, len(base), size=size)
+    expected = np.array([_rank_of_masks(m, ncols) for m in base.tolist()])
+    ranks = rank_batch_gf2(base[picks].astype(np.uint16), ncols)
+    assert ranks.shape == (size,)
+    assert np.array_equal(ranks, expected[picks])
+
+
+def test_batch_rank_rejects_bits_beyond_ncols():
+    with pytest.raises(ValueError, match="column 3"):
+        rank_batch_gf2(np.array([[1, 8]]), 3)
+
+
+def test_blocked_distance_is_the_rank_of_the_difference():
+    params = {"M": 4, "N": 5, "q": 2}
+    space = PointSpace(sp.FamilySpec("bilinear", params))
+    assert space.n_points > GF2_BLOCK
+    rng = np.random.default_rng(13)
+    y = int(rng.integers(space.n_points))
+    zs = rng.integers(0, space.n_points, size=GF2_BLOCK + 300)  # two blocks
+
+    def matrix(code):
+        digits = _mixed_radix(int(code), [2] * 20)
+        return [digits[i * 5:(i + 1) * 5] for i in range(4)]
+
+    my = matrix(y)
+    ranks = space.raw_between(y, zs)
+    # every 16th point, plus both sides of the block boundary and the tail
+    checked = sorted({*range(0, len(zs), 16), *range(GF2_BLOCK - 8, len(zs))})
+    expected = [rank([[a ^ b for a, b in zip(rz, ry)] for rz, ry in zip(matrix(zs[k]), my)],
+                     GF2) for k in checked]
+    assert ranks[checked].tolist() == expected
+
+
+def test_census_of_rows_wider_than_16_bits():
+    # 17 columns need rows wider than uint16
+    report = verify_family(sp.FamilySpec("bilinear", {"M": 1, "N": 17, "q": 2}))
+    assert report["match"], report["mismatches"]
+    assert report["census"]["class_sizes"] == [1, 2 ** 17 - 1]
 
 
 @pytest.mark.parametrize("family,params", [
