@@ -14,18 +14,23 @@ first-class points z, for several representatives y of each class r.
 Representatives must agree exactly, which catches wrong distance
 functions without trusting translation invariance blindly.
 
-GF(2) matrices are bit-packed, one small unsigned integer per row, and
-streamed in blocks of GF2_BLOCK points: each block's rows are built and
-ranked by a branch-free elimination whose every pass is one in-place numpy
-operation over the block, so the working set stays in cache and spaces of
-a few million points finish in well under a second.  Over larger fields
-the difference matrices are built as one (points, rows, cols) array and
-each is ranked by the scalar path.
+The census streams the whole space once, in blocks of GF2_BLOCK codes,
+into one array of distances in the narrowest unsigned type that holds the
+largest possible distance, and reads class sizes, neighbours and
+representatives off it.  GF(2) matrices are bit-packed, one unsigned
+integer per row; a bilinear matrix with more rows than columns is packed
+transposed, as rank is the same and the kernel's cost grows with the
+rows.  A block at a multiple b of GF2_BLOCK holds the codes b ^ o, so its
+rows are a cached offset table XOR the rows of b, ranked by a branch-free
+elimination whose every pass is one in-place numpy operation over the
+block.  Over larger fields each block's difference matrices are built as
+one (points, rows, cols) array and ranked by the scalar path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,8 +44,9 @@ __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "ver
 # Points per class whose p_{1,j}^r rows must agree.
 CENSUS_REPRESENTATIVES = 5
 
-# GF(2) points ranked per batch: large enough that numpy's per-call cost
-# is small, small enough that a block's rows and pivots stay in cache.
+# Points per block of the whole-space pass and per GF(2) batch: large
+# enough that numpy's per-call cost is small, small enough that a block's
+# rows and pivots stay in cache.
 GF2_BLOCK = 1 << 15
 
 
@@ -129,7 +135,10 @@ class PointSpace:
     """An enumerated translation space with its distance function.
 
     Points are integer codes 0..n_points-1 in a mixed-radix encoding of
-    the free coordinates; code 0 is always the zero point.
+    the free coordinates; code 0 is always the zero point.  `max_raw` is
+    the largest distance the family allows.  Over GF(2), `gf2_shape` is
+    (rows, bits per row) of the bit-packed matrices, bilinear ones taken
+    in the orientation with fewer rows; it is None for every other space.
     """
 
     spec: FamilySpec
@@ -137,21 +146,27 @@ class PointSpace:
     def __post_init__(self):
         fam, p = self.spec.family, self.spec.params
         self.family = fam
+        self.gf2_shape = None
         if fam == "hamming":
             self.word_len, self.alphabet = p["N"], p["q"]
-            self.n_classes = self.word_len
+            self.n_classes = self.max_raw = self.word_len
         elif fam == "ngon":
             self.n = p["n"]
-            self.n_classes = self.n // 2
+            self.n_classes = self.max_raw = self.n // 2
         elif fam == "bilinear":
             self.field = FiniteField(p["q"])
             self.shape = (p["M"], p["N"])
-            self.n_classes = min(p["M"], p["N"])
+            self.n_classes = self.max_raw = min(self.shape)
+            if p["q"] == 2:
+                self.gf2_shape = (min(self.shape), max(self.shape))
         elif fam == "alternating":
             self.field = FiniteField(p["q"])
             self.shape = (p["n"], p["n"])
             self.upper = np.triu_indices(p["n"], 1)
             self.n_classes = p["n"] // 2
+            self.max_raw = p["n"]  # odd ranks must be seen, not wrapped
+            if p["q"] == 2:
+                self.gf2_shape = self.shape
         elif fam == "hermitian":
             q = p["q"]
             self.field = FiniteField(q * q)
@@ -162,21 +177,35 @@ class PointSpace:
                 raise CensusError(f"conjugation of GF({q * q}) fixes {len(self.fixed)} "
                                   f"elements, expected {q}")
             self.upper = np.triu_indices(p["n"], 1)
-            self.n_classes = p["n"]
+            self.n_classes = self.max_raw = p["n"]
         else:
             raise CensusError(f"no point space for family {fam!r}")
         self.n_points = int(family_size(self.spec))
 
-    # -- enumeration ------------------------------------------------------
-
-    def codes(self) -> np.ndarray:
-        return np.arange(self.n_points, dtype=np.int64)
-
     # -- distances --------------------------------------------------------
 
-    def raw_from_zero(self, codes: np.ndarray) -> np.ndarray:
-        """Raw distance (weight, circular distance, or rank) from 0."""
-        return self.raw_between(0, codes)
+    def raw_from_zero(self) -> np.ndarray:
+        """Raw distance (weight, circular distance, or rank) from 0 of every
+        point, in code order, in the narrowest unsigned type that holds
+        max_raw.
+
+        The space is streamed in blocks of GF2_BLOCK codes.  Over GF(2) the
+        block at base b holds the codes b ^ o, and M is additive in its
+        coordinates, so its rows are the cached offset rows XOR the rows
+        of b.
+        """
+        out = np.empty(self.n_points, dtype=np.min_scalar_type(self.max_raw))
+        starts = np.arange(0, self.n_points, GF2_BLOCK)
+        if self.gf2_shape:
+            bases = self._gf2_rows(starts)
+        for k, start in enumerate(starts.tolist()):
+            stop = min(start + GF2_BLOCK, self.n_points)
+            if self.gf2_shape:
+                rows = self._gf2_offsets[:, :stop - start] ^ bases[:, k:k + 1]
+                out[start:stop] = rank_batch_gf2(rows.T, self.gf2_shape[1])
+            else:
+                out[start:stop] = self.raw_between(0, np.arange(start, stop))
+        return out
 
     def raw_between(self, code_y: int, codes_z: np.ndarray) -> np.ndarray:
         """Raw distance between y and each z: the weight of z - y."""
@@ -189,13 +218,13 @@ class PointSpace:
             dz = self._digits(codes_z, self.alphabet, self.word_len)
             return np.count_nonzero((dz - dy) % self.alphabet, axis=1)
         # matrix spaces: the matrix of z - y is M(z) - M(y)
-        if self.field.q == 2:
+        if self.gf2_shape:
             rows_y = self._gf2_rows(y)
             ranks = np.empty(len(codes_z), dtype=np.int64)
             for start in range(0, len(codes_z), GF2_BLOCK):
                 rows = self._gf2_rows(codes_z[start:start + GF2_BLOCK])
                 rows ^= rows_y
-                ranks[start:start + rows.shape[1]] = rank_batch_gf2(rows.T, self.shape[1])
+                ranks[start:start + rows.shape[1]] = rank_batch_gf2(rows.T, self.gf2_shape[1])
             return ranks
         diff = self.field.sub[self._matrices(codes_z), self._matrices(y)[0]]
         return np.array([rank(mat, self.field) for mat in diff.tolist()], dtype=np.int64)
@@ -211,13 +240,22 @@ class PointSpace:
             rest //= base
         return out
 
+    @cached_property
+    def _gf2_offsets(self) -> np.ndarray:
+        """Rows of the codes 0..GF2_BLOCK-1 (fewer in a smaller space)."""
+        return self._gf2_rows(np.arange(min(self.n_points, GF2_BLOCK)))
+
     def _gf2_rows(self, codes: np.ndarray) -> np.ndarray:
-        """GF(2) matrices as per-row bitmasks, shape (rows, points)."""
+        """GF(2) matrices as per-row bitmasks, shape (gf2_shape[0], points)."""
         m, n = self.shape
-        rows = np.empty((m, len(codes)), dtype=_gf2_dtype(n))
+        rows = np.empty((self.gf2_shape[0], len(codes)), dtype=_gf2_dtype(self.gf2_shape[1]))
         if self.family == "bilinear":
-            for i in range(m):
-                rows[i] = (codes >> (i * n)) & ((1 << n) - 1)
+            if m <= n:
+                for i in range(m):
+                    rows[i] = (codes >> (i * n)) & ((1 << n) - 1)
+            else:  # transposed: bit i of row j is entry (i, j), code bit i*n + j
+                for j in range(n):
+                    rows[j] = sum(((codes >> (i * n + j)) & 1) << i for i in range(m))
             return rows
         # alternating: row i's upper triangle is the next n-1-i bits of the
         # code; its lower triangle mirrors column i of the rows above
@@ -256,17 +294,26 @@ class PointSpace:
 
 
 def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensus:
-    """Measure p_{1,j}^r and class sizes over the whole point space."""
-    if space.n_points > cfg.census_max_points:
+    """Measure p_{1,j}^r and class sizes over the whole point space.
+
+    Class sizes are counted block by block from `raw_from_zero()`, and each
+    class's first CENSUS_REPRESENTATIVES codes are found block by block,
+    stopping once every class has them."""
+    n = space.n_points
+    if n > cfg.census_max_points:
         raise CensusError(
-            f"{space.family} space has {space.n_points} points, above the "
+            f"{space.family} space has {n} points, above the "
             f"configured cap {cfg.census_max_points}; raise census_max_points "
             "to force it"
         )
-    codes = space.codes()
-    raws = space.raw_from_zero(codes)
+    if n > np.iinfo(np.int64).max:
+        raise CensusError(f"{space.family} {space.spec.params} space has {n} points, "
+                          "more than int64 codes can index")
+    raws = space.raw_from_zero()
+    counts = sum(np.bincount(raws[start:start + GF2_BLOCK], minlength=space.max_raw + 1)
+                 for start in range(0, n, GF2_BLOCK))
 
-    observed = np.flatnonzero(np.bincount(raws))
+    observed = np.flatnonzero(counts)
     if space.family == "alternating" and np.any(observed % 2 != 0):
         raise CensusError(f"odd ranks {observed[observed % 2 != 0]} in an "
                           "alternating-forms space")
@@ -277,35 +324,37 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
             f"observed {n_classes + 1} distance classes, expected "
             f"{space.n_classes + 1} for {space.family} {space.spec.params}"
         )
-    raw_lookup = np.full(int(observed[-1]) + 1, -1, dtype=np.int64)
-    for r, k in class_of_raw.items():
-        raw_lookup[r] = k
-    cls = raw_lookup[raws]
-    class_sizes = np.bincount(cls, minlength=n_classes + 1)
-    if np.any(class_sizes == 0):
-        raise CensusError("empty distance class")
+    class_sizes = counts[observed]
+    neighbors = np.flatnonzero(raws == observed[1])
 
-    neighbors = codes[cls == 1]
+    wanted = np.minimum(class_sizes, CENSUS_REPRESENTATIVES)
+    members: list[list[int]] = [[] for _ in observed]
+    for start in range(0, n, GF2_BLOCK):
+        if all(len(m) == w for m, w in zip(members, wanted)):
+            break
+        block = raws[start:start + GF2_BLOCK]
+        for m, r, w in zip(members, observed, wanted):
+            if len(m) < w:
+                m += (start + np.flatnonzero(block == r)[:w - len(m)]).tolist()
+
     p_table: list[tuple[int, ...]] = []
     reps_checked: list[int] = []
     for r in range(n_classes + 1):
-        members = codes[cls == r][:CENSUS_REPRESENTATIVES]
         rows = []
-        for y in members:
-            raw_j = space.raw_between(int(y), neighbors)
-            bad = [int(v) for v in np.unique(raw_j) if int(v) not in class_of_raw]
+        for y in members[r]:
+            hist = np.bincount(space.raw_between(y, neighbors), minlength=observed[-1] + 1)
+            bad = [int(v) for v in np.flatnonzero(hist) if int(v) not in class_of_raw]
             if bad:
                 raise CensusError(f"distances {bad} between points do not occur "
                                   "from the base point")
-            row = np.bincount(raw_lookup[raw_j], minlength=n_classes + 1)
-            rows.append(tuple(int(x) for x in row))
+            rows.append(tuple(int(x) for x in hist[observed]))
         if len(set(rows)) != 1:
             raise CensusError(
                 f"representatives of class {r} disagree: {sorted(set(rows))}; "
                 "not an association scheme or wrong distance classes"
             )
         p_table.append(rows[0])
-        reps_checked.append(len(members))
+        reps_checked.append(len(members[r]))
 
     for r in range(n_classes + 1):
         for j in range(n_classes + 1):

@@ -323,6 +323,14 @@ def test_oracle_verify_of_rows_wider_than_16_bits(capsys):
     assert json.loads(out)["result"]["match"]
 
 
+def test_census_beyond_int64_codes_exits_2(capsys):
+    code, out, err = run_cli(capsys, "oracle", "census", "--family", "bilinear", "--M", "1",
+                             "--N", "70", "--q", "2", "--max-points", "9" * 23)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bilinear") and str(2 ** 70) in err
+
+
 def test_report_config_lists_every_solver_config_field(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "5")
     assert code == 0

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsolve as sp
+from spinsolve.core import SchemeCensus, dumps_report
 from spinsolve.families import family_size
 from spinsolve.ffield import FiniteField
 from spinsolve.oracle import (
+    CENSUS_REPRESENTATIVES,
     GF2_BLOCK,
     CensusError,
     PointSpace,
@@ -259,6 +261,9 @@ def _point_matrix(family, params, code):
     ("hermitian", {"n": 2, "q": 4}),  # fixed subfield {0, 1, 6, 7}: not the first q indices
     ("bilinear", {"M": 2, "N": 3, "q": 2}),
     ("alternating", {"n": 4, "q": 2}),
+    # more rows than columns: ranked as the transpose
+    ("bilinear", {"M": 5, "N": 3, "q": 2}),
+    ("bilinear", {"M": 7, "N": 3, "q": 2}),
 ])
 def test_distance_is_the_rank_of_the_difference(family, params):
     space = PointSpace(sp.FamilySpec(family, params))
@@ -273,7 +278,7 @@ def test_distance_is_the_rank_of_the_difference(family, params):
         expected = [rank([[int(f.sub[a, b]) for a, b in zip(rz, ry)]
                           for rz, ry in zip(matrix(z), matrix(y))], f) for z in zs]
         assert space.raw_between(int(y), zs).tolist() == expected
-        assert space.raw_from_zero(zs).tolist() == [rank(matrix(z), f) for z in zs]
+        assert space.raw_between(0, zs).tolist() == [rank(matrix(z), f) for z in zs]
 
 
 def test_representatives_are_recorded():
@@ -297,3 +302,98 @@ def test_disagreeing_representatives_are_an_error():
     space = _BrokenSpace(sp.FamilySpec("ngon", {"n": 9}))
     with pytest.raises(CensusError, match="disagree|do not occur"):
         census(space)
+
+
+def test_census_of_transposed_bilinear_matches_closed_form(big_cfg):
+    # 7 rows x 3 columns: the bit-packed rows are the 3 columns
+    report = verify_family(sp.FamilySpec("bilinear", {"M": 7, "N": 3, "q": 2}), big_cfg)
+    assert report["match"], report["mismatches"]
+    assert report["census"]["point_count"] == 2 ** 21
+
+
+def test_census_of_a_space_beyond_int64_is_an_error():
+    # the cap allows 2^70 points; the codes could not be indexed
+    cfg = sp.DEFAULT_CONFIG.with_(census_max_points=10 ** 23)
+    space = PointSpace(sp.FamilySpec("bilinear", {"M": 1, "N": 70, "q": 2}))
+    with pytest.raises(CensusError, match=f"bilinear .* has {2 ** 70} points"):
+        census(space, cfg)
+
+
+def test_distances_of_ngon_wider_than_uint8(big_cfg):
+    # distances up to 300 need uint16; uint8 would wrap them onto 0..255
+    report = verify_family(sp.FamilySpec("ngon", {"n": 601}), big_cfg)
+    assert report["match"], report["mismatches"]
+    assert len(report["census"]["class_sizes"]) == 301
+
+
+def _reference_census(space):
+    """The census before the streamed pass, kept as an oracle: every code
+    in one int64 array, a class-index gather and one scan per class."""
+    codes = np.arange(space.n_points, dtype=np.int64)
+    raws = space.raw_between(0, codes)
+    observed = np.flatnonzero(np.bincount(raws))
+    class_of_raw = {int(r): k for k, r in enumerate(observed)}
+    n_classes = len(observed) - 1
+    raw_lookup = np.full(int(observed[-1]) + 1, -1, dtype=np.int64)
+    for r, k in class_of_raw.items():
+        raw_lookup[r] = k
+    cls = raw_lookup[raws]
+    class_sizes = np.bincount(cls, minlength=n_classes + 1)
+    neighbors = codes[cls == 1]
+    p_table, reps_checked = [], []
+    for r in range(n_classes + 1):
+        members = codes[cls == r][:CENSUS_REPRESENTATIVES]
+        rows = {tuple(int(x) for x in np.bincount(
+            raw_lookup[space.raw_between(int(y), neighbors)], minlength=n_classes + 1))
+            for y in members}
+        assert len(rows) == 1
+        p_table.append(rows.pop())
+        reps_checked.append(len(members))
+    return SchemeCensus(family=space.family, params=dict(space.spec.params),
+                        point_count=int(space.n_points), class_of_distance=class_of_raw,
+                        class_sizes=tuple(int(x) for x in class_sizes),
+                        measured_p=tuple(p_table), representatives_checked=tuple(reps_checked))
+
+
+class _RecordingSpace(PointSpace):
+    """Records the first point of every raw_between call."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.ys = []
+
+    def raw_between(self, code_y, codes_z):
+        self.ys.append(int(code_y))
+        return super().raw_between(code_y, codes_z)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("bilinear", {"M": 1, "N": 3, "q": 2}),  # smaller than one block
+    ("bilinear", {"M": 4, "N": 5, "q": 2}),  # 32 blocks
+    ("alternating", {"n": 6, "q": 2}),
+    ("bilinear", {"M": 2, "N": 3, "q": 3}),  # scalar rank path
+    ("hermitian", {"n": 2, "q": 2}),
+    ("hamming", {"N": 4, "q": 3}),
+    ("ngon", {"n": 9}),
+])
+def test_streamed_census_matches_the_reference(family, params, big_cfg):
+    spec = sp.FamilySpec(family, params)
+    streamed, reference = _RecordingSpace(spec), _RecordingSpace(spec)
+    cen = census(streamed, big_cfg)
+    assert dumps_report(cen) == dumps_report(_reference_census(reference))
+    # the same representatives, in the same order
+    k = sum(cen.representatives_checked)
+    assert streamed.ys[-k:] == reference.ys[-k:]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("bilinear", {"M": 4, "N": 5, "q": 2}),
+    ("bilinear", {"M": 5, "N": 4, "q": 2}),
+    ("alternating", {"n": 6, "q": 2}),
+    ("bilinear", {"M": 1, "N": 3, "q": 2}),
+])
+def test_streamed_distances_match_the_general_distance(family, params):
+    space = PointSpace(sp.FamilySpec(family, params))
+    raws = space.raw_from_zero()
+    assert raws.dtype == np.uint8
+    assert raws.tolist() == space.raw_between(0, np.arange(space.n_points)).tolist()
