@@ -9,12 +9,15 @@ its |X|, the N+1 distinct eigenvalues theta_i of the first relation, and
 the eigenmatrix P with entries P_j(i); self-duality means P^2 = |X| I.
 
 Array parameters are kept as exact Fractions (every named family yields
-integers).  All types are immutable after construction and safe to share
-across threads, so each array computes its validation result, its exact
-valencies and one read-only float view (v, a, b, c) once, on first use;
-float_params() is the only float accessor, and the numeric solver and
-eigenmatrix builders read it without copying.  validate_array and
-valencies hand out fresh lists.
+integers).  Validation and the valencies compute on Python integers: each
+parameter times the common denominator D of the array, so a value becomes
+a Fraction only once, as a valency or in the text of a problem.  All
+types are immutable after construction and safe to share across threads,
+so each array computes its validation result, its exact valencies and one
+read-only float view (v, a, b, c) once, on first use; float_params() and
+its tuple form float_lists() are the only float accessors, and the
+numeric solver and eigenmatrix builders read them without copying.
+validate_array and valencies hand out fresh lists.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+    # ints first: isinstance against Fraction, an abstract-base subclass, is slow
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, float):
         return Fraction(x)  # exact binary value
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
@@ -107,17 +111,24 @@ class IntersectionArray:
         if not b:
             raise ValueError("need at least one class (N >= 1)")
         if a is None:
-            n = len(b)
-            full_b = b + (Fraction(0),)
-            full_c = (Fraction(0),) + c
-            a = tuple(b[0] - full_b[i] - full_c[i] for i in range(n + 1))
+            # the derived a_i have denominators dividing D, the lcm over b and c
+            scale = _common_denominator(b + c)
+            sb, sc = _as_ints(b, scale), _as_ints(c, scale)
+            sa = tuple(sb[0] - bi - ci for bi, ci in zip(sb + (0,), (0,) + sc))
+            made = {x: Fraction(x, scale) for x in set(sa)}
+            a = tuple(made[x] for x in sa)
         else:
             a = tuple(_as_fraction(x) for x in a)
             if len(a) != len(b) + 1:
                 raise ValueError("a must have length N + 1")
+            scale = _common_denominator(a + b + c)
+            sa, sb, sc = (_as_ints(x, scale) for x in (a, b, c))
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
+        # (D, D a, D b, D c) with D the lcm of every denominator: the
+        # integers that validation and the valencies compute on
+        object.__setattr__(self, "_scaled", (scale, sa, sb, sc))
 
     @property
     def n_classes(self) -> int:
@@ -137,6 +148,12 @@ class IntersectionArray:
         invalid array raises on every call, like valencies()."""
         return self._float_params
 
+    def float_lists(self) -> tuple[tuple[float, ...], ...]:
+        """float_params() as tuples of Python floats, for scalar loops,
+        which index a tuple faster than an array: the same tuples on
+        every call."""
+        return self._float_lists
+
     # Derived data, cached on first use (the fields never change).  The
     # public accessors copy out of these or hand out read-only arrays, so
     # no caller can alter them.
@@ -146,19 +163,37 @@ class IntersectionArray:
         return tuple(_find_problems(self))
 
     @cached_property
+    def _valency_ratios(self) -> tuple[tuple[int, int], ...]:
+        """v_0..v_N as unreduced integer pairs (prod D b_i, prod D c_{i+1});
+        read only once the array is known to be valid."""
+        _, _, b, c = self._scaled
+        num = den = 1
+        ratios = [(1, 1)]
+        for bj, cj in zip(b, c):
+            num *= bj
+            den *= cj
+            ratios.append((num, den))
+        return tuple(ratios)
+
+    @cached_property
     def _valencies(self) -> tuple[Fraction, ...]:
         """Exact v_0..v_N; read only once the array is known to be valid."""
-        v = [Fraction(1)]
-        for bj, cj in zip(self.b, self.c):
-            v.append(v[-1] * bj / cj)
-        return tuple(v)
+        return tuple(Fraction(num, den) for num, den in self._valency_ratios)
 
     @cached_property
     def _float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # cached_property stores nothing when this raises, so an invalid
         # array is checked (and rejected) again on the next call
         ensure_valid(self)
-        return tuple(_read_only_floats(x) for x in (self._valencies, self.a, self.b, self.c))
+        scale, a, b, c = self._scaled
+        # int / int is correctly rounded, so each value equals float(Fraction)
+        v = [num / den for num, den in self._valency_ratios]
+        return (_read_only_floats(v),
+                *(_read_only_floats([x / scale for x in xs]) for xs in (a, b, c)))
+
+    @cached_property
+    def _float_lists(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(x.tolist()) for x in self._float_params)
 
     def as_dict(self) -> dict:
         return {
@@ -174,8 +209,17 @@ class IntersectionArray:
         return cls(data["b"], data["c"], data.get("a"))
 
 
-def _read_only_floats(values) -> np.ndarray:
-    out = np.array([float(x) for x in values])
+def _common_denominator(values: tuple[Fraction, ...]) -> int:
+    return math.lcm(*(x.denominator for x in values))
+
+
+def _as_ints(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
+    """The integers scale * x; scale must be a multiple of every denominator."""
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+def _read_only_floats(values: list[float]) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -186,32 +230,37 @@ def validate_array(arr: IntersectionArray) -> list[str]:
 
 
 def _find_problems(arr: IntersectionArray) -> list[str]:
+    # Every check runs on the integers D x of _scaled; a value is made a
+    # Fraction only for the text of a problem.
     problems: list[str] = []
     n = arr.n_classes
-    if arr.a[0] != 0:
+    scale, a, b, c = arr._scaled
+    if a[0] != 0:
         problems.append(f"a_0 = {arr.a[0]} must be 0")
-    for i, bi in enumerate(arr.b):
+    for i, bi in enumerate(b):
         if bi <= 0:
-            problems.append(f"b_{i} = {bi} must be positive")
-    for i, ci in enumerate(arr.c, start=1):
+            problems.append(f"b_{i} = {arr.b[i]} must be positive")
+    for i, ci in enumerate(c, start=1):
         if ci <= 0:
-            problems.append(f"c_{i} = {ci} must be positive")
-    for i, ai in enumerate(arr.a):
+            problems.append(f"c_{i} = {arr.c[i - 1]} must be positive")
+    for i, ai in enumerate(a):
         if ai < 0:
-            problems.append(f"a_{i} = {ai} must be nonnegative")
-    b0 = arr.b[0]
+            problems.append(f"a_{i} = {arr.a[i]} must be nonnegative")
+    full_b = b + (0,)
+    full_c = (0,) + c
     for i in range(n + 1):
-        total = arr.a[i] + arr.b_at(i) + arr.c_at(i)
-        if total != b0:
-            problems.append(f"a_{i}+b_{i}+c_{i} = {total} != b_0 = {b0}")
+        total = a[i] + full_b[i] + full_c[i]
+        if total != b[0]:
+            problems.append(f"a_{i}+b_{i}+c_{i} = {Fraction(total, scale)} != b_0 = {arr.b[0]}")
     # valency positivity follows from b, c > 0; recheck defensively
-    v = Fraction(1)
+    num = den = 1
     for j in range(n):
-        if arr.c[j] == 0:
+        if c[j] == 0:
             break  # v_{j+1} is undefined; c_{j+1} is already reported
-        v = v * arr.b[j] / arr.c[j]
-        if v <= 0:
-            problems.append(f"v_{j + 1} = {v} must be positive")
+        num *= b[j]
+        den *= c[j]
+        if num == 0 or (num > 0) != (den > 0):
+            problems.append(f"v_{j + 1} = {Fraction(num, den)} must be positive")
     return problems
 
 

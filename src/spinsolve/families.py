@@ -107,22 +107,24 @@ def closed_form_array(spec: FamilySpec) -> IntersectionArray:
     fam, p = spec.family, spec.params
     if fam == "hamming":
         n, q = p["N"], p["q"]
-        b = [Fraction((n - i) * (q - 1)) for i in range(n)]
-        c = [Fraction(i) for i in range(1, n + 1)]
-        a = [Fraction(i * (q - 2)) for i in range(n + 1)]
+        b = [(n - i) * (q - 1) for i in range(n)]
+        c = list(range(1, n + 1))
+        a = [i * (q - 2) for i in range(n + 1)]
         return IntersectionArray(b, c, a)
     if fam == "bilinear":
+        # q - 1 divides q^k - 1, so both quotients are exact
         m, n, q = p["M"], p["N"], p["q"]
-        d, e = Fraction(q) ** m, Fraction(q) ** n
+        d, e = q**m, q**n
         nc = min(m, n)
-        b = [(d - q**i) * (e - q**i) / (q - 1) for i in range(nc)]
-        c = [Fraction(q ** (i - 1) * (q**i - 1), q - 1) for i in range(1, nc + 1)]
+        b = [(d - q**i) * (e - q**i) // (q - 1) for i in range(nc)]
+        c = [q ** (i - 1) * (q**i - 1) // (q - 1) for i in range(1, nc + 1)]
         return IntersectionArray(b, c)
     if fam == "ngon":
         n = p["n"]
         nc = n // 2
-        b = [Fraction(2)] + [Fraction(1)] * (nc - 1)
-        c = [Fraction(1)] * (nc - 1) + [Fraction(2 if n % 2 == 0 else 1)]
+        one, two = Fraction(1), Fraction(2)  # shared: every entry is 1 but two
+        b = [two] + [one] * (nc - 1)
+        c = [one] * (nc - 1) + [two if n % 2 == 0 else one]
         return IntersectionArray(b, c)
     raise BuildError(f"no closed-form array for family {fam!r}")
 
@@ -163,7 +165,8 @@ def eigenvalues_from_array(arr: IntersectionArray) -> np.ndarray:
 
 def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     """Column recurrence theta_i P_j(i) = b_{j-1} P_{j-1}(i) + a_j P_j(i)
-    + c_{j+1} P_{j+1}(i), seeded by P_0 = 1 and P_1 = theta."""
+    + c_{j+1} P_{j+1}(i), seeded by P_0 = 1 and P_1 = theta.  Each column
+    is filled as a contiguous row of P^T; the result is C-contiguous."""
     _, a, b, c = arr.float_params()
     theta = np.asarray(theta, dtype=float)
     n = arr.n_classes
@@ -175,15 +178,15 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     if len(hits):
         i, j = hits[0]
         raise ValueError(f"eigenvalues {i} and {j} coincide")
-    p = np.zeros((n + 1, n + 1))
-    p[:, 0] = 1.0
-    p[:, 1] = theta
+    pt = np.empty((n + 1, n + 1))
+    pt[0] = 1.0
+    pt[1] = theta
     for j in range(1, n):
         cj1 = c[j]  # c_{j+1}
         if cj1 == 0:
             raise ValueError(f"c_{j + 1} = 0 before the last column")
-        p[:, j + 1] = ((theta - a[j]) * p[:, j] - b[j - 1] * p[:, j - 1]) / cj1
-    return p
+        pt[j + 1] = ((theta - a[j]) * pt[j] - b[j - 1] * pt[j - 1]) / cj1
+    return pt.T.copy()
 
 
 def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
@@ -243,7 +246,7 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
     if problems:
         raise BuildError("family produced an invalid array: " + "; ".join(problems))
     size = family_size(spec)
-    vsum = sum(valencies(arr))
+    vsum = _exact_sum(valencies(arr))
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
     defect, theta_arr, pmat = _self_dual_ordering(
@@ -268,10 +271,11 @@ def _closed_form_eigenvalues(spec: FamilySpec, arr: IntersectionArray) -> np.nda
         d, e = q**m, q**nn
         theta = []
         for i in range(n + 1):
-            val = Fraction(d * e + q**i * (1 - d - e), (q - 1) * q**i)
-            if val.denominator != 1:
-                raise BuildError(f"non-integer eigenvalue {val} for bilinear {p}")
-            theta.append(float(val))
+            num, den = d * e + q**i * (1 - d - e), (q - 1) * q**i
+            if num % den:
+                raise BuildError(f"non-integer eigenvalue {Fraction(num, den)} "
+                                 f"for bilinear {p}")
+            theta.append(float(num // den))
         return np.array(theta)
     if fam == "ngon":
         nn = p["n"]
@@ -279,20 +283,24 @@ def _closed_form_eigenvalues(spec: FamilySpec, arr: IntersectionArray) -> np.nda
     raise BuildError(f"no closed-form eigenvalues for {fam!r}")
 
 
-# 2 cos(pi r) is rational exactly for r in {0, 1/3, 1/2, 2/3, 1} (mod 2)
-_EXACT_TWO_COS = {
-    Fraction(0): 2.0, Fraction(1, 3): 1.0, Fraction(1, 2): 0.0,
-    Fraction(2, 3): -1.0, Fraction(1): -2.0, Fraction(4, 3): -1.0,
-    Fraction(3, 2): 0.0, Fraction(5, 3): 1.0,
-}
+# 2 cos(pi r) is rational exactly for r in {0, 1/3, 1/2, 2/3, 1} (mod 2),
+# keyed here by 6 r, which is an integer for each of them
+_EXACT_TWO_COS = {0: 2.0, 2: 1.0, 3: 0.0, 4: -1.0, 6: -2.0, 8: -1.0, 9: 0.0, 10: 1.0}
 
 
 def _two_cos_two_pi(i: int, n: int) -> float:
     """2 cos(2 pi i / n), exact where the value is rational."""
-    r = Fraction(2 * i, n) % 2
-    if r in _EXACT_TWO_COS:
-        return _EXACT_TWO_COS[r]
+    # r = 2 i / n (mod 2), so 6 r = 12 i / n (mod 12), an integer iff n | 12 i
+    six_r, rem = divmod(12 * i, n)
+    if rem == 0 and six_r % 12 in _EXACT_TWO_COS:
+        return _EXACT_TWO_COS[six_r % 12]
     return 2.0 * math.cos(2.0 * math.pi * i / n)
+
+
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """sum(values), added as integers over the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return Fraction(sum(x.numerator * (den // x.denominator) for x in values), den)
 
 
 def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
@@ -302,7 +310,7 @@ def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     either way and simply finds no solutions on arrays that do not come
     from a self-dual scheme.
     """
-    size = sum(valencies(arr))
+    size = _exact_sum(valencies(arr))
     eigs = eigenvalues_from_array(arr)
     _, theta, pmat = _self_dual_ordering(arr, eigs, float(size), cfg.self_dual_tol)
     return SchemeInstance(family="custom", params={}, array=arr, size=size,

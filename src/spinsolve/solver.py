@@ -13,10 +13,16 @@ t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation; finally
 cube roots of 1/mu.  At most 4 x-values times 3 cube roots can survive,
 so no input yields more than 12 solutions.
 
-The cube is formed once per x: (P diag(T_0 t))^3 = T_0^3 (P diag(t))^3,
-so each root's reported residual is max |T_0^3 (P diag(t))^3 - I|.
-verify_solution, which cubes P diag(T) directly, is the independent
-check that tests compare against.
+Each profile is computed once per solve: the quartic's roots come in
+pairs x, 1/x, so the profile t(1/x) that filters x is its partner's own
+profile, kept in a dict keyed by the exact root value.  The recurrence
+runs on Python floats and rounds as numpy's scalar arithmetic does.  The
+cube is formed once per x: (P diag(T_0 t))^3 = T_0^3 (P diag(t))^3, so
+each root's reported residual is max |T_0^3 (P diag(t))^3 - I|.  An x
+whose three roots all miss residual_tol is rejected as residual_failed;
+when only some miss, each is rejected as "residual_failed at root=k", k
+its index in t0_roots.  verify_solution, which cubes P diag(T) directly,
+is the independent check that tests compare against.
 
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
@@ -25,6 +31,7 @@ tests and the verification CLI against this solver's raw output.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -180,17 +187,20 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     v_i t_i (x theta_i - a_i) = b_{i-1} v_{i-1} t_{i-1} + c_{i+1} v_{i+1} t_{i+1}."""
     if x == 0:
         raise ValueError("x must be nonzero")
-    n = arr.n_classes
-    v, a, b, c = arr.float_params()
-    th = np.asarray(theta, dtype=float)
-    t = np.zeros(n + 1, dtype=complex)
-    t[0] = 1.0
-    t[1] = x
-    for i in range(1, n):
-        t[i + 1] = (v[i] * t[i] * (x * th[i] - a[i]) - b[i - 1] * v[i - 1] * t[i - 1]) / (
-            c[i] * v[i + 1]
-        )
-    return t
+    v, a, b, c = arr.float_lists()
+    th = np.asarray(theta, dtype=float).tolist()
+    x = complex(x)
+    t = [1 + 0j, x]
+    for i in range(1, arr.n_classes):
+        num = v[i] * t[i] * (x * th[i] - a[i]) - b[i - 1] * v[i - 1] * t[i - 1]
+        # numpy's complex-by-real division, rounding for rounding: Smith's
+        # algorithm with a zero imaginary part multiplies both parts by
+        # 1/(c_{i+1} v_{i+1}) after adding products with 0.0 (they fix the
+        # signs of zeros)
+        scale = 1.0 / (c[i] * v[i + 1])
+        t.append(complex((num.real + num.imag * 0.0) * scale,
+                         (num.imag - num.real * 0.0) * scale))
+    return np.array(t)
 
 
 def filter_x(arr: IntersectionArray, theta, x: complex,
@@ -198,25 +208,44 @@ def filter_x(arr: IntersectionArray, theta, x: complex,
     """Accept x iff t_i(x) t_i(1/x) = 1 for every i and the terminal
     recurrence equation holds (scale-relative, since valencies can be
     large)."""
-    ok, reason, _ = _filter_with_profile(arr, theta, x, cfg)
+    ok, reason, _ = _filter_with_profile(arr, theta, x, cfg, {})
     return ok, reason
 
 
-def _filter_with_profile(arr: IntersectionArray, theta, x: complex,
-                         cfg: SolverConfig) -> tuple[bool, str | None, np.ndarray]:
-    """filter_x, also returning the profile t(x) it computed."""
-    t = t_profile(arr, theta, x)
-    s = t_profile(arr, theta, 1.0 / x)
+def _profile(arr: IntersectionArray, theta, x: complex, profiles: dict) -> np.ndarray:
+    """t_profile(arr, theta, x), computed once per x in `profiles`.  The
+    key holds the signs of x's parts: -0.0 == 0.0, but x = 0+1j and its
+    partner's reciprocal 1/(0-1j) = -0.0+1j give profiles whose zeros
+    differ in sign, and a root must report its own."""
+    key = (x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
+    t = profiles.get(key)
+    if t is None:
+        t = profiles[key] = t_profile(arr, theta, x)
+    return t
+
+
+def _filter_with_profile(arr: IntersectionArray, theta, x: complex, cfg: SolverConfig,
+                         profiles: dict) -> tuple[bool, str | None, np.ndarray]:
+    """filter_x, also returning the profile t(x).  Profiles come from and
+    go to `profiles`, so the partner 1/x of a root x reuses t(1/x)."""
+    t = _profile(arr, theta, x, profiles)
+    s = _profile(arr, theta, 1.0 / x, profiles)
     n = arr.n_classes
-    for i in range(1, n + 1):
-        if abs(t[i] * s[i] - 1.0) > cfg.filter_tol:
-            return False, f"reciprocal_identity_failed at i={i}", t
+    tl, sl = t.tolist(), s.tolist()
     # the i = N recurrence equation has no forward term, so it constrains x
-    v, a, b, _ = arr.float_params()
-    lhs = v[n] * t[n] * (x * float(theta[n]) - a[n])
-    rhs = b[n - 1] * v[n - 1] * t[n - 1]
-    gap_scale = max(abs(lhs), abs(rhs))
-    if gap_scale > 0 and abs(lhs - rhs) > cfg.filter_tol * gap_scale:
+    v, a, b, _ = arr.float_lists()
+    lhs = v[n] * tl[n] * (x * float(theta[n]) - a[n])
+    rhs = b[n - 1] * v[n - 1] * tl[n - 1]
+    # products in Python complex, which rounds as numpy's scalars do; every
+    # modulus from one np.abs, whose rounding differs from abs(complex)
+    mags = np.abs([*(tl[i] * sl[i] - 1.0 for i in range(1, n + 1)),
+                   lhs, rhs, lhs - rhs]).tolist()
+    for i in range(1, n + 1):
+        if mags[i - 1] > cfg.filter_tol:
+            return False, f"reciprocal_identity_failed at i={i}", t
+    abs_lhs, abs_rhs, gap = mags[n:]
+    gap_scale = max(abs_lhs, abs_rhs)
+    if gap_scale > 0 and gap > cfg.filter_tol * gap_scale:
         return False, "terminal_failed", t
     return True, None, t
 
@@ -230,7 +259,8 @@ class ScalarCube(NamedTuple):
     is_scalar: bool
     mu: complex
     t0_roots: tuple[complex, ...]
-    defect: float
+    defect: float  # max |(P diag(t))^3 - mu I|
+    norm: float  # max |(P diag(t))^3|, the scale the defect is held to
     matrix: np.ndarray | None = None  # (P diag(t))^3
 
 
@@ -243,10 +273,15 @@ def scalar_and_T0(p: np.ndarray, t: np.ndarray,
     m = pt @ pt @ pt
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
-    defect = max_abs(m - mu * np.eye(dim))
-    norm = max_abs(m)
+    # off the diagonal, m - mu I is m itself: one |m| gives the norm and,
+    # with its diagonal (every (dim + 1)-th entry of the C-contiguous
+    # matmul result) replaced by |m_ii - mu|, the defect
+    mag = np.abs(m)
+    norm = float(mag.max())
+    mag.reshape(-1)[::dim + 1] = np.abs(m.reshape(-1)[::dim + 1] - mu)
+    defect = float(mag.max())
     if not defect <= cfg.residual_tol * norm:
-        return ScalarCube(False, mu, (), defect, m)
+        return ScalarCube(False, mu, (), defect, norm, m)
     if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * norm:
         raise SingularCubeError(
             "cube of P diag(t) is numerically singular; P and t were "
@@ -255,7 +290,17 @@ def scalar_and_T0(p: np.ndarray, t: np.ndarray,
     w = 1.0 / mu
     r = abs(w) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(w) / 3.0)
     step = cmath.exp(2j * cmath.pi / 3.0)
-    return ScalarCube(True, mu, (r, r * step, r * step * step), defect, m)
+    return ScalarCube(True, mu, (r, r * step, r * step * step), defect, norm, m)
+
+
+def _root_residual(m: np.ndarray, t0: complex) -> float:
+    """max |t0^3 m - I|, with I subtracted from the diagonal of t0^3 m in
+    place rather than formed.  m is C-contiguous, as a matmul result is,
+    so the flat view below is a view and its every (dim + 1)-th entry is
+    the diagonal."""
+    scaled = t0**3 * m
+    scaled.reshape(-1)[::len(m) + 1] -= 1.0
+    return max_abs(scaled)
 
 
 def verify_solution(p: np.ndarray, diag) -> float:
@@ -282,12 +327,12 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
             "x is unconstrained for this array"
         )
 
-    eye = np.eye(pmat.shape[0])
     accepted: list[SolutionCandidate] = []
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
+    profiles: dict = {}
     for x in roots_of_quartic(coeffs, cfg):
-        ok, reason, t = _filter_with_profile(arr, theta, x, cfg)
+        ok, reason, t = _filter_with_profile(arr, theta, x, cfg, profiles)
         if not ok:
             rejected.append((x, reason))
             continue
@@ -295,13 +340,13 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))
             continue
-        survived = False
-        for t0 in cube.t0_roots:
+        failed_roots = []
+        for k, t0 in enumerate(cube.t0_roots):
             raw_count += 1
-            residual = max_abs(t0**3 * cube.matrix - eye)
+            residual = _root_residual(cube.matrix, t0)
             if not residual <= cfg.residual_tol:
+                failed_roots.append(k)
                 continue
-            survived = True
             accepted.append(
                 SolutionCandidate(
                     x=x,
@@ -312,8 +357,10 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
                     residual=residual,
                 )
             )
-        if not survived:
+        if len(failed_roots) == len(cube.t0_roots):
             rejected.append((x, "residual_failed"))
+        else:
+            rejected.extend((x, f"residual_failed at root={k}") for k in failed_roots)
 
     return SolutionSet(
         scheme=scheme,

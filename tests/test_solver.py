@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinsolve as sp
+from spinsolve import solver
 from spinsolve.families import FamilySpec, build, build_custom
 from spinsolve.solver import (
     DegenerateSchemeError,
@@ -410,3 +411,67 @@ def test_scalar_cube_carries_the_cube(hamming32):
     cube = scalar_and_T0(hamming32.eigenmatrix, t, CFG)
     pt = hamming32.eigenmatrix * t[np.newaxis, :]
     assert np.allclose(cube.matrix, pt @ pt @ pt)
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("hamming", {"N": n, "q": 2}) for n in (1, 3, 6)]
+                         + [FamilySpec("ngon", {"n": 7})], ids=_spec_id)
+def test_solutions_carry_their_own_profile_bit_for_bit(spec):
+    # x = 0+1j meets its partner's reciprocal 1/(0-1j) = -0.0+1j, equal as a
+    # value; a profile shared between the two would differ in signs of zeros
+    scheme = build(spec)
+    for s in solve(scheme).accepted:
+        fresh = t_profile(scheme.array, scheme.theta, s.x)
+        assert np.array(s.t).tobytes() == fresh.tobytes()
+
+
+def test_partial_cube_root_failure_is_recorded(monkeypatch):
+    # hamming(3,4) keeps one x with its three roots; push one root off by
+    # 1e-3 and only that root may go, with a record of which it was
+    scheme = build(FamilySpec("hamming", {"N": 3, "q": 4}))
+    base = solve(scheme)
+    assert base.count == 3
+    real = solver.scalar_and_T0
+
+    def skewed(p, t, cfg=CFG):
+        cube = real(p, t, cfg)
+        if not cube.is_scalar:
+            return cube
+        roots = list(cube.t0_roots)
+        roots[1] *= 1 + 1e-3
+        return cube._replace(t0_roots=tuple(roots))
+
+    monkeypatch.setattr(solver, "scalar_and_T0", skewed)
+    sol = solve(scheme)
+    assert sol.count == 2 and sol.raw_count == base.raw_count
+    new = [r for r in sol.rejected_x if r not in base.rejected_x]
+    assert new == [(base.accepted[0].x, "residual_failed at root=1")]
+    assert len(sol.rejected_x) == len(base.rejected_x) + 1
+
+
+# -- the paper's counts, where the solver gets them right ---------------------
+
+# Largest N at which every hamming(N, q) count is right (ROADMAP "Where the
+# counts stand"); the paper's count is 6, or 3 at q = 4.
+HAMMING_RIGHT_UP_TO = {2: 22, 3: 22, 4: 23, 5: 10, 7: 7, 8: 6, 9: 5, 11: 5, 13: 4, 16: 5}
+
+
+@pytest.mark.parametrize("q", sorted(HAMMING_RIGHT_UP_TO))
+def test_hamming_counts_match_the_paper(q):
+    want = 3 if q == 4 else 6
+    counts = {n: solve(build(FamilySpec("hamming", {"N": n, "q": q}))).count
+              for n in range(1, HAMMING_RIGHT_UP_TO[q] + 1) if (n, q) != (2, 2)}
+    assert counts == dict.fromkeys(counts, want)
+
+
+NGON_SAMPLE = sorted((set(range(3, 401, 7)) | {398, 399, 400}) - {4})
+
+
+def test_ngon_counts_match_the_paper():
+    counts = {n: solve(build(FamilySpec("ngon", {"n": n}))).count for n in NGON_SAMPLE}
+    assert counts == {n: 12 if n % 2 == 0 else 6 for n in NGON_SAMPLE}
+
+
+def test_bilinear_counts_match_the_paper():
+    grid = [(m, n, q) for m in (3, 4) for n in range(m, 7) for q in (2, 3, 4, 5, 7)]
+    counts = {g: solve(build(FamilySpec("bilinear", dict(zip("MNq", g))))).count for g in grid}
+    assert counts == dict.fromkeys(grid, 0)
