@@ -203,36 +203,52 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _config(args)
     start = time.perf_counter()
-    kwargs = {}
-    if args.theorem == 1:
-        n_random = 200 if args.random_arrays is None else args.random_arrays
-        if n_random < 1:
-            raise ValueError(f"--random-arrays must be at least 1, got {n_random}")
-        kwargs["n_random"] = n_random
-        kwargs["seed"] = args.seed
-    if args.theorem == 2:
-        if args.N:
-            kwargs["n_range"] = _parse_range(args.N)
-        if args.q:
-            kwargs["q_range"] = _parse_range(args.q)
-    if args.theorem == 3 and args.q and args.M and args.N:
-        kwargs["instances"] = [
-            (m, n, q)
-            for m in _parse_range(args.M)
-            for n in _parse_range(args.N)
-            for q in _parse_range(args.q)
-        ]
-    if args.theorem in (4, 5) and args.n:
-        q_values = _parse_range(args.q) if args.q else [2]
-        kwargs["instances"] = [
-            {"n": n, "q": q} for n in _parse_range(args.n) for q in q_values
-        ]
-    if args.theorem == 6 and args.n:
-        kwargs["n_range"] = _parse_range(args.n)
-    result = theorems.verify_theorem(args.theorem, cfg, **kwargs)
+    result = theorems.verify_theorem(args.theorem, cfg, **_claim_kwargs(args))
     _report("verify", _echo(args), cfg, result, time.perf_counter() - start,
             args.format, args.timings)
     return 0 if result["pass"] else ASSERTION_ERROR
+
+
+# The range flags each claim reads; giving a claim any other is a usage error.
+CLAIM_FLAGS = {1: ("random_arrays",), 2: ("N", "q"), 3: ("M", "N", "q"),
+               4: ("n", "q"), 5: ("n", "q"), 6: ("n",)}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _claim_kwargs(args) -> dict:
+    """verify_theorem's keyword arguments from the range flags of one claim."""
+    claim, reads = args.theorem, CLAIM_FLAGS[args.theorem]
+    given = {name: getattr(args, name) for name in ("N", "M", "q", "n", "random_arrays")
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in reads:
+            raise ValueError(f"--theorem {claim} does not read {_flag(name)} "
+                             f"(it reads {', '.join(map(_flag, reads))})")
+    if claim == 1:
+        n_random = given.get("random_arrays", 200)
+        if n_random < 1:
+            raise ValueError(f"--random-arrays must be at least 1, got {n_random}")
+        return {"n_random": n_random, "seed": args.seed}
+    ranges = {name: _parse_range(value) for name, value in given.items()}
+    if claim == 2:
+        return {key: ranges[name] for name, key in (("N", "n_range"), ("q", "q_range"))
+                if name in ranges}
+    if claim == 3:
+        missing = [_flag(name) for name in reads if name not in ranges]
+        if ranges and missing:
+            raise ValueError(f"--theorem 3 reads --M, --N and --q together; "
+                             f"missing {', '.join(missing)}")
+        return {"instances": [(m, n, q) for m in ranges["M"] for n in ranges["N"]
+                              for q in ranges["q"]]} if ranges else {}
+    if claim in (4, 5):
+        if "q" in ranges and "n" not in ranges:
+            raise ValueError(f"--theorem {claim} reads --q only together with --n")
+        return {"instances": [{"n": n, "q": q} for n in ranges["n"]
+                              for q in ranges.get("q", [2])]} if ranges else {}
+    return {"n_range": ranges["n"]} if ranges else {}
 
 
 def _cmd_symbolic(args) -> int:

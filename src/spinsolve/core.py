@@ -14,10 +14,10 @@ parameter times the common denominator D of the array, so a value becomes
 a Fraction only once, as a valency or in the text of a problem.  All
 types are immutable after construction and safe to share across threads,
 so each array computes its validation result, its exact valencies and one
-read-only float view (v, a, b, c) once, on first use; float_params() and
-its tuple form float_lists() are the only float accessors, and the
-numeric solver and eigenmatrix builders read them without copying.
-validate_array and valencies hand out fresh lists.
+float view (v, a, b, c) once, on first use: tuples of Python floats, the
+only float accessor (float_params), which the numeric solver and the
+eigenvalue and eigenmatrix builders all share.  validate_array and
+valencies hand out fresh lists.
 """
 
 from __future__ import annotations
@@ -142,21 +142,16 @@ class IntersectionArray:
         """c_i with the convention c_0 = 0."""
         return self.c[i - 1] if 1 <= i <= len(self.c) else Fraction(0)
 
-    def float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only float views (v, a, b, c) of v_0..v_N, a_0..a_N,
-        b_0..b_{N-1} and c_1..c_N: the same arrays on every call.  An
-        invalid array raises on every call, like valencies()."""
+    def float_params(self) -> tuple[tuple[float, ...], ...]:
+        """The float view (v, a, b, c) of v_0..v_N, a_0..a_N, b_0..b_{N-1}
+        and c_1..c_N as tuples of Python floats: the same tuples on every
+        call.  An invalid array, or one with an entry beyond the float
+        range, raises ValueError on every call, like valencies()."""
         return self._float_params
 
-    def float_lists(self) -> tuple[tuple[float, ...], ...]:
-        """float_params() as tuples of Python floats, for scalar loops,
-        which index a tuple faster than an array: the same tuples on
-        every call."""
-        return self._float_lists
-
     # Derived data, cached on first use (the fields never change).  The
-    # public accessors copy out of these or hand out read-only arrays, so
-    # no caller can alter them.
+    # public accessors copy out of these or hand out tuples, so no caller
+    # can alter them.
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -181,19 +176,14 @@ class IntersectionArray:
         return tuple(Fraction(num, den) for num, den in self._valency_ratios)
 
     @cached_property
-    def _float_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _float_params(self) -> tuple[tuple[float, ...], ...]:
         # cached_property stores nothing when this raises, so an invalid
         # array is checked (and rejected) again on the next call
         ensure_valid(self)
         scale, a, b, c = self._scaled
-        # int / int is correctly rounded, so each value equals float(Fraction)
-        v = [num / den for num, den in self._valency_ratios]
-        return (_read_only_floats(v),
-                *(_read_only_floats([x / scale for x in xs]) for xs in (a, b, c)))
-
-    @cached_property
-    def _float_lists(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(x.tolist()) for x in self._float_params)
+        return (_floats("v", 0, self._valency_ratios),
+                *(_floats(name, first, [(x, scale) for x in xs])
+                  for name, first, xs in (("a", 0, a), ("b", 0, b), ("c", 1, c))))
 
     def as_dict(self) -> dict:
         return {
@@ -218,10 +208,17 @@ def _as_ints(values: tuple[Fraction, ...], scale: int) -> tuple[int, ...]:
     return tuple(x.numerator * (scale // x.denominator) for x in values)
 
 
-def _read_only_floats(values: list[float]) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
+def _floats(name: str, first: int, ratios) -> tuple[float, ...]:
+    """The floats num / den of the pairs in ratios, entry k named
+    name_{first + k}.  int / int is correctly rounded, so each value equals
+    float(Fraction(num, den)); a quotient beyond the float range raises."""
+    out = []
+    for k, (num, den) in enumerate(ratios, start=first):
+        try:
+            out.append(num / den)
+        except OverflowError:
+            raise ValueError(f"{name}_{k} is too large for float arithmetic") from None
+    return tuple(out)
 
 
 def validate_array(arr: IntersectionArray) -> list[str]:

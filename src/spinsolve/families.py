@@ -149,17 +149,16 @@ def eigenvalues_from_array(arr: IntersectionArray) -> np.ndarray:
     """The N+1 distinct eigenvalues of the tridiagonal intersection matrix,
     sorted descending so theta_0 = b_0 leads."""
     _, a, b, c = arr.float_params()
-    off = np.sqrt(b * c)
+    off = np.sqrt(np.multiply(b, c))
     sym = np.diag(a)
     sym += np.diag(off, 1) + np.diag(off, -1)
     eigs = np.linalg.eigvalsh(sym)[::-1]
     scale = max(1.0, float(np.max(np.abs(eigs))))
     if np.min(np.diff(np.sort(eigs))) <= 1e-9 * scale:
         raise BuildError("repeated eigenvalue in intersection matrix")
-    b0 = float(b[0])
-    if abs(eigs[0] - b0) > 1e-8 * scale:
-        raise BuildError(f"largest eigenvalue {eigs[0]} differs from b_0 = {b0}")
-    eigs[0] = b0  # exact by the row-sum constraint
+    if abs(eigs[0] - b[0]) > 1e-8 * scale:
+        raise BuildError(f"largest eigenvalue {eigs[0]} differs from b_0 = {b[0]}")
+    eigs[0] = b[0]  # exact by the row-sum constraint
     return eigs
 
 
@@ -195,26 +194,29 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
 
     In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
     so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole
-    order.  Row j of the descending eigenmatrix holds P_i(eigs[j]), so one
-    matrix yields the order implied by every candidate theta_1.  Tried in
-    turn: descending order, then each theta_1 = eigs[1..N] whose implied
-    values snap to a permutation of the spectrum.  When none is self-dual,
-    the lower-defect of descending and |theta|-descending order is returned
-    (ties to descending), so at most N + 2 orders are measured.
+    order.  Row j of the descending eigenmatrix holds P_i(eigs[j]) and
+    depends on eigs[j] alone, so that one matrix yields the order implied
+    by every candidate theta_1, and the eigenmatrix of any order is its
+    row permutation.  Tried in turn: descending order, then each
+    theta_1 = eigs[1..N] whose implied values snap to a permutation of the
+    spectrum.  When none is self-dual, the lower-defect of descending and
+    |theta|-descending order is returned (ties to descending), so at most
+    N + 2 orders are measured.
     """
     n = len(eigs) - 1
     identity = np.arange(n + 1)
+    p_desc = eigenmatrix(arr, eigs)
+    target = size * np.eye(n + 1)
 
     def measure(order):
-        theta = eigs[order]
-        p = eigenmatrix(arr, theta)
-        return max_abs(p @ p - size * np.eye(n + 1)) / size, theta, p
+        p = p_desc[order]
+        return max_abs(p @ p - target) / size, eigs[order], p
 
     desc = measure(identity)
     if desc[0] <= tol:
         return desc
     v = arr.float_params()[0]
-    implied = v[1] * desc[2] / v
+    implied = v[1] * p_desc / v
     for row in implied[1:]:
         order = np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
         is_permutation = np.array_equal(np.sort(order), identity)
@@ -231,26 +233,27 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
 def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
     """Construct a validated SchemeInstance for a named family."""
     fam, p = spec.family, spec.params
+    if fam not in FAMILY_PARAMS:
+        raise BuildError(f"build() does not handle family {fam!r}")
+    size = family_size(spec)
+    size_float = _float_size(size)
     if fam in ("hamming", "bilinear", "ngon"):
         arr = closed_form_array(spec)
         theta = _closed_form_eigenvalues(spec, arr)
-    elif fam in ("alternating", "hermitian"):
+    else:  # alternating, hermitian
         from .oracle import PointSpace, census  # deferred: oracle imports this module
 
         cen = census(PointSpace(spec), cfg)
         arr = cen.derived_array()
         theta = eigenvalues_from_array(arr)
-    else:
-        raise BuildError(f"build() does not handle family {fam!r}")
     problems = validate_array(arr)
     if problems:
         raise BuildError("family produced an invalid array: " + "; ".join(problems))
-    size = family_size(spec)
     vsum = _exact_sum(valencies(arr))
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
     defect, theta_arr, pmat = _self_dual_ordering(
-        arr, np.asarray(theta, float), float(size), cfg.self_dual_tol)
+        arr, np.asarray(theta, float), size_float, cfg.self_dual_tol)
     if defect > cfg.self_dual_tol:
         raise BuildError(
             f"no eigenvalue ordering meets the self-duality tolerance "
@@ -297,6 +300,16 @@ def _two_cos_two_pi(i: int, n: int) -> float:
     return 2.0 * math.cos(2.0 * math.pi * i / n)
 
 
+def _float_size(size: Fraction) -> float:
+    """float(|X|); a BuildError when |X| is beyond the float range."""
+    try:
+        return float(size)
+    except OverflowError:
+        digits = math.log10(size.numerator) - math.log10(size.denominator)
+        raise BuildError(f"|X| (about 10^{digits:.0f}) is too large for float "
+                         f"arithmetic") from None
+
+
 def _exact_sum(values: list[Fraction]) -> Fraction:
     """sum(values), added as integers over the lcm of the denominators."""
     den = math.lcm(*(x.denominator for x in values))
@@ -311,7 +324,8 @@ def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     from a self-dual scheme.
     """
     size = _exact_sum(valencies(arr))
+    size_float = _float_size(size)
     eigs = eigenvalues_from_array(arr)
-    _, theta, pmat = _self_dual_ordering(arr, eigs, float(size), cfg.self_dual_tol)
+    _, theta, pmat = _self_dual_ordering(arr, eigs, size_float, cfg.self_dual_tol)
     return SchemeInstance(family="custom", params={}, array=arr, size=size,
                           theta=theta, eigenmatrix=pmat)

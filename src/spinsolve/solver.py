@@ -187,7 +187,7 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     v_i t_i (x theta_i - a_i) = b_{i-1} v_{i-1} t_{i-1} + c_{i+1} v_{i+1} t_{i+1}."""
     if x == 0:
         raise ValueError("x must be nonzero")
-    v, a, b, c = arr.float_lists()
+    v, a, b, c = arr.float_params()
     th = np.asarray(theta, dtype=float).tolist()
     x = complex(x)
     t = [1 + 0j, x]
@@ -233,7 +233,7 @@ def _filter_with_profile(arr: IntersectionArray, theta, x: complex, cfg: SolverC
     n = arr.n_classes
     tl, sl = t.tolist(), s.tolist()
     # the i = N recurrence equation has no forward term, so it constrains x
-    v, a, b, _ = arr.float_lists()
+    v, a, b, _ = arr.float_params()
     lhs = v[n] * tl[n] * (x * float(theta[n]) - a[n])
     rhs = b[n - 1] * v[n - 1] * tl[n - 1]
     # products in Python complex, which rounds as numpy's scalars do; every

@@ -756,8 +756,11 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         (e-q)^2 q^2 (q-1) (1-2x+ex+x^2)^2 equals the printed product R
         (the fixed factor records the difference between this clearing
         normalization and the printed one).
+
+    At least 20 points are checked; fewer raise ValueError.
     """
-    points = max(points, 20)
+    if points < 20:
+        raise ValueError(f"points must be at least 20, got {points}")
     sys_ = _bilinear_system()
     g1, g2 = sys_["g1"], sys_["g2"]
     t2 = sys_["t2"]

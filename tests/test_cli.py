@@ -291,6 +291,57 @@ def test_verify_bilinear_ranges(capsys):
         (2, 3, 2), (2, 3, 3), (3, 3, 2), (3, 3, 3)]
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--family", "hamming", "--N", "400", "--q", "7"),
+    ("solve", "--family", "hamming", "--N", "1024", "--q", "2"),
+    ("families", "--family", "bilinear", "--M", "40", "--N", "40", "--q", "2"),
+])
+def test_scheme_beyond_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: |X| (about 10^")
+    assert "too large for float arithmetic" in err
+
+
+def test_custom_array_beyond_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"b": [2e200, 1e200], "c": [1e-200, 1e200]}))
+    code, out, err = run_cli(capsys, "solve", "--family", "custom", "--array-file", str(path))
+    assert code == 2 and out == ""
+    assert "too large for float arithmetic" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--theorem", "3", "--M", "5"), "--N, --q"),
+    (("--theorem", "3", "--M", "3", "--N", "3"), "--q"),
+    (("--theorem", "5", "--q", "3"), "--q"),
+    (("--theorem", "4", "--q", "3"), "--q"),
+    (("--theorem", "2", "--n", "7"), "--n"),
+    (("--theorem", "6", "--N", "8"), "--N"),
+    (("--theorem", "1", "--N", "4"), "--N"),
+    (("--theorem", "6", "--random-arrays", "5"), "--random-arrays"),
+    (("--theorem", "2", "--M", "3"), "--M"),
+])
+def test_verify_rejects_range_flags_its_claim_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --theorem") and flag in err
+
+
+def test_verify_hermitian_range_defaults_q_to_2(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "5", "--n", "2")
+    assert code == 0
+    records = json.loads(out)["result"]["instances"]
+    assert [r["params"] for r in records] == [{"n": 2, "q": 2}]
+
+
+@pytest.mark.parametrize("points", ["5", "19", "-1"])
+def test_bilinear_identities_below_20_points_exits_2(capsys, points):
+    code, out, err = run_cli(capsys, "symbolic", "bilinear-identities", "--points", points)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: points must be at least 20, got {points}")
+
+
 def test_tol_flag_sets_the_residual_tolerance(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "hamming", "--N", "3",
                            "--q", "2", "--tol", "1e-12")

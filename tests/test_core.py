@@ -133,17 +133,18 @@ def test_returned_lists_and_arrays_are_fresh_copies():
 def test_float_params_are_read_only_and_match_exact_data():
     arr = IntersectionArray(b=[7, 3], c=[2, 7])
     v, a, b, c = arr.float_params()
-    assert v.tolist() == [float(x) for x in valencies(arr)]
-    assert (a.tolist(), b.tolist(), c.tolist()) == ([0.0, 2.0, 0.0], [7.0, 3.0], [2.0, 7.0])
+    assert v == tuple(float(x) for x in valencies(arr))
+    assert (a, b, c) == ((0.0, 2.0, 0.0), (7.0, 3.0), (2.0, 7.0))
     for view in (v, a, b, c):
-        with pytest.raises(ValueError):
+        assert type(view) is tuple and all(type(x) is float for x in view)
+        with pytest.raises(TypeError):
             view[0] = 1.0
 
 
 def test_float_params_hand_out_the_same_arrays_every_call():
     arr = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
     first, second = arr.float_params(), arr.float_params()
-    assert len(first) == 4
+    assert first is second and len(first) == 4
     assert all(x is y for x, y in zip(first, second))
 
 
@@ -157,6 +158,18 @@ def test_invalid_array_reports_and_raises_every_time():
             valencies(arr)
         with pytest.raises(ValueError, match="invalid intersection array"):
             arr.float_params()
+
+
+def test_float_params_beyond_float_range_raise_every_time():
+    huge = 10**400
+    arr = IntersectionArray(b=[huge], c=[huge])  # |X| = 2, but b_0 overflows
+    assert valencies(arr) == [1, 1]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="b_0 is too large for float arithmetic"):
+            arr.float_params()
+    wide = IntersectionArray(b=[2e200, 1e200], c=[1e-200, 1e200])
+    with pytest.raises(ValueError, match="v_1 is too large for float arithmetic"):
+        wide.float_params()
 
 
 def test_caching_leaves_equality_and_hash_alone():

@@ -1,14 +1,18 @@
 """Family builders: arrays, eigenvalues, eigenmatrices, self-duality."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spinsolve as sp
-from spinsolve.core import valencies
+from spinsolve import families
+from spinsolve.core import validate_array, valencies
 from spinsolve.families import (
     BuildError,
     FamilySpec,
@@ -18,6 +22,7 @@ from spinsolve.families import (
     eigenmatrix,
     eigenvalues_from_array,
 )
+from spinsolve.theorems import random_intersection_array
 
 
 def test_hamming_32_full_instance(hamming32):
@@ -179,3 +184,68 @@ def test_eigen_builders_reject_invalid_arrays():
             eigenvalues_from_array(bad)
         with pytest.raises(ValueError, match="invalid intersection array"):
             eigenmatrix(bad, [2.0, 0.0, -1.0])
+
+
+@st.composite
+def valid_float_arrays(draw):
+    """Valid arrays as theorem 1 draws them: b_i + c_i <= b_0 keeps a_i >= 0."""
+    n = draw(st.integers(1, 8))
+    b0 = draw(st.floats(1.0, 10.0))
+    b, c = [b0], []
+    for _ in range(1, n):
+        ci = draw(st.floats(0.05, 0.9 * b0))
+        b.append(draw(st.floats(0.05, b0 - ci)))
+        c.append(ci)
+    c.append(draw(st.floats(0.05, b0)))
+    arr = sp.IntersectionArray(b, c)
+    assume(not validate_array(arr))  # b_0 - c_i - b_i may round below zero
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_float_arrays(), st.data())
+def test_eigenmatrix_of_a_reordered_spectrum_is_a_row_permutation(arr, data):
+    try:
+        eigs = eigenvalues_from_array(arr)
+    except BuildError:
+        assume(False)
+    order = data.draw(st.permutations(range(len(eigs))))
+    permuted = eigenmatrix(arr, eigs[order])
+    assert np.array_equal(permuted, eigenmatrix(arr, eigs)[order])
+    assert permuted.flags.c_contiguous
+
+
+def test_each_build_makes_one_eigenmatrix(monkeypatch):
+    calls = []
+    real = families.eigenmatrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(families, "eigenmatrix", counted)
+    rng = random.Random(3)
+    for _ in range(50):
+        calls.clear()
+        build_custom(random_intersection_array(rng, rng.randint(2, 6)))
+        assert len(calls) == 1
+    for family, params in (("hamming", {"N": 4, "q": 3}), ("ngon", {"n": 7}),
+                           ("bilinear", {"M": 3, "N": 3, "q": 2}),
+                           ("alternating", {"n": 4, "q": 2})):
+        calls.clear()
+        build(FamilySpec(family, params))
+        assert len(calls) == 1, family
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("hamming", {"N": 400, "q": 7}),
+                                  FamilySpec("hamming", {"N": 1024, "q": 2}),
+                                  FamilySpec("bilinear", {"M": 40, "N": 40, "q": 2})])
+def test_build_refuses_a_size_beyond_float_range(spec):
+    with pytest.raises(BuildError, match="too large for float arithmetic"):
+        build(spec)
+
+
+def test_build_custom_refuses_a_size_beyond_float_range():
+    arr = sp.IntersectionArray(b=[2e200, 1e200], c=[1e-200, 1e200])
+    with pytest.raises(BuildError, match="too large for float arithmetic"):
+        build_custom(arr)

@@ -29,6 +29,11 @@ CFG = sp.DEFAULT_CONFIG
 # -- references ----------------------------------------------------------------
 
 
+def float_arrays(arr):
+    """The float view as the numpy arrays the references computed on."""
+    return tuple(np.array(x) for x in arr.float_params())
+
+
 def reference_derived_a(b, c):
     b = [Fraction(x) for x in b]
     c = [Fraction(x) for x in c]
@@ -75,7 +80,7 @@ def reference_valencies(arr):
 
 def reference_t_profile(arr, theta, x):
     n = arr.n_classes
-    v, a, b, c = arr.float_params()
+    v, a, b, c = float_arrays(arr)
     th = np.asarray(theta, dtype=float)
     t = np.zeros(n + 1, dtype=complex)
     t[0] = 1.0
@@ -94,7 +99,7 @@ def reference_filter_x(arr, theta, x, cfg=CFG):
     for i in range(1, n + 1):
         if abs(t[i] * s[i] - 1.0) > cfg.filter_tol:
             return False, f"reciprocal_identity_failed at i={i}"
-    v, a, b, _ = arr.float_params()
+    v, a, b, _ = float_arrays(arr)
     lhs = v[n] * t[n] * (x * float(theta[n]) - a[n])
     rhs = b[n - 1] * v[n - 1] * t[n - 1]
     gap_scale = max(abs(lhs), abs(rhs))
@@ -131,7 +136,7 @@ def reference_two_cos_two_pi(i, n):
 
 
 def reference_eigenmatrix(arr, theta):
-    _, a, b, c = arr.float_params()
+    _, a, b, c = float_arrays(arr)
     theta = np.asarray(theta, dtype=float)
     n = arr.n_classes
     p = np.zeros((n + 1, n + 1))
@@ -235,10 +240,10 @@ def test_validation_and_valencies_match_reference(case):
     assert got == reference_valencies(arr)
     assert all(type(v) is Fraction for v in got)
     v, a, b, c = arr.float_params()
-    assert v.tolist() == [float(x) for x in reference_valencies(arr)]
-    assert a.tolist() == [float(x) for x in arr.a]
-    assert b.tolist() == [float(x) for x in arr.b]
-    assert c.tolist() == [float(x) for x in arr.c]
+    assert v == tuple(float(x) for x in reference_valencies(arr))
+    assert a == tuple(float(x) for x in arr.a)
+    assert b == tuple(float(x) for x in arr.b)
+    assert c == tuple(float(x) for x in arr.c)
 
 
 # -- solver ----------------------------------------------------------------------

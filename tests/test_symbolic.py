@@ -248,6 +248,11 @@ def test_bilinear_identity_report():
     assert report["degree_bounds"]["g2"]["d"] == 4
 
 
+def test_bilinear_identity_checks_refuse_fewer_than_20_points():
+    with pytest.raises(ValueError, match="points must be at least 20, got 19"):
+        bilinear_identity_checks(seed=7, points=19)
+
+
 def test_bilinear_identity_alternate_seed():
     report = bilinear_identity_checks(seed=12345, points=20)
     assert report["ok"]
