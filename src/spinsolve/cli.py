@@ -13,7 +13,7 @@ Reports are JSON on stdout (floats use shortest round-trip repr, so a
 fixed invocation is byte-identical run to run); wall-clock timings go to
 stderr unless --timings pulls them into the report.  Exit codes: 0 = ran
 and all assertions passed, 1 = an assertion mismatched, 2 = usage error
-or a numerically singular cube (P diag t)^3.
+or a numerically singular cube (U diag t)^3.
 """
 
 from __future__ import annotations
@@ -251,7 +251,31 @@ def _claim_kwargs(args) -> dict:
     return {"n_range": ranges["n"]} if ranges else {}
 
 
+# The flags each symbolic action reads; giving an action any other is a
+# usage error.  --seed and --points are checked before their defaults are
+# filled in, which every report echoes as before.
+SYMBOLIC_FLAGS = {"quartic": ("family", "N", "M", "q", "n", "array_file"),
+                  "hamming-resultant": (),
+                  "bilinear-identities": ("seed", "points")}
+SYMBOLIC_DEFAULTS = {"seed": 7, "points": 20}
+
+
+def _check_symbolic_flags(args) -> None:
+    """Refuse a flag the action does not read, then fill in its defaults."""
+    action, reads = args.symbolic_action, SYMBOLIC_FLAGS[args.symbolic_action]
+    stray = [name for name in ("family", "N", "M", "q", "n", "array_file", "seed", "points")
+             if name not in reads and getattr(args, name) is not None]
+    if stray:
+        it_reads = ", ".join(map(_flag, reads)) or "no flags of its own"
+        raise ValueError(f"symbolic {action} does not read "
+                         f"{', '.join(map(_flag, stray))} (it reads {it_reads})")
+    for name, value in SYMBOLIC_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _cmd_symbolic(args) -> int:
+    _check_symbolic_flags(args)
     cfg = _config(args)
     start = time.perf_counter()
     if args.symbolic_action == "quartic":
@@ -352,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q")
     p.add_argument("--n")
     p.add_argument("--array-file")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--points", type=int)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_symbolic)
 

@@ -53,8 +53,9 @@ class SolverConfig:
     """Tolerances and guards threaded explicitly through every operation.
 
     residual_tol is absolute on matrix entries (the natural scale of
-    (PT)^3 - I is 1); the remaining tolerances are used scale-relative
-    wherever the compared quantities can be large.
+    (UT)^3 - I is 1, U the symmetric frame of P); the remaining
+    tolerances are used scale-relative wherever the compared quantities
+    can be large.
     """
 
     residual_tol: float = 1e-10
@@ -322,8 +323,9 @@ class SchemeInstance:
 @dataclass(frozen=True)
 class SolutionCandidate:
     """One diagonal solution: the ratio x = T_1/T_0, the profile t_i = T_i/T_0,
-    the scalar mu with (P diag(t))^3 = mu I, a cube root T_0 of 1/mu, the
-    full diagonal, and the verified residual of (P diag(T))^3 - I."""
+    the scalar mu with (U diag(t))^3 = mu I, a cube root T_0 of 1/mu, the
+    full diagonal, and the verified residual of (U diag(T))^3 - I, where
+    U = K^{1/2} P K^{-1/2} is the symmetric frame of P."""
 
     x: complex
     t: tuple[complex, ...]

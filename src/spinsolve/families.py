@@ -201,7 +201,8 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
     theta_1 = eigs[1..N] whose implied values snap to a permutation of the
     spectrum.  When none is self-dual, the lower-defect of descending and
     |theta|-descending order is returned (ties to descending), so at most
-    N + 2 orders are measured.
+    N + 2 orders are measured; when P has left the float range, every
+    order is, and only descending order is measured.
     """
     n = len(eigs) - 1
     identity = np.arange(n + 1)
@@ -215,6 +216,8 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
     desc = measure(identity)
     if desc[0] <= tol:
         return desc
+    if not math.isfinite(desc[0]) and not np.isfinite(p_desc).all():
+        return desc  # every order permutes the rows of a non-finite P alike
     v = arr.float_params()[0]
     implied = v[1] * p_desc / v
     for row in implied[1:]:
@@ -254,7 +257,7 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
     defect, theta_arr, pmat = _self_dual_ordering(
         arr, np.asarray(theta, float), size_float, cfg.self_dual_tol)
-    if defect > cfg.self_dual_tol:
+    if not defect <= cfg.self_dual_tol:  # NaN when P @ P overflows
         raise BuildError(
             f"no eigenvalue ordering meets the self-duality tolerance "
             f"(best defect {defect:.3e} > {cfg.self_dual_tol:.1e})"

@@ -16,13 +16,31 @@ so no input yields more than 12 solutions.
 Each profile is computed once per solve: the quartic's roots come in
 pairs x, 1/x, so the profile t(1/x) that filters x is its partner's own
 profile, kept in a dict keyed by the exact root value.  The recurrence
-runs on Python floats and rounds as numpy's scalar arithmetic does.  The
-cube is formed once per x: (P diag(T_0 t))^3 = T_0^3 (P diag(t))^3, so
-each root's reported residual is max |T_0^3 (P diag(t))^3 - I|.  An x
-whose three roots all miss residual_tol is rejected as residual_failed;
-when only some miss, each is rejected as "residual_failed at root=k", k
-its index in t0_roots.  verify_solution, which cubes P diag(T) directly,
-is the independent check that tests compare against.
+runs on Python floats and rounds as numpy's scalar arithmetic does.
+
+The cube is measured in the symmetric frame U = K^{1/2} P K^{-1/2}, K the
+diagonal of the valencies (Bannai, Bannai and Jaeger 1997): U is
+symmetric with U/sqrt|X| orthogonal, so its entries are at most sqrt|X|
+where P's reach k_N, and (P T)^3 = K^{-1/2} (U T)^3 K^{1/2} is the same
+equation.  solve forms U once; the cube (U T)^3 is U (T (U (T U T))),
+two real-by-complex matrix products.  It is formed once per x:
+(U diag(T_0 t))^3 = T_0^3 (U diag(t))^3, so each root's reported
+residual is max |T_0^3 (U diag(t))^3 - I|.  An x whose three roots all
+miss residual_tol is rejected as residual_failed; when only some miss,
+each is rejected as "residual_failed at root=k", k its index in t0_roots.
+
+Which profile is cubed: the forward recurrence computes the dominant
+solution when |x| > 1 and the minimal one, which loses accuracy with
+every step, when |x| < 1 (Gautschi 1967).  So the |x| < 1 member of an
+off-circle pair cubes 1/t(1/x), the reciprocal of its partner's profile
+(t_i(x) t_i(1/x) = 1 is what the filter checks); the filters keep the
+forward profiles.  A real z with |z| < 2 gives an on-circle pair, whose
+partner roots_of_quartic forms as the exact conjugate of x.  The
+recurrence and the real-by-complex products are sign-symmetric, so the
+partner's profile and cube are the conjugates of x's, bit for bit, and
+its cube is taken as conj of x's instead of being formed again.
+verify_solution, which cubes P diag(T) directly, is the independent
+check that tests compare against.
 
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
@@ -56,6 +74,7 @@ __all__ = [
     "filter_x",
     "scalar_and_T0",
     "solve",
+    "symmetric_frame",
     "verify_solution",
 ]
 
@@ -143,7 +162,8 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
     their mean: the sums are exact in the coefficients, so this recovers
     doubled roots that coefficient noise (for example eigenvalues computed
     in floating point) would otherwise split by the square root of that
-    noise.
+    noise.  A real z with |z| < 2 gives a pair on the unit circle, and the
+    partner is returned as the exact conjugate of x rather than 1/x.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (5,) or coeffs[0] != coeffs[4] or coeffs[1] != coeffs[3]:
@@ -172,7 +192,10 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
             x = z / 2  # doubled self-reciprocal root (x = +-1 up to noise)
         if x == 0:
             continue
-        found.extend([x, 1 / x])
+        # a real z with |z| < 2 puts x on the unit circle, where 1/x is
+        # conj(x); taking it exactly makes the pair's profiles conjugates
+        on_circle = z.imag == 0 and abs(z.real) < 2
+        found.extend([x, x.conjugate() if on_circle else 1 / x])
     roots: list[complex] = []
     for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
         if abs(z) <= cfg.root_dedup_tol:
@@ -208,7 +231,7 @@ def filter_x(arr: IntersectionArray, theta, x: complex,
     """Accept x iff t_i(x) t_i(1/x) = 1 for every i and the terminal
     recurrence equation holds (scale-relative, since valencies can be
     large)."""
-    ok, reason, _ = _filter_with_profile(arr, theta, x, cfg, {})
+    ok, reason, _ = _filter_with_profile(arr, theta, x, 1.0 / x, cfg, {})
     return ok, reason
 
 
@@ -224,12 +247,13 @@ def _profile(arr: IntersectionArray, theta, x: complex, profiles: dict) -> np.nd
     return t
 
 
-def _filter_with_profile(arr: IntersectionArray, theta, x: complex, cfg: SolverConfig,
-                         profiles: dict) -> tuple[bool, str | None, np.ndarray]:
-    """filter_x, also returning the profile t(x).  Profiles come from and
-    go to `profiles`, so the partner 1/x of a root x reuses t(1/x)."""
+def _filter_with_profile(arr: IntersectionArray, theta, x: complex, partner: complex,
+                         cfg: SolverConfig, profiles: dict) -> tuple[bool, str | None, np.ndarray]:
+    """filter_x with 1/x given as `partner`, also returning the profile t(x).
+    Profiles come from and go to `profiles`, so a root and its partner
+    compute each other's profile once."""
     t = _profile(arr, theta, x, profiles)
-    s = _profile(arr, theta, 1.0 / x, profiles)
+    s = _profile(arr, theta, partner, profiles)
     n = arr.n_classes
     tl, sl = t.tolist(), s.tolist()
     # the i = N recurrence equation has no forward term, so it constrains x
@@ -251,31 +275,57 @@ def _filter_with_profile(arr: IntersectionArray, theta, x: complex, cfg: SolverC
 
 
 class SingularCubeError(ArithmeticError):
-    """(P diag(t))^3 is numerically zero, so no cube root T_0 of 1/mu
-    exists; P and t were expected invertible."""
+    """(U diag(t))^3 is numerically zero, so no cube root T_0 of 1/mu
+    exists; U and t were expected invertible."""
 
 
 class ScalarCube(NamedTuple):
     is_scalar: bool
     mu: complex
     t0_roots: tuple[complex, ...]
-    defect: float  # max |(P diag(t))^3 - mu I|
-    norm: float  # max |(P diag(t))^3|, the scale the defect is held to
-    matrix: np.ndarray | None = None  # (P diag(t))^3
+    defect: float  # max |(U diag(t))^3 - mu I|
+    norm: float  # max |(U diag(t))^3|, the scale the defect is held to
+    matrix: np.ndarray | None = None  # (U diag(t))^3
 
 
-def scalar_and_T0(p: np.ndarray, t: np.ndarray,
+def symmetric_frame(arr: IntersectionArray, p: np.ndarray) -> np.ndarray:
+    """U = K^{1/2} P K^{-1/2}, K the diagonal of the float valencies: row i
+    of P belongs to theta_i, whose dual valency is k_i in a self-dual
+    order, so U is symmetric and (P T)^3 = K^{-1/2} (U T)^3 K^{1/2}."""
+    root_k = np.sqrt(arr.float_params()[0])
+    return p * root_k[:, np.newaxis] / root_k
+
+
+def _real_times(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u @ w for real u and C-contiguous complex w as one real product:
+    w's float64 view interleaves real and imaginary parts column by
+    column, so u @ that view is the product's own float64 view, and the
+    result is C-contiguous."""
+    return (u @ w.view(np.float64)).view(np.complex128)
+
+
+def _cube(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(U diag(t))^3 = U (T (U (T U T))), two real-by-complex products."""
+    t = np.asarray(t, dtype=complex)
+    col = t[:, np.newaxis]
+    return _real_times(u, col * _real_times(u, col * u * t))
+
+
+def scalar_and_T0(u: np.ndarray, t: np.ndarray,
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
-    """Check that (P diag(t))^3 is a scalar matrix mu I and return the
-    three cube roots of 1/mu (principal value first, then +2*pi/3 steps)
-    together with the cube itself."""
-    pt = p * np.asarray(t, dtype=complex)[np.newaxis, :]
-    m = pt @ pt @ pt
+    """Check that (U diag(t))^3 is a scalar matrix mu I, for any real
+    square float64 U, and return the three cube roots of 1/mu (principal value
+    first, then +2*pi/3 steps) together with the cube itself."""
+    return _scalar_cube(_cube(u, t), cfg)
+
+
+def _scalar_cube(m: np.ndarray, cfg: SolverConfig) -> ScalarCube:
+    """scalar_and_T0 of the C-contiguous cube m."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
     # off the diagonal, m - mu I is m itself: one |m| gives the norm and,
     # with its diagonal (every (dim + 1)-th entry of the C-contiguous
-    # matmul result) replaced by |m_ii - mu|, the defect
+    # cube) replaced by |m_ii - mu|, the defect
     mag = np.abs(m)
     norm = float(mag.max())
     mag.reshape(-1)[::dim + 1] = np.abs(m.reshape(-1)[::dim + 1] - mu)
@@ -284,7 +334,7 @@ def scalar_and_T0(p: np.ndarray, t: np.ndarray,
         return ScalarCube(False, mu, (), defect, norm, m)
     if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * norm:
         raise SingularCubeError(
-            "cube of P diag(t) is numerically singular; P and t were "
+            "cube of U diag(t) is numerically singular; U and t were "
             "expected invertible"
         )
     w = 1.0 / mu
@@ -317,7 +367,6 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     already root_dedup_tol apart."""
     arr = scheme.array
     theta = scheme.theta
-    pmat = scheme.eigenmatrix
     coeffs = candidate_quartic(arr, theta)
     th1 = float(theta[1])
     coeff_scale = max(1.0, th1 * th1, float(arr.a[1]) ** 2, float(arr.b[0]) ** 2)
@@ -331,12 +380,29 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
     profiles: dict = {}
+    cubes: dict = {}  # (U diag(t))^3 of each x cubed, for its conjugate
+    u = None  # formed at the first cube; most arrays reject every x before
     for x in roots_of_quartic(coeffs, cfg):
-        ok, reason, t = _filter_with_profile(arr, theta, x, cfg, profiles)
+        # roots_of_quartic lists the partner of an x on the unit circle as
+        # conj(x), which is 1/x
+        on_circle = x.imag != 0 and abs(abs(x) - 1.0) <= cfg.root_dedup_tol
+        partner = x.conjugate() if on_circle else 1.0 / x
+        ok, reason, t = _filter_with_profile(arr, theta, x, partner, cfg, profiles)
         if not ok:
             rejected.append((x, reason))
             continue
-        cube = scalar_and_T0(pmat, t, cfg)
+        if not on_circle and abs(x) < 1:
+            # the dominant member's profile: t(x) = 1/t(1/x)
+            t = 1.0 / _profile(arr, theta, partner, profiles)
+        conj = x.conjugate()
+        if conj in cubes:
+            # t is conj(t(conj)) bit for bit, and so is the cube
+            cube = _scalar_cube(cubes[conj].conj(), cfg)
+        else:
+            if u is None:
+                u = symmetric_frame(arr, scheme.eigenmatrix)
+            cube = scalar_and_T0(u, t, cfg)
+            cubes[x] = cube.matrix
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))
             continue

@@ -104,6 +104,16 @@ def test_non_self_dual_family_exits_2(capsys):
     assert err.startswith("error: no eigenvalue ordering meets the self-duality tolerance")
 
 
+@pytest.mark.parametrize("n", ["1000", "1020"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_self_duality_defect_beyond_float_range_exits_2(capsys, n):
+    code, out, err = run_cli(capsys, "solve", "--family", "hamming", "--N", n, "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no eigenvalue ordering meets the self-duality tolerance "
+                          "(best defect nan")
+
+
 FAMILY_ARGS = st.one_of(
     st.builds(lambda n, q: ["--family", "hamming", "--N", str(n), "--q", str(q)],
               st.integers(1, 40), st.integers(2, 16)),
@@ -439,6 +449,18 @@ def test_symbolic_quartic_one_class(capsys):
                            "--N", "1", "--q", "4")
     assert code == 0
     assert json.loads(out)["result"]["coefficients_high_to_low"] == [-1, -4, -6, -4, -1]
+
+
+@pytest.mark.parametrize("argv, stray", [
+    (["quartic", "--family", "ngon", "--n", "6", "--points", "3"], "--points"),
+    (["hamming-resultant", "--N", "5", "--family", "ngon"], "--family, --N"),
+    (["bilinear-identities", "--family", "hamming", "--seed", "3"], "--family"),
+], ids=["quartic", "hamming-resultant", "bilinear-identities"])
+def test_symbolic_action_refuses_flags_it_does_not_read(capsys, argv, stray):
+    code, out, err = run_cli(capsys, "symbolic", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: symbolic {argv[0]} does not read {stray} (it reads ")
 
 
 def test_family_choices_follow_the_family_table(capsys):

@@ -118,6 +118,15 @@ def test_self_duality_and_valency_sum(spec):
     assert sum(valencies(scheme.array)) == scheme.size
 
 
+@pytest.mark.parametrize("N", [1000, 1020])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_build_refuses_a_nan_self_duality_defect(N):
+    # P @ P overflows (from N = 1020 P itself holds inf and NaN), so the
+    # defect is NaN, which no comparison with the tolerance may let through
+    with pytest.raises(BuildError, match="best defect nan"):
+        build(FamilySpec("hamming", {"N": N, "q": 2}))
+
+
 @pytest.mark.parametrize("N, q", [(30, 5), (60, 2), (20, 16)])
 def test_non_self_dual_build_fails_fast(N, q):
     # the float P of these misses P^2 = |X| I under every order, so build()

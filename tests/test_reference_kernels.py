@@ -5,7 +5,13 @@ verbatim in logic: exact Fraction arithmetic for validation and
 valencies, numpy scalars for the profile recurrence and its filter,
 column writes for the eigenmatrix, and m - mu I and t0^3 m - I formed
 in full for the cube.  The rewrites do the same arithmetic with less
-overhead, so every comparison here is exact equality.
+overhead, so every comparison here is exact equality, but one: the cube
+(A diag(t))^3 is now formed as A (T (A (T A T))) with real-by-complex
+products where the reference multiplied complex A diag(t) three times.
+The two orders round differently, so the cube is held to Higham's
+componentwise bound on both (Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sections 3.5 and 3.6), and everything solve derives
+from the cube stays exact against the matrix it returns.
 """
 
 import cmath
@@ -109,12 +115,32 @@ def reference_filter_x(arr, theta, x, cfg=CFG):
 
 
 def reference_cube(p, t):
-    """(m, mu, defect, norm) as formed before: m - mu I in full."""
+    """(P diag(t))^3 as formed before: three complex factors."""
     pt = p * np.asarray(t, dtype=complex)[np.newaxis, :]
-    m = pt @ pt @ pt
+    return pt @ pt @ pt
+
+
+def reference_scalar(m):
+    """(mu, defect, norm) of a cube m as measured before: m - mu I in full."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
-    return m, mu, max_abs(m - mu * np.eye(dim)), max_abs(m)
+    return mu, max_abs(m - mu * np.eye(dim)), max_abs(m)
+
+
+def cube_error_bound(a, t, extra=0):
+    """gamma_k |A||T||A||T||A||T| with k = 6 (n + 3 + extra): each of two
+    computations of (A T)^3 in any order is within gamma_{3(n + 3)} of
+    it, n terms per inner product and a few complex products per term;
+    `extra` covers roundings of A's own entries.  That bound assumes no
+    underflow; each rounding below the normal range adds at most the
+    smallest subnormal, which the later factors grow by at most
+    1 + max row sum of |A||T| each."""
+    k = 6 * (len(t) + 3 + extra)
+    unit = np.finfo(float).eps / 2
+    at = np.abs(a) * np.abs(np.asarray(t, dtype=complex))[np.newaxis, :]
+    growth = 1.0 + float(at.sum(axis=1).max())
+    return (k * unit / (1 - k * unit) * (at @ at @ at)
+            + k * np.finfo(float).smallest_subnormal * growth**2)
 
 
 def reference_residual(m, t0):
@@ -272,7 +298,10 @@ def test_profiles_and_filters_of_every_root_match_reference(spec):
 
 
 def _check_cube(p, t):
-    m, mu, defect, norm = reference_cube(p, t)
+    m = solver._cube(p, t)
+    assert m.flags.c_contiguous
+    assert np.all(np.abs(m - reference_cube(p, t)) <= cube_error_bound(p, t))
+    mu, defect, norm = reference_scalar(m)
     try:
         cube = scalar_and_T0(p, t, CFG)
     except solver.SingularCubeError:
@@ -285,21 +314,69 @@ def _check_cube(p, t):
         assert solver._root_residual(m, t0) == reference_residual(m, t0)
 
 
+real_matrices = st.integers(2, 7).flatmap(lambda dim: st.lists(
+    st.floats(min_value=-5, max_value=5), min_size=dim * dim, max_size=dim * dim).map(
+    lambda entries: np.array(entries).reshape(dim, dim)))
+
+
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_scalar_cube_matches_reference_on_random_profiles(data):
-    dim = data.draw(st.integers(2, 7))
-    real = st.floats(min_value=-5, max_value=5)
-    p = np.array(data.draw(st.lists(real, min_size=dim * dim, max_size=dim * dim)))
-    t = data.draw(st.lists(ratios, min_size=dim, max_size=dim))
-    _check_cube(p.reshape(dim, dim), np.array(t, dtype=complex))
+    p = data.draw(real_matrices)
+    t = data.draw(st.lists(ratios, min_size=len(p), max_size=len(p)))
+    _check_cube(p, np.array(t, dtype=complex))
 
 
 @pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
 def test_scalar_cube_matches_reference_on_solutions(spec):
     scheme = build(spec)
+    u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
     for s in solve(scheme).accepted:
-        _check_cube(scheme.eigenmatrix, np.array(s.t))
+        _check_cube(u, np.array(s.t))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_cube_of_conjugate_profile_is_conjugate_cube(data):
+    p = data.draw(real_matrices)
+    t = np.array(data.draw(st.lists(ratios, min_size=len(p), max_size=len(p))), dtype=complex)
+    assert np.array_equal(solver._cube(p, t.conj()), solver._cube(p, t).conj())
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_profile_of_conjugate_ratio_is_conjugate_profile(data):
+    arr = data.draw(valid_arrays(max_classes=8))
+    theta = _theta(data.draw, arr)
+    x = data.draw(ratios)
+    assert np.array_equal(t_profile(arr, theta, x.conjugate()),
+                          t_profile(arr, theta, x).conj())
+
+
+@pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
+def test_symmetric_frame_cube_matches_eigenmatrix_cube(spec):
+    # (P T)^3 = K^{-1/2} (U T)^3 K^{1/2}; U's entries carry two roundings
+    scheme = build(spec)
+    p = scheme.eigenmatrix
+    u = solver.symmetric_frame(scheme.array, p)
+    root_k = np.sqrt(scheme.array.float_params()[0])
+    assert np.allclose(u, u.T, rtol=0, atol=1e-12 * np.abs(u).max())
+    for s in solve(scheme).accepted:
+        back = solver._cube(u, s.t) / root_k[:, np.newaxis] * root_k
+        bound = cube_error_bound(p, s.t, extra=2)
+        assert np.all(np.abs(back - reference_cube(p, s.t)) <= bound)
+
+
+@pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
+def test_solutions_report_the_cube_of_their_own_profile(spec):
+    # a conjugate partner's cube is taken as conj of x's, never formed; it
+    # must be exactly the cube of the partner's own profile
+    scheme = build(spec)
+    u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
+    for s in solve(scheme).accepted:
+        cube = scalar_and_T0(u, np.array(s.t), CFG)
+        assert s.mu == cube.mu and s.t0 in cube.t0_roots
+        assert s.residual == solver._root_residual(cube.matrix, s.t0)
 
 
 @given(st.data())

@@ -475,3 +475,35 @@ def test_bilinear_counts_match_the_paper():
     grid = [(m, n, q) for m in (3, 4) for n in range(m, 7) for q in (2, 3, 4, 5, 7)]
     counts = {g: solve(build(FamilySpec("bilinear", dict(zip("MNq", g))))).count for g in grid}
     assert counts == dict.fromkeys(grid, 0)
+
+
+# Sweep-grid instances whose count the symmetric frame and the dominant
+# profile put right: cubing P diag(t) with forward profiles gave 0
+# (Hamming) or 3 (bilinear).
+SYMMETRIC_FRAME_FIXES = (
+    [FamilySpec("hamming", {"N": n, "q": 5}) for n in range(11, 19)]
+    + [FamilySpec("hamming", {"N": n, "q": 7}) for n in range(8, 13)]
+    + [FamilySpec("bilinear", {"M": 2, "N": n, "q": q})
+       for n, q in ((4, 7), (5, 4), (5, 5), (5, 7))]
+)
+
+
+def _oracle_rounding(u, diag):
+    """Higham's bound gamma_k max (|U||D|)^3, k = 3 (n + 3), on the rounding
+    of verify_solution's own product.  At hamming(18,5) and (12,7) the
+    unit roundoff times max (|U||D|)^3 alone is about 1e-10 and 2e-10,
+    the size of residual_tol itself."""
+    k = 3 * (len(diag) + 3)
+    unit = np.finfo(float).eps / 2
+    ud = np.abs(u) * np.abs(np.array(diag))
+    return k * unit / (1 - k * unit) * float(np.max(ud @ ud @ ud))
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_FRAME_FIXES, ids=_spec_id)
+def test_symmetric_frame_fixes_match_the_paper(spec):
+    scheme = build(spec)
+    sol = solve(scheme)
+    assert sol.count == 6
+    u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
+    for s in sol.accepted:
+        assert verify_solution(u, s.diag) <= CFG.residual_tol + _oracle_rounding(u, s.diag)
