@@ -155,7 +155,24 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
 
 
+# The family flags each family reads; giving a family any other is a usage
+# error.
+FAMILY_FLAGS = {**FAMILY_PARAMS, "custom": ("array_file",)}
+
+
+def _check_family_flags(args) -> None:
+    family, reads = args.family, FAMILY_FLAGS[args.family]
+    stray = [name for name in ("N", "M", "q", "n", "array_file")
+             if name not in reads and getattr(args, name, None) is not None]
+    if stray:
+        raise ValueError(f"--family {family} does not read "
+                         f"{', '.join(map(_flag, stray))} "
+                         f"(it reads {', '.join(map(_flag, reads))})")
+
+
 def _build_scheme(args, cfg: SolverConfig):
+    if args.family is not None:  # symbolic quartic may name only --array-file
+        _check_family_flags(args)
     if args.family == "custom" or args.array_file:
         if not args.array_file:
             raise ValueError("--family custom requires --array-file")
@@ -188,6 +205,7 @@ def _cmd_families(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = _config(args)
     start = time.perf_counter()
+    _check_family_flags(args)
     spec = _family_spec(args)
     if args.oracle_action == "census":
         result = census(PointSpace(spec), cfg)

@@ -42,6 +42,7 @@ __all__ = [
     "SchemeCensus",
     "validate_array",
     "valencies",
+    "valency_sum",
     "max_abs",
     "to_jsonable",
     "dumps_report",
@@ -272,6 +273,16 @@ def valencies(arr: IntersectionArray) -> list[Fraction]:
     """v_0..v_N with v_j = prod_{i=0}^{j-1} b_i / c_{i+1} (exact)."""
     ensure_valid(arr)
     return list(arr._valencies)
+
+
+def valency_sum(arr: IntersectionArray) -> Fraction:
+    """v_0 + ... + v_N (exact), added as integers: the denominator of each
+    unreduced pair in _valency_ratios divides the next, so the last is
+    their lcm."""
+    ensure_valid(arr)
+    ratios = arr._valency_ratios
+    den = ratios[-1][1]
+    return Fraction(sum(num * (den // d) for num, d in ratios), den)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .core import (
     SchemeInstance,
     SolverConfig,
     max_abs,
-    valencies,
+    valency_sum,
     validate_array,
 )
 from .ffield import is_prime_power
@@ -172,10 +172,11 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     if theta.shape != (n + 1,):
         raise ValueError(f"need {n + 1} eigenvalues, got {theta.shape}")
     scale = max(1.0, float(np.max(np.abs(theta))))
-    coincide = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :]) <= 1e-12 * scale
-    hits = np.argwhere(np.triu(coincide, k=1))  # row-major: first (i, j) first
-    if len(hits):
-        i, j = hits[0]
+    # two values coincide iff two neighbours in sorted order do; only then
+    # is the pairwise array formed, to name the first (i, j) in row-major order
+    if np.any(np.diff(np.sort(theta)) <= 1e-12 * scale):
+        coincide = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :]) <= 1e-12 * scale
+        i, j = np.argwhere(np.triu(coincide, k=1))[0]
         raise ValueError(f"eigenvalues {i} and {j} coincide")
     pt = np.empty((n + 1, n + 1))
     pt[0] = 1.0
@@ -207,11 +208,12 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
     n = len(eigs) - 1
     identity = np.arange(n + 1)
     p_desc = eigenmatrix(arr, eigs)
-    target = size * np.eye(n + 1)
 
     def measure(order):
         p = p_desc[order]
-        return max_abs(p @ p - target) / size, eigs[order], p
+        square = p @ p
+        square.reshape(-1)[::n + 2] -= size  # P^2 - |X| I, in place
+        return max_abs(square) / size, eigs[order], p
 
     desc = measure(identity)
     if desc[0] <= tol:
@@ -219,18 +221,52 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
     if not math.isfinite(desc[0]) and not np.isfinite(p_desc).all():
         return desc  # every order permutes the rows of a non-finite P alike
     v = arr.float_params()[0]
-    implied = v[1] * p_desc / v
-    for row in implied[1:]:
-        order = np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
-        is_permutation = np.array_equal(np.sort(order), identity)
-        if not is_permutation or np.array_equal(order, identity):
-            continue
+    orders = _nearest_indices(v[1] * p_desc[1:] / v, eigs)
+    candidates = ((np.sort(orders, axis=1) == identity).all(axis=1)
+                  & (orders != identity).any(axis=1))
+    for order in orders[candidates]:
         found = measure(order)
         if found[0] <= tol:
             return found
     tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
     by_magnitude = measure([0] + tail)
     return by_magnitude if by_magnitude[0] < desc[0] else desc
+
+
+def _nearest_indices(rows: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """For each entry of each row, the index of the nearest eigenvalue, the
+    first index on ties: np.abs(row[:, None] - eigs).argmin(axis=1) row by
+    row, from one binary search over every row.
+
+    In a strictly descending spectrum the first of the values tied for
+    nearest is the largest.  That is the lower neighbour in sorted order
+    when it is strictly nearer; otherwise it is the top of the run of
+    values, from the upper neighbour up, whose computed distance rounds to
+    the upper neighbour's (a run of one unless the entry is so far off
+    that rounding ties distinct distances).  Any other order of the
+    spectrum takes the argmin form."""
+    last = len(eigs) - 1
+    if not (np.diff(eigs) < 0).all():
+        return np.array([np.abs(row[:, np.newaxis] - eigs).argmin(axis=1) for row in rows])
+    ascending = eigs[::-1]
+    pos = np.searchsorted(ascending, rows)
+    lo = np.maximum(pos - 1, 0)
+    hi = np.minimum(pos, last)
+    dist_hi = np.abs(rows - ascending[hi])
+    top = hi
+    climb = (hi < last) & (np.abs(rows - ascending[np.minimum(hi + 1, last)]) <= dist_hi)
+    if climb.any():
+        # bisect for the last tie: a ties, the top lies in [a, b]
+        entry, dist = rows[climb], dist_hi[climb]
+        a, b = hi[climb] + 1, np.full(len(entry), last)
+        while (a < b).any():
+            mid = (a + b + 1) // 2
+            tie = np.abs(entry - ascending[mid]) <= dist
+            a, b = np.where(tie, mid, a), np.where(tie, b, mid - 1)
+        top = hi.copy()
+        top[climb] = a
+    nearest = np.where(np.abs(rows - ascending[lo]) < dist_hi, lo, top)
+    return last - nearest
 
 
 def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
@@ -252,7 +288,7 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
     problems = validate_array(arr)
     if problems:
         raise BuildError("family produced an invalid array: " + "; ".join(problems))
-    vsum = _exact_sum(valencies(arr))
+    vsum = valency_sum(arr)
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
     defect, theta_arr, pmat = _self_dual_ordering(
@@ -313,12 +349,6 @@ def _float_size(size: Fraction) -> float:
                          f"arithmetic") from None
 
 
-def _exact_sum(values: list[Fraction]) -> Fraction:
-    """sum(values), added as integers over the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in values))
-    return Fraction(sum(x.numerator * (den // x.denominator) for x in values), den)
-
-
 def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
     """Wrap an arbitrary valid array as a Custom instance with |X| = sum v_i.
 
@@ -326,7 +356,7 @@ def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     either way and simply finds no solutions on arrays that do not come
     from a self-dual scheme.
     """
-    size = _exact_sum(valencies(arr))
+    size = valency_sum(arr)
     size_float = _float_size(size)
     eigs = eigenvalues_from_array(arr)
     _, theta, pmat = _self_dual_ordering(arr, eigs, size_float, cfg.self_dual_tol)

@@ -29,6 +29,17 @@ residual is max |T_0^3 (U diag(t))^3 - I|.  An x whose three roots all
 miss residual_tol is rejected as residual_failed; when only some miss,
 each is rejected as "residual_failed at root=k", k its index in t0_roots.
 
+The residuals come from the cube's peaks, not from a pass over the cube
+per root.  The one |m| that measures whether m = (U diag(t))^3 is scalar
+also yields its largest off-diagonal modulus; the peaks are m's diagonal
+and the off-diagonal entries within a relative 1e-14 of that modulus.
+|fl(c m_ij)| is within about 4u of |c| |m_ij| (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 3.6), so no other
+entry can round above them, and max(|c m_ii - 1|, |c m_ij|) over the
+peaks, for the three c = T_0^3 at once, is the full residual bit for bit.  Where that bound is not available (the largest
+off-diagonal modulus, or its product with |c|, is zero, subnormal or
+not finite) each residual is measured on the whole cube.
+
 Which profile is cubed: the forward recurrence computes the dominant
 solution when |x| > 1 and the minimal one, which loses accuracy with
 every step, when |x| < 1 (Gautschi 1967).  So the |x| < 1 member of an
@@ -37,8 +48,11 @@ off-circle pair cubes 1/t(1/x), the reciprocal of its partner's profile
 forward profiles.  A real z with |z| < 2 gives an on-circle pair, whose
 partner roots_of_quartic forms as the exact conjugate of x.  The
 recurrence and the real-by-complex products are sign-symmetric, so the
-partner's profile and cube are the conjugates of x's, bit for bit, and
-its cube is taken as conj of x's instead of being formed again.
+partner's profile and cube are the conjugates of x's, bit for bit.  Its
+cube is neither formed nor measured again: the defect, the norm and the
+positions of the peaks are x's, the peaks are conjugated, and mu is
+summed from the conjugated diagonal (conj(mu) would differ in the signs
+of zero parts, which decide the principal cube root).
 verify_solution, which cubes P diag(T) directly, is the independent
 check that tests compare against.
 
@@ -50,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -196,8 +211,13 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
         # conj(x); taking it exactly makes the pair's profiles conjugates
         on_circle = z.imag == 0 and abs(z.real) < 2
         found.extend([x, x.conjugate() if on_circle else 1 / x])
+    # sorted by (round(re, 12), round(im, 12)); the roots are numpy scalars,
+    # whose round() is np.round, so one call over their float view, which
+    # interleaves real and imaginary parts, rounds every key
+    parts = np.round(np.array(found, dtype=complex).view(np.float64), 12).tolist()
+    keys = list(zip(parts[::2], parts[1::2]))
     roots: list[complex] = []
-    for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
+    for _, z in sorted(zip(keys, found), key=lambda pair: pair[0]):
         if abs(z) <= cfg.root_dedup_tol:
             continue
         if all(abs(z - kept) > cfg.root_dedup_tol * max(1.0, abs(z)) for kept in roots):
@@ -279,13 +299,24 @@ class SingularCubeError(ArithmeticError):
     exists; U and t were expected invertible."""
 
 
+class Peaks(NamedTuple):
+    """The entries of a cube m that decide max |c m - I| for every c = t0^3,
+    t0 a cube root of 1/mu: m's diagonal, then each off-diagonal entry
+    whose modulus is within a relative PEAK_MARGIN of the largest
+    off-diagonal modulus, in row-major order."""
+
+    entries: np.ndarray
+    dim: int  # the first dim entries are the diagonal
+
+
 class ScalarCube(NamedTuple):
     is_scalar: bool
     mu: complex
     t0_roots: tuple[complex, ...]
     defect: float  # max |(U diag(t))^3 - mu I|
     norm: float  # max |(U diag(t))^3|, the scale the defect is held to
-    matrix: np.ndarray | None = None  # (U diag(t))^3
+    matrix: np.ndarray | None = None  # (U diag(t))^3; not formed for a derived conjugate
+    peaks: Peaks | None = None  # None: residuals are measured on matrix
 
 
 def symmetric_frame(arr: IntersectionArray, p: np.ndarray) -> np.ndarray:
@@ -319,19 +350,47 @@ def scalar_and_T0(u: np.ndarray, t: np.ndarray,
     return _scalar_cube(_cube(u, t), cfg)
 
 
+# The margin of the peaks, and the range where the relative rounding bound
+# behind it holds (module docstring): the largest off-diagonal modulus must
+# be a normal float, and its product with |c| = 1/|mu| so far above the
+# subnormal range that the margin, 1e-14 of it, dwarfs an absolute rounding
+# error of 2^-1074.
+PEAK_MARGIN = 1e-14
+_PRODUCT_MIN = 1e-280
+
+
 def _scalar_cube(m: np.ndarray, cfg: SolverConfig) -> ScalarCube:
     """scalar_and_T0 of the C-contiguous cube m."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
-    # off the diagonal, m - mu I is m itself: one |m| gives the norm and,
-    # with its diagonal (every (dim + 1)-th entry of the C-contiguous
-    # cube) replaced by |m_ii - mu|, the defect
+    # one |m|: its diagonal (every (dim + 1)-th entry of the C-contiguous
+    # cube) is read, then zeroed, so that its max is the largest
+    # off-diagonal modulus; off the diagonal, m - mu I is m itself
     mag = np.abs(m)
-    norm = float(mag.max())
-    mag.reshape(-1)[::dim + 1] = np.abs(m.reshape(-1)[::dim + 1] - mu)
-    defect = float(mag.max())
+    mag_diag = mag.reshape(-1)[::dim + 1]
+    norm_diag = float(mag_diag.max())
+    mag_diag[...] = 0.0
+    off = float(mag.max())
+    norm = _nan_max(off, norm_diag)
+    defect = _nan_max(off, float(np.abs(m.diagonal() - mu).max()))
     if not defect <= cfg.residual_tol * norm:
         return ScalarCube(False, mu, (), defect, norm, m)
+    roots = _cube_roots(mu, norm)
+    peaks = None
+    if sys.float_info.min <= off <= sys.float_info.max and off >= _PRODUCT_MIN * abs(mu):
+        near = m[mag >= off * (1 - PEAK_MARGIN)]
+        peaks = Peaks(np.concatenate((m.diagonal(), near)), dim)
+    return ScalarCube(True, mu, roots, defect, norm, m, peaks)
+
+
+def _nan_max(a: float, b: float) -> float:
+    """max(a, b), NaN when either is, as np.max over both would be."""
+    return a if a >= b or a != a else b
+
+
+def _cube_roots(mu: complex, norm: float) -> tuple[complex, complex, complex]:
+    """The three cube roots of 1/mu, principal value first, then +2*pi/3
+    steps; SingularCubeError when mu is numerically zero."""
     if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * norm:
         raise SingularCubeError(
             "cube of U diag(t) is numerically singular; U and t were "
@@ -340,7 +399,38 @@ def _scalar_cube(m: np.ndarray, cfg: SolverConfig) -> ScalarCube:
     w = 1.0 / mu
     r = abs(w) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(w) / 3.0)
     step = cmath.exp(2j * cmath.pi / 3.0)
-    return ScalarCube(True, mu, (r, r * step, r * step * step), defect, norm, m)
+    return (r, r * step, r * step * step)
+
+
+def _conjugate_cube(cube: ScalarCube) -> ScalarCube:
+    """_scalar_cube(m.conj()) of the cube m that `cube` measured, with no
+    pass over m.  |conj(m_ij)| = |m_ij|, so the defect, the norm and the
+    positions of the peaks carry over, and the peaks are conjugated.  mu
+    is summed from the conjugated diagonal as np.trace sums it:
+    mu.conjugate() would flip the signs of zero imaginary parts.  The
+    matrix is formed only where residuals are measured on it."""
+    m = cube.matrix
+    mu = complex(np.conj(m.diagonal()).sum()) / m.shape[0]
+    if not cube.is_scalar:
+        return ScalarCube(False, mu, (), cube.defect, cube.norm)
+    roots = _cube_roots(mu, cube.norm)
+    if cube.peaks is None:
+        return ScalarCube(True, mu, roots, cube.defect, cube.norm, m.conj())
+    peaks = Peaks(cube.peaks.entries.conj(), cube.peaks.dim)
+    return ScalarCube(True, mu, roots, cube.defect, cube.norm, None, peaks)
+
+
+def _residuals(cube: ScalarCube) -> list[float]:
+    """[_root_residual(m, t0) for t0 in cube.t0_roots], bit for bit, m the
+    cube measured.  From the peaks, all roots at once: c = t0^3 stays the
+    left operand, as in _root_residual, since numpy's complex product
+    rounds differently with the operands swapped."""
+    if cube.peaks is None:
+        return [_root_residual(cube.matrix, t0) for t0 in cube.t0_roots]
+    entries, dim = cube.peaks
+    scaled = np.array([t0**3 for t0 in cube.t0_roots])[:, np.newaxis] * entries
+    scaled[:, :dim] -= 1.0
+    return np.abs(scaled).max(axis=1).tolist()
 
 
 def _root_residual(m: np.ndarray, t0: complex) -> float:
@@ -380,7 +470,7 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
     profiles: dict = {}
-    cubes: dict = {}  # (U diag(t))^3 of each x cubed, for its conjugate
+    cubes: dict = {}  # the ScalarCube of each x cubed, for its conjugate
     u = None  # formed at the first cube; most arrays reject every x before
     for x in roots_of_quartic(coeffs, cfg):
         # roots_of_quartic lists the partner of an x on the unit circle as
@@ -397,19 +487,17 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         conj = x.conjugate()
         if conj in cubes:
             # t is conj(t(conj)) bit for bit, and so is the cube
-            cube = _scalar_cube(cubes[conj].conj(), cfg)
+            cube = _conjugate_cube(cubes[conj])
         else:
             if u is None:
                 u = symmetric_frame(arr, scheme.eigenmatrix)
-            cube = scalar_and_T0(u, t, cfg)
-            cubes[x] = cube.matrix
+            cube = cubes[x] = scalar_and_T0(u, t, cfg)
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))
             continue
         failed_roots = []
-        for k, t0 in enumerate(cube.t0_roots):
+        for k, (t0, residual) in enumerate(zip(cube.t0_roots, _residuals(cube))):
             raw_count += 1
-            residual = _root_residual(cube.matrix, t0)
             if not residual <= cfg.residual_tol:
                 failed_roots.append(k)
                 continue

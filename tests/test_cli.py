@@ -463,6 +463,24 @@ def test_symbolic_action_refuses_flags_it_does_not_read(capsys, argv, stray):
     assert err.startswith(f"error: symbolic {argv[0]} does not read {stray} (it reads ")
 
 
+@pytest.mark.parametrize("argv, stray, reads", [
+    (["solve", "--family", "ngon", "--n", "6", "--N", "5", "--q", "9"], "--N, --q", "--n"),
+    (["families", "--family", "custom", "--array-file", "arr.json", "--n", "4"], "--n",
+     "--array-file"),
+    (["oracle", "census", "--family", "ngon", "--n", "6", "--q", "3"], "--q", "--n"),
+    (["symbolic", "quartic", "--family", "hamming", "--N", "3", "--q", "2", "--M", "2"],
+     "--M", "--N, --q"),
+    (["solve", "--family", "hamming", "--N", "3", "--q", "2", "--array-file", "arr.json"],
+     "--array-file", "--N, --q"),
+], ids=["solve", "families", "oracle", "symbolic-quartic", "named-family-array-file"])
+def test_family_refuses_flags_it_does_not_read(capsys, argv, stray, reads):
+    code, out, err = run_cli(capsys, *argv)
+    family = argv[argv.index("--family") + 1]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --family {family} does not read {stray} (it reads {reads})\n"
+
+
 def test_family_choices_follow_the_family_table(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "census", "--family", "custom"])

@@ -16,6 +16,7 @@ from the cube stays exact against the matrix it returns.
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve import families, solver
-from spinsolve.core import IntersectionArray, max_abs, valencies, validate_array
+from spinsolve.core import (IntersectionArray, max_abs, valencies, valency_sum,
+                            validate_array)
 from spinsolve.families import FamilySpec, build, eigenmatrix, eigenvalues_from_array
 from spinsolve.solver import filter_x, scalar_and_T0, solve, t_profile
 
@@ -173,6 +175,56 @@ def reference_eigenmatrix(arr, theta):
     return p
 
 
+def reference_coincidence(theta):
+    """eigenmatrix's coincidence error text, from the pairwise array."""
+    theta = np.asarray(theta, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(theta))))
+    coincide = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :]) <= 1e-12 * scale
+    hits = np.argwhere(np.triu(coincide, k=1))
+    return f"eigenvalues {hits[0][0]} and {hits[0][1]} coincide" if len(hits) else None
+
+
+def reference_nearest(rows, eigs):
+    return np.array([np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
+                     for row in rows])
+
+
+def reference_self_dual_ordering(arr, eigs, size, tol):
+    n = len(eigs) - 1
+    identity = np.arange(n + 1)
+    p_desc = eigenmatrix(arr, eigs)
+    target = size * np.eye(n + 1)
+
+    def measure(order):
+        p = p_desc[order]
+        return max_abs(p @ p - target) / size, eigs[order], p
+
+    desc = measure(identity)
+    if desc[0] <= tol:
+        return desc
+    if not math.isfinite(desc[0]) and not np.isfinite(p_desc).all():
+        return desc
+    v = arr.float_params()[0]
+    implied = v[1] * p_desc / v
+    for row in implied[1:]:
+        order = np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
+        is_permutation = np.array_equal(np.sort(order), identity)
+        if not is_permutation or np.array_equal(order, identity):
+            continue
+        found = measure(order)
+        if found[0] <= tol:
+            return found
+    tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
+    by_magnitude = measure([0] + tail)
+    return by_magnitude if by_magnitude[0] < desc[0] else desc
+
+
+def bits(values):
+    """The bit patterns of complex values: equal iff equal with the signs of
+    their zeros."""
+    return np.asarray(list(values), dtype=complex).view(np.uint64).tolist()
+
+
 # -- strategies ----------------------------------------------------------------
 
 # Exact entries of every kind the constructor takes, zero and negative included.
@@ -261,9 +313,12 @@ def test_validation_and_valencies_match_reference(case):
     if expected:
         with pytest.raises(ValueError, match="invalid intersection array"):
             valencies(arr)
+        with pytest.raises(ValueError, match="invalid intersection array"):
+            valency_sum(arr)
         return
     got = valencies(arr)
     assert got == reference_valencies(arr)
+    assert valency_sum(arr) == sum(reference_valencies(arr))
     assert all(type(v) is Fraction for v in got)
     v, a, b, c = arr.float_params()
     assert v == tuple(float(x) for x in reference_valencies(arr))
@@ -390,7 +445,193 @@ def test_root_residual_matches_reference(data):
     assert solver._root_residual(m, t0) == reference_residual(m, t0)
 
 
+@given(st.lists(st.floats(min_value=-50, max_value=50).filter(lambda c: c == 0 or abs(c) > 1e-3),
+                min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_roots_come_sorted_by_their_rounded_parts(coeffs):
+    a4, a3, a2 = coeffs
+    try:
+        roots = solver.roots_of_quartic([a4, a3, a2, a3, a4], CFG)
+    except ValueError:
+        assume(False)
+    assert roots == sorted(roots, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
+
+
+# Moduli from the subnormal to the overflow range, with the bounds of the
+# peak path among them: the smallest normal float and the product floor.
+moduli = st.sampled_from((0.0, 5e-324, 1e-310, sys.float_info.min, 1e-295, 1e-280, 1e-200,
+                          1e-14, 1e-3, 1.0, 7.5, 1e14, 1e200, 1e300, 1e307))
+units = st.one_of(st.floats(min_value=0.0, max_value=2 * math.pi).map(
+    lambda phi: cmath.exp(1j * phi)), st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j)))
+
+
+@st.composite
+def cubes_near_scalar(draw):
+    """Square complex matrices: a diagonal around one value, and
+    off-diagonal entries all zero, of assorted moduli, or clustered at the
+    1e-14 margin below the largest."""
+    dim = draw(st.integers(1, 5))
+    mu = draw(moduli.filter(lambda r: r > 0)) * draw(units)
+    m = np.array([[mu * (1 + draw(st.sampled_from((0.0, 1e-16, -3e-12, 1e-3)))) if i == j
+                   else 0j for j in range(dim)] for i in range(dim)])
+    kind = draw(st.sampled_from(("zero", "assorted", "margin")))
+    top = draw(moduli)
+    for i in range(dim):
+        for j in range(dim):
+            if i == j or kind == "zero":
+                continue
+            if kind == "assorted":
+                m[i, j] = draw(moduli) * draw(units)
+            else:
+                below = draw(st.sampled_from((0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6)))
+                m[i, j] = top * (1 - 1e-14 * below) * draw(units)
+    return m
+
+
+@given(cubes_near_scalar(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
+@settings(max_examples=200, deadline=None)
+def test_peak_residuals_match_full_residuals(m, cfg):
+    # residual_tol 2 makes every nonsingular cube scalar, so the peaks are
+    # taken from matrices that are far from scalar too
+    try:
+        cube = solver._scalar_cube(m, cfg)
+    except solver.SingularCubeError:
+        return
+    want = [solver._root_residual(m, t0) for t0 in cube.t0_roots]
+    assert np.array_equal(solver._residuals(cube), want, equal_nan=True)
+
+
+def test_peaks_keep_the_diagonal_and_the_entries_within_the_margin():
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-12
+    m[1, 2] = -1e-12 * (1 - 0.5e-14)
+    m[2, 0] = 1e-12j * (1 - 2e-14)
+    m[1, 0] = 1e-13
+    cube = solver._scalar_cube(m, CFG)
+    entries, dim = cube.peaks
+    assert dim == 3
+    assert bits(entries) == bits([1, 1, 1, m[0, 1], m[1, 2]])
+    assert solver._residuals(cube) == [solver._root_residual(m, t0) for t0 in cube.t0_roots]
+
+
+diagonal_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                           st.floats(min_value=-1e3, max_value=1e3))
+
+
+@st.composite
+def conjugate_twins(draw):
+    """Square complex matrices near a scalar one, whose diagonal parts are
+    often zeros of either sign or cancel to zero in the trace."""
+    dim = draw(st.integers(1, 5))
+    diag = [complex(draw(diagonal_parts), draw(diagonal_parts)) for _ in range(dim)]
+    if dim > 1 and draw(st.booleans()):
+        diag[-1] = complex(diag[-1].real, -diag[0].imag)
+    scale = draw(st.sampled_from((0.0, 1e-13, 1e-3, 1.0)))
+    off = [[complex(draw(diagonal_parts), draw(diagonal_parts)) * scale for _ in range(dim)]
+           for _ in range(dim)]
+    m = np.array(off)
+    m[np.diag_indices(dim)] = diag
+    return m
+
+
+@given(conjugate_twins(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
+@settings(max_examples=150, deadline=None)
+def test_derived_conjugate_cube_matches_scalar_cube_of_conjugate(m, cfg):
+    try:
+        twin = solver._scalar_cube(m, cfg)
+    except solver.SingularCubeError:
+        return
+    derived = solver._conjugate_cube(twin)
+    direct = solver._scalar_cube(m.conj(), cfg)
+    assert derived.is_scalar == direct.is_scalar
+    assert bits([derived.mu]) == bits([direct.mu])
+    assert bits(derived.t0_roots) == bits(direct.t0_roots)
+    assert (derived.defect, derived.norm) == (direct.defect, direct.norm)
+    if direct.peaks is None:
+        assert derived.peaks is None
+    else:
+        assert derived.peaks.dim == direct.peaks.dim
+        assert bits(derived.peaks.entries) == bits(direct.peaks.entries)
+    # the matrix is formed only when residuals are measured on it
+    if direct.is_scalar and direct.peaks is None:
+        assert np.array_equal(derived.matrix, direct.matrix)
+    else:
+        assert derived.matrix is None
+    assert solver._residuals(derived) == solver._residuals(direct)
+
+
 # -- families ----------------------------------------------------------------------
+
+
+@st.composite
+def spectra_and_rows(draw):
+    """(rows, eigs): distinct eigenvalues, usually descending, and rows of
+    entries on them, midway between neighbours, far outside the spectrum
+    (where rounding ties distinct distances), non-finite, or anywhere."""
+    size = draw(st.integers(2, 8))
+    eigs = draw(st.lists(st.one_of(st.integers(-6, 6).map(float),
+                                   st.floats(min_value=-1e3, max_value=1e3)),
+                         min_size=size, max_size=size, unique=True))
+    eigs = np.array(sorted(eigs, reverse=draw(st.integers(0, 3)) > 0))
+    if draw(st.booleans()):
+        eigs = np.array(draw(st.permutations(eigs)))
+    middles = [(x + y) / 2 for x, y in zip(eigs[:-1], eigs[1:])]
+    entry = st.one_of(st.sampled_from(list(eigs) + middles),
+                      st.sampled_from((1e17, -1e17, 1e300, -1e300, math.inf, -math.inf,
+                                       math.nan)),
+                      st.floats(min_value=-1e4, max_value=1e4))
+    n_rows = draw(st.integers(1, 4))
+    rows = draw(st.lists(entry, min_size=n_rows * size, max_size=n_rows * size))
+    return np.array(rows).reshape(n_rows, size), eigs
+
+
+@given(spectra_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_nearest_indices_match_argmin(case):
+    rows, eigs = case
+    assert np.array_equal(families._nearest_indices(rows, eigs), reference_nearest(rows, eigs))
+
+
+def test_nearest_indices_take_the_first_index_on_ties():
+    eigs = np.array([4.0, 2.0, 0.0, -2.0])
+    # 3 and 1 are midway, so the upper neighbour (first index) wins; -1e300
+    # is equally far from every value once rounded, so index 0 wins
+    rows = np.array([[3.0, 1.0, -1.0, -1e300]])
+    assert families._nearest_indices(rows, eigs).tolist() == [[0, 1, 2, 0]]
+    assert reference_nearest(rows, eigs).tolist() == [[0, 1, 2, 0]]
+
+
+@given(valid_arrays(max_classes=7))
+@settings(max_examples=100, deadline=None)
+def test_self_dual_ordering_matches_reference(arr):
+    try:
+        eigs = eigenvalues_from_array(arr)
+    except families.BuildError:
+        assume(False)
+    size = float(sum(reference_valencies(arr)))
+    got = families._self_dual_ordering(arr, eigs, size, CFG.self_dual_tol)
+    want = reference_self_dual_ordering(arr, eigs, size, CFG.self_dual_tol)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                          st.integers(-3, 3).map(lambda k: k * (1 + 1e-12)),
+                          st.integers(-3, 3).map(lambda k: k + 1e-13),
+                          st.floats(min_value=-1e3, max_value=1e3)),
+                min_size=2, max_size=7))
+@settings(max_examples=100, deadline=None)
+def test_coincidence_error_text_matches_reference(theta):
+    arr = IntersectionArray([2] + [1] * (len(theta) - 2), [1] * (len(theta) - 1))  # an n-gon's
+    want = reference_coincidence(theta)
+    if want is None:
+        eigenmatrix(arr, theta)
+        return
+    with pytest.raises(ValueError) as err:
+        eigenmatrix(arr, theta)
+    assert str(err.value) == want
+
+
 
 
 def test_two_cos_two_pi_matches_reference():
