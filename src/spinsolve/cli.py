@@ -161,17 +161,21 @@ FAMILY_FLAGS = {**FAMILY_PARAMS, "custom": ("array_file",)}
 
 
 def _check_family_flags(args) -> None:
-    family, reads = args.family, FAMILY_FLAGS[args.family]
+    """Refuse a family flag the family does not read; --array-file without
+    --family names the custom family."""
+    family = args.family or "custom"
+    reads = FAMILY_FLAGS[family]
     stray = [name for name in ("N", "M", "q", "n", "array_file")
              if name not in reads and getattr(args, name, None) is not None]
     if stray:
-        raise ValueError(f"--family {family} does not read "
+        named = f"--family {family}" if args.family else "--array-file"
+        raise ValueError(f"{named} does not read "
                          f"{', '.join(map(_flag, stray))} "
                          f"(it reads {', '.join(map(_flag, reads))})")
 
 
 def _build_scheme(args, cfg: SolverConfig):
-    if args.family is not None:  # symbolic quartic may name only --array-file
+    if args.family or args.array_file:  # symbolic quartic may name neither
         _check_family_flags(args)
     if args.family == "custom" or args.array_file:
         if not args.array_file:

@@ -192,6 +192,7 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
 def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
                         tol: float):
     """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P).
+    eigs is the spectrum in strictly descending order.
 
     In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
     so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole
@@ -243,11 +244,10 @@ def _nearest_indices(rows: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     when it is strictly nearer; otherwise it is the top of the run of
     values, from the upper neighbour up, whose computed distance rounds to
     the upper neighbour's (a run of one unless the entry is so far off
-    that rounding ties distinct distances).  Any other order of the
-    spectrum takes the argmin form."""
+    that rounding ties distinct distances).  A non-finite entry lands on
+    index 0, as argmin puts it.  eigs must be strictly descending, as
+    every spectrum _self_dual_ordering is given is."""
     last = len(eigs) - 1
-    if not (np.diff(eigs) < 0).all():
-        return np.array([np.abs(row[:, np.newaxis] - eigs).argmin(axis=1) for row in rows])
     ascending = eigs[::-1]
     pos = np.searchsorted(ascending, rows)
     lo = np.maximum(pos - 1, 0)

@@ -472,13 +472,16 @@ def test_symbolic_action_refuses_flags_it_does_not_read(capsys, argv, stray):
      "--M", "--N, --q"),
     (["solve", "--family", "hamming", "--N", "3", "--q", "2", "--array-file", "arr.json"],
      "--array-file", "--N, --q"),
-], ids=["solve", "families", "oracle", "symbolic-quartic", "named-family-array-file"])
+    (["symbolic", "quartic", "--array-file", "arr.json", "--N", "5", "--q", "2"],
+     "--N, --q", "--array-file"),
+], ids=["solve", "families", "oracle", "symbolic-quartic", "named-family-array-file",
+        "array-file-without-family"])
 def test_family_refuses_flags_it_does_not_read(capsys, argv, stray, reads):
     code, out, err = run_cli(capsys, *argv)
-    family = argv[argv.index("--family") + 1]
+    named = f"--family {argv[argv.index('--family') + 1]}" if "--family" in argv else "--array-file"
     assert code == 2
     assert out == ""
-    assert err == f"error: --family {family} does not read {stray} (it reads {reads})\n"
+    assert err == f"error: {named} does not read {stray} (it reads {reads})\n"
 
 
 def test_family_choices_follow_the_family_table(capsys):
