@@ -53,8 +53,8 @@ __all__ = [
 class SolverConfig:
     """Tolerances and guards threaded explicitly through every operation.
 
-    residual_tol is absolute on matrix entries (the natural scale of
-    (UT)^3 - I is 1, U the symmetric frame of P); the remaining
+    residual_tol is relative to the rounding scale S of (UT)^3, U the
+    symmetric frame of P (see the solver module); the remaining
     tolerances are used scale-relative wherever the compared quantities
     can be large.
     """

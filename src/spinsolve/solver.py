@@ -5,56 +5,56 @@ with its eigenvalues: the ratio x = T_1/T_0 must satisfy a palindromic
 quartic (from the reciprocal identity of the degree-2 profile entry; with
 one class it is the square of the terminal equation).  Every such quartic
 is solved in z = x + 1/x, a quadratic whose degree drops when the leading
-coefficients vanish, and each z gives a reciprocal pair x, 1/x.  Each
-surviving x generates the full profile t_i = T_i/T_0 by a three-term
-forward recurrence; x is filtered by the reciprocal identities
-t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation; finally
-(P diag(t))^3 must be a scalar matrix mu I, and T_0 ranges over the three
-cube roots of 1/mu.  At most 4 x-values times 3 cube roots can survive,
-so no input yields more than 12 solutions.
+coefficients vanish, and each z gives a reciprocal pair x, 1/x.  Each x
+generates the full profile t_i = T_i/T_0 by a three-term forward
+recurrence, the pair is filtered by the reciprocal identities
+t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation, and finally
+(P diag(t))^3 must be a scalar matrix mu I, with T_0 ranging over the
+three cube roots of 1/mu.  At most 4 x-values times 3 cube roots can
+survive, so no input yields more than 12 solutions.
 
-Each profile is computed once per solve: the quartic's roots come in
-pairs x, 1/x, so the profile t(1/x) that filters x is its partner's own
-profile, kept in a dict keyed by the exact root value.  The recurrence
-runs on Python floats and rounds as numpy's scalar arithmetic does.
+The filter decides each pair once, on the profile of its dominant member
+x_d: |x_d| > 1, or on the unit circle the member listed first (filter_x,
+given one x there, takes x itself).  The forward recurrence
+computes the dominant solution when |x| > 1 and the minimal one, which
+loses accuracy with every step, when |x| < 1 (Gautschi 1967), so
+t(x_d) is the only forward profile a pair needs.  With s = 1/t(x_d), the
+reciprocal identity says s solves the recurrence at 1/x_d; rows 1..N of
+that recurrence, and the terminal equation of t at x_d, are each held to
+filter_tol times the sum of their terms' moduli.  Reasons:
+  - "reciprocal_identity_failed at i=k": row k - 1 < N fails; it fixes
+    s_k, and a zero or non-finite t_k fails it as well;
+  - "terminal_failed": row N, which has no forward term, or the terminal
+    equation of t fails.
+Both members get that decision, and the |x| < 1 member's profile is
+1/t(x_d).  filter_x runs the same check.  The recurrence runs on Python
+floats and rounds as numpy's scalar arithmetic does.
 
 The cube is measured in the symmetric frame U = K^{1/2} P K^{-1/2}, K the
 diagonal of the valencies (Bannai, Bannai and Jaeger 1997): U is
 symmetric with U/sqrt|X| orthogonal, so its entries are at most sqrt|X|
 where P's reach k_N, and (P T)^3 = K^{-1/2} (U T)^3 K^{1/2} is the same
-equation.  solve forms U once; the cube (U T)^3 is U (T (U (T U T))),
+equation.  solve forms U once; the cube m = (U T)^3 is U (T (U (T U T))),
 two real-by-complex matrix products.  It is formed once per x:
-(U diag(T_0 t))^3 = T_0^3 (U diag(t))^3, so each root's reported
-residual is max |T_0^3 (U diag(t))^3 - I|.  An x whose three roots all
-miss residual_tol is rejected as residual_failed; when only some miss,
-each is rejected as "residual_failed at root=k", k its index in t0_roots.
+(U diag(T_0 t))^3 = T_0^3 (U diag(t))^3.  Every decision on it is held to
+its own rounding scale S, the largest row sum of (|U||T|)^3 (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5):
+  - m is scalar when max |m - mu I| <= residual_tol S, else x is
+    rejected as non_scalar_cube;
+  - with c = T_0^3 and off the largest off-diagonal modulus of m, a root's
+    residual is max(|c m_ii - 1|, |c| off), which is max |c m - I| up to
+    the rounding of the off-diagonal products (section 3.6);
+  - a root is accepted when its residual is at most
+    residual_tol max(1, S/|mu|).  An x whose three roots all miss that is
+    rejected as residual_failed; when only some miss, each is rejected as
+    "residual_failed at root=k", k its index in t0_roots.
 
-The residuals come from the cube's peaks, not from a pass over the cube
-per root.  The one |m| that measures whether m = (U diag(t))^3 is scalar
-also yields its largest off-diagonal modulus; the peaks are m's diagonal
-and the off-diagonal entries within a relative 1e-14 of that modulus.
-|fl(c m_ij)| is within about 4u of |c| |m_ij| (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., section 3.6), so no other
-entry can round above them, and max(|c m_ii - 1|, |c m_ij|) over the
-peaks, for the three c = T_0^3 at once, is the full residual bit for bit.  Where that bound is not available (the largest
-off-diagonal modulus, or its product with |c|, is zero, subnormal or
-not finite) each residual is measured on the whole cube.
-
-Which profile is cubed: the forward recurrence computes the dominant
-solution when |x| > 1 and the minimal one, which loses accuracy with
-every step, when |x| < 1 (Gautschi 1967).  So the |x| < 1 member of an
-off-circle pair cubes 1/t(1/x), the reciprocal of its partner's profile
-(t_i(x) t_i(1/x) = 1 is what the filter checks); the filters keep the
-forward profiles.  A real z with |z| < 2 gives an on-circle pair, whose
-partner roots_of_quartic forms as the exact conjugate of x.  The
-recurrence and the real-by-complex products are sign-symmetric, so the
-partner's profile and cube are the conjugates of x's, bit for bit.  Its
-cube is neither formed nor measured again: the defect, the norm and the
-positions of the peaks are x's, the peaks are conjugated, and mu is
-summed from the conjugated diagonal (conj(mu) would differ in the signs
-of zero parts, which decide the principal cube root).
-verify_solution, which cubes P diag(T) directly, is the independent
-check that tests compare against.
+A real z with |z| < 2 gives an on-circle pair, whose partner
+roots_of_quartic forms as the exact conjugate of x.  The recurrence and
+the real-by-complex products are sign-symmetric, so the partner's
+profile and cube are the conjugates of x's, and its cube is not formed
+again (_conjugate_cube).  verify_solution, which cubes P diag(T)
+directly, is the independent check that tests compare against.
 
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -248,50 +247,58 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
 
 def filter_x(arr: IntersectionArray, theta, x: complex,
              cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[bool, str | None]:
-    """Accept x iff t_i(x) t_i(1/x) = 1 for every i and the terminal
-    recurrence equation holds (scale-relative, since valencies can be
-    large)."""
-    ok, reason, _ = _filter_with_profile(arr, theta, x, 1.0 / x, cfg, {})
-    return ok, reason
+    """Accept x iff its reciprocal pair {x, 1/x} passes the check solve
+    makes, on the profile of its dominant member: x itself on the unit
+    circle (within root_dedup_tol), else whichever of x, 1/x is larger."""
+    on_circle = abs(abs(x) - 1.0) <= cfg.root_dedup_tol
+    dominant = x if on_circle or abs(x) >= 1.0 else 1.0 / x
+    reason = _pair_check(arr, theta, dominant, t_profile(arr, theta, dominant), cfg)
+    return reason is None, reason
 
 
-def _profile(arr: IntersectionArray, theta, x: complex, profiles: dict) -> np.ndarray:
-    """t_profile(arr, theta, x), computed once per x in `profiles`.  The
-    key holds the signs of x's parts: -0.0 == 0.0, but x = 0+1j and its
-    partner's reciprocal 1/(0-1j) = -0.0+1j give profiles whose zeros
-    differ in sign, and a root must report its own."""
-    key = (x, math.copysign(1.0, x.real), math.copysign(1.0, x.imag))
-    t = profiles.get(key)
-    if t is None:
-        t = profiles[key] = t_profile(arr, theta, x)
-    return t
-
-
-def _filter_with_profile(arr: IntersectionArray, theta, x: complex, partner: complex,
-                         cfg: SolverConfig, profiles: dict) -> tuple[bool, str | None, np.ndarray]:
-    """filter_x with 1/x given as `partner`, also returning the profile t(x).
-    Profiles come from and go to `profiles`, so a root and its partner
-    compute each other's profile once."""
-    t = _profile(arr, theta, x, profiles)
-    s = _profile(arr, theta, partner, profiles)
+def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray,
+                cfg: SolverConfig) -> str | None:
+    """Why the pair {x, 1/x} fails (module docstring), or None, from
+    t = t_profile(x) of its dominant member x.  Row i of the recurrence
+    of s = 1/t at y = 1/x is
+        v_i s_i y theta_i - v_i s_i a_i - b_{i-1} v_{i-1} s_{i-1}
+            - c_{i+1} v_{i+1} s_{i+1} = 0,
+    with no forward term in row N.  The rows go in order, so most failing
+    pairs are decided in a few; each modulus is a product of moduli."""
     n = arr.n_classes
-    tl, sl = t.tolist(), s.tolist()
-    # the i = N recurrence equation has no forward term, so it constrains x
-    v, a, b, _ = arr.float_params()
-    lhs = v[n] * tl[n] * (x * float(theta[n]) - a[n])
-    rhs = b[n - 1] * v[n - 1] * tl[n - 1]
-    # products in Python complex, which rounds as numpy's scalars do; every
-    # modulus from one np.abs, whose rounding differs from abs(complex)
-    mags = np.abs([*(tl[i] * sl[i] - 1.0 for i in range(1, n + 1)),
-                   lhs, rhs, lhs - rhs]).tolist()
-    for i in range(1, n + 1):
-        if mags[i - 1] > cfg.filter_tol:
-            return False, f"reciprocal_identity_failed at i={i}", t
-    abs_lhs, abs_rhs, gap = mags[n:]
-    gap_scale = max(abs_lhs, abs_rhs)
-    if gap_scale > 0 and gap > cfg.filter_tol * gap_scale:
-        return False, "terminal_failed", t
-    return True, None, t
+    v, a, b, c = arr.float_params()
+    th = np.asarray(theta, dtype=float).tolist()
+    tl = t.tolist()
+    y = 1.0 / x
+    abs_y = math.hypot(y.real, y.imag)
+    # v_j s_j and its modulus, for j = i - 1, i, i + 1
+    prev, cur = v[0] / tl[0], v[1] / tl[1]
+    abs_prev, abs_cur = math.hypot(prev.real, prev.imag), math.hypot(cur.real, cur.imag)
+    for i in range(1, n):
+        ti = tl[i + 1]
+        if ti == 0 or not cmath.isfinite(ti):
+            return f"reciprocal_identity_failed at i={i + 1}"
+        nxt = v[i + 1] / ti
+        abs_nxt = math.hypot(nxt.real, nxt.imag)
+        gap = cur * (th[i] * y) - cur * a[i] - b[i - 1] * prev - c[i] * nxt
+        total = abs_cur * (abs(th[i]) * abs_y + abs(a[i])) + b[i - 1] * abs_prev + c[i] * abs_nxt
+        if not _within(gap, total, cfg):
+            return f"reciprocal_identity_failed at i={i + 1}"
+        prev, cur, abs_prev, abs_cur = cur, nxt, abs_cur, abs_nxt
+    gap = cur * (th[n] * y) - cur * a[n] - b[n - 1] * prev
+    total = abs_cur * (abs(th[n]) * abs_y + abs(a[n])) + b[n - 1] * abs_prev
+    if not _within(gap, total, cfg):
+        return "terminal_failed"
+    last, before = v[n] * tl[n], b[n - 1] * v[n - 1] * tl[n - 1]
+    gap = last * (x * th[n]) - last * a[n] - before
+    total = (math.hypot(last.real, last.imag) * (math.hypot(x.real, x.imag) * abs(th[n]) + abs(a[n]))
+             + math.hypot(before.real, before.imag))
+    return None if _within(gap, total, cfg) else "terminal_failed"
+
+
+def _within(gap: complex, total: float, cfg: SolverConfig) -> bool:
+    """|gap| <= filter_tol total, with total finite (False on NaN)."""
+    return math.hypot(gap.real, gap.imag) <= cfg.filter_tol * total < math.inf
 
 
 class SingularCubeError(ArithmeticError):
@@ -299,24 +306,15 @@ class SingularCubeError(ArithmeticError):
     exists; U and t were expected invertible."""
 
 
-class Peaks(NamedTuple):
-    """The entries of a cube m that decide max |c m - I| for every c = t0^3,
-    t0 a cube root of 1/mu: m's diagonal, then each off-diagonal entry
-    whose modulus is within a relative PEAK_MARGIN of the largest
-    off-diagonal modulus, in row-major order."""
-
-    entries: np.ndarray
-    dim: int  # the first dim entries are the diagonal
-
-
 class ScalarCube(NamedTuple):
     is_scalar: bool
     mu: complex
     t0_roots: tuple[complex, ...]
     defect: float  # max |(U diag(t))^3 - mu I|
-    norm: float  # max |(U diag(t))^3|, the scale the defect is held to
+    scale: float  # S, the largest row sum of (|U||T|)^3: the cube's rounding scale
+    off: float  # the largest off-diagonal modulus of (U diag(t))^3
+    diagonal: np.ndarray  # the diagonal of (U diag(t))^3
     matrix: np.ndarray | None = None  # (U diag(t))^3; not formed for a derived conjugate
-    peaks: Peaks | None = None  # None: residuals are measured on matrix
 
 
 def symmetric_frame(arr: IntersectionArray, p: np.ndarray) -> np.ndarray:
@@ -342,45 +340,40 @@ def _cube(u: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _real_times(u, col * _real_times(u, col * u * t))
 
 
+def _rounding_scale(u: np.ndarray, t: np.ndarray) -> float:
+    """S = max_i ((|U||T|)^3 1)_i, by three matrix-vector products: every
+    entry of the computed cube is within a small multiple of u S."""
+    abs_u, abs_t = np.abs(u), np.abs(np.asarray(t, dtype=complex))
+    rows = np.ones(len(abs_t))
+    for _ in range(3):
+        rows = abs_u @ (abs_t * rows)
+    return float(rows.max())
+
+
 def scalar_and_T0(u: np.ndarray, t: np.ndarray,
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
     """Check that (U diag(t))^3 is a scalar matrix mu I, for any real
     square float64 U, and return the three cube roots of 1/mu (principal value
     first, then +2*pi/3 steps) together with the cube itself."""
-    return _scalar_cube(_cube(u, t), cfg)
+    return _scalar_cube(_cube(u, t), _rounding_scale(u, t), cfg)
 
 
-# The margin of the peaks, and the range where the relative rounding bound
-# behind it holds (module docstring): the largest off-diagonal modulus must
-# be a normal float, and its product with |c| = 1/|mu| so far above the
-# subnormal range that the margin, 1e-14 of it, dwarfs an absolute rounding
-# error of 2^-1074.
-PEAK_MARGIN = 1e-14
-_PRODUCT_MIN = 1e-280
-
-
-def _scalar_cube(m: np.ndarray, cfg: SolverConfig) -> ScalarCube:
-    """scalar_and_T0 of the C-contiguous cube m."""
+def _scalar_cube(m: np.ndarray, scale: float, cfg: SolverConfig) -> ScalarCube:
+    """scalar_and_T0 of the C-contiguous cube m with rounding scale S: m is
+    scalar when its defect is at most residual_tol S."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
-    # one |m|: its diagonal (every (dim + 1)-th entry of the C-contiguous
-    # cube) is read, then zeroed, so that its max is the largest
-    # off-diagonal modulus; off the diagonal, m - mu I is m itself
+    # one |m|, its diagonal (every (dim + 1)-th entry of the C-contiguous
+    # cube) zeroed, so that its max is the largest off-diagonal modulus; off
+    # the diagonal, m - mu I is m itself
     mag = np.abs(m)
-    mag_diag = mag.reshape(-1)[::dim + 1]
-    norm_diag = float(mag_diag.max())
-    mag_diag[...] = 0.0
+    mag.reshape(-1)[::dim + 1] = 0.0
     off = float(mag.max())
-    norm = _nan_max(off, norm_diag)
-    defect = _nan_max(off, float(np.abs(m.diagonal() - mu).max()))
-    if not defect <= cfg.residual_tol * norm:
-        return ScalarCube(False, mu, (), defect, norm, m)
-    roots = _cube_roots(mu, norm)
-    peaks = None
-    if sys.float_info.min <= off <= sys.float_info.max and off >= _PRODUCT_MIN * abs(mu):
-        near = m[mag >= off * (1 - PEAK_MARGIN)]
-        peaks = Peaks(np.concatenate((m.diagonal(), near)), dim)
-    return ScalarCube(True, mu, roots, defect, norm, m, peaks)
+    diagonal = m.diagonal().copy()
+    defect = _nan_max(off, float(np.abs(diagonal - mu).max()))
+    if not defect <= cfg.residual_tol * scale:
+        return ScalarCube(False, mu, (), defect, scale, off, diagonal, m)
+    return ScalarCube(True, mu, _cube_roots(mu, defect), defect, scale, off, diagonal, m)
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -388,10 +381,11 @@ def _nan_max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _cube_roots(mu: complex, norm: float) -> tuple[complex, complex, complex]:
+def _cube_roots(mu: complex, defect: float) -> tuple[complex, complex, complex]:
     """The three cube roots of 1/mu, principal value first, then +2*pi/3
-    steps; SingularCubeError when mu is numerically zero."""
-    if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * norm:
+    steps; SingularCubeError when mu is numerically zero, below 1e-300 or
+    1e-14 of the cube's defect from mu I."""
+    if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * defect:
         raise SingularCubeError(
             "cube of U diag(t) is numerically singular; U and t were "
             "expected invertible"
@@ -403,41 +397,34 @@ def _cube_roots(mu: complex, norm: float) -> tuple[complex, complex, complex]:
 
 
 def _conjugate_cube(cube: ScalarCube) -> ScalarCube:
-    """_scalar_cube(m.conj()) of the cube m that `cube` measured, with no
-    pass over m.  |conj(m_ij)| = |m_ij|, so the defect, the norm and the
-    positions of the peaks carry over, and the peaks are conjugated.  mu
-    is summed from the conjugated diagonal as np.trace sums it:
-    mu.conjugate() would flip the signs of zero imaginary parts.  The
-    matrix is formed only where residuals are measured on it."""
-    m = cube.matrix
-    mu = complex(np.conj(m.diagonal()).sum()) / m.shape[0]
-    if not cube.is_scalar:
-        return ScalarCube(False, mu, (), cube.defect, cube.norm)
-    roots = _cube_roots(mu, cube.norm)
-    if cube.peaks is None:
-        return ScalarCube(True, mu, roots, cube.defect, cube.norm, m.conj())
-    peaks = Peaks(cube.peaks.entries.conj(), cube.peaks.dim)
-    return ScalarCube(True, mu, roots, cube.defect, cube.norm, None, peaks)
+    """_scalar_cube(m.conj(), S) of the cube m that `cube` measured, with no
+    pass over m: conjugation keeps every modulus, so the defect, S and
+    the largest off-diagonal modulus carry over, and the diagonal is
+    conjugated.  mu is summed from the conjugated diagonal as np.trace
+    sums it: mu.conjugate() would flip the signs of zero imaginary parts,
+    which decide the principal cube root."""
+    diagonal = cube.diagonal.conj()
+    mu = complex(diagonal.sum()) / len(diagonal)
+    roots = _cube_roots(mu, cube.defect) if cube.is_scalar else ()
+    return cube._replace(mu=mu, t0_roots=roots, diagonal=diagonal, matrix=None)
 
 
 def _residuals(cube: ScalarCube) -> list[float]:
-    """[_root_residual(m, t0) for t0 in cube.t0_roots], bit for bit, m the
-    cube measured.  From the peaks, all roots at once: c = t0^3 stays the
-    left operand, as in _root_residual, since numpy's complex product
-    rounds differently with the operands swapped."""
-    if cube.peaks is None:
-        return [_root_residual(cube.matrix, t0) for t0 in cube.t0_roots]
-    entries, dim = cube.peaks
-    scaled = np.array([t0**3 for t0 in cube.t0_roots])[:, np.newaxis] * entries
-    scaled[:, :dim] -= 1.0
-    return np.abs(scaled).max(axis=1).tolist()
+    """max(|c m_ii - 1|, |c| off) for each c = t0^3, t0 in cube.t0_roots:
+    max |c m - I| up to the rounding of the off-diagonal products, which
+    is within 4u |c| off (Higham, section 3.6).  c stays the left operand,
+    as in _root_residual, so the diagonal terms are its own bit for bit."""
+    c = np.array([t0**3 for t0 in cube.t0_roots])
+    diagonal_terms = np.abs(c[:, np.newaxis] * cube.diagonal - 1.0).max(axis=1)
+    return np.maximum(diagonal_terms, np.abs(c) * cube.off).tolist()
 
 
 def _root_residual(m: np.ndarray, t0: complex) -> float:
-    """max |t0^3 m - I|, with I subtracted from the diagonal of t0^3 m in
-    place rather than formed.  m is C-contiguous, as a matmul result is,
-    so the flat view below is a view and its every (dim + 1)-th entry is
-    the diagonal."""
+    """max |t0^3 m - I| over the whole cube, with I subtracted from the
+    diagonal of t0^3 m in place rather than formed; the reference that
+    _residuals is tested against.  m is C-contiguous, as a matmul result
+    is, so the flat view below is a view and its every (dim + 1)-th entry
+    is the diagonal."""
     scaled = t0**3 * m
     scaled.reshape(-1)[::len(m) + 1] -= 1.0
     return max_abs(scaled)
@@ -469,23 +456,32 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     accepted: list[SolutionCandidate] = []
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
-    profiles: dict = {}
-    cubes: dict = {}  # the ScalarCube of each x cubed, for its conjugate
+    roots = roots_of_quartic(coeffs, cfg)
+    checks: dict = {}  # each dominant member's (reason, profile)
+    cubes: dict = {}  # the ScalarCube of each x cubed, for an on-circle conjugate
     u = None  # formed at the first cube; most arrays reject every x before
-    for x in roots_of_quartic(coeffs, cfg):
-        # roots_of_quartic lists the partner of an x on the unit circle as
-        # conj(x), which is 1/x
-        on_circle = x.imag != 0 and abs(abs(x) - 1.0) <= cfg.root_dedup_tol
-        partner = x.conjugate() if on_circle else 1.0 / x
-        ok, reason, t = _filter_with_profile(arr, theta, x, partner, cfg, profiles)
-        if not ok:
+    for x in roots:
+        # each pair {x, 1/x} is decided once, on the profile of its dominant
+        # member; on the unit circle, where roots_of_quartic lists the
+        # partner as conj(x), that is whichever member comes first
+        on_circle = abs(abs(x) - 1.0) <= cfg.root_dedup_tol
+        conj = x.conjugate()
+        if on_circle:
+            dominant = conj if conj in checks else x
+        else:
+            dominant = x if abs(x) >= 1.0 else min(roots, key=lambda w: abs(w * x - 1.0))
+        if dominant not in checks:
+            t = t_profile(arr, theta, dominant)
+            checks[dominant] = _pair_check(arr, theta, dominant, t, cfg), t
+        reason, t = checks[dominant]
+        if reason is not None:
             rejected.append((x, reason))
             continue
-        if not on_circle and abs(x) < 1:
-            # the dominant member's profile: t(x) = 1/t(1/x)
-            t = 1.0 / _profile(arr, theta, partner, profiles)
-        conj = x.conjugate()
-        if conj in cubes:
+        if dominant is not x:
+            # t(x) = 1/t(1/x); an on-circle twin reports its own profile,
+            # whose zeros carry their own signs
+            t = t_profile(arr, theta, x) if on_circle else 1.0 / t
+        if on_circle and conj in cubes:
             # t is conj(t(conj)) bit for bit, and so is the cube
             cube = _conjugate_cube(cubes[conj])
         else:
@@ -495,10 +491,11 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         if not cube.is_scalar:
             rejected.append((x, "non_scalar_cube"))
             continue
+        limit = cfg.residual_tol * max(1.0, cube.scale / abs(cube.mu))
         failed_roots = []
         for k, (t0, residual) in enumerate(zip(cube.t0_roots, _residuals(cube))):
             raw_count += 1
-            if not residual <= cfg.residual_tol:
+            if not residual <= limit:
                 failed_roots.append(k)
                 continue
             accepted.append(

@@ -1,9 +1,10 @@
-"""Exact-arithmetic cross-check of the profile filters.
+"""Exact-arithmetic cross-check of the pair filter.
 
 An independent recurrence over Gaussian rationals (Fraction pairs)
 recomputes the filter quantities with no rounding at all; decisions made
 in double precision must agree wherever x itself is exactly
-representable."""
+representable and the exact decision is not within a factor sqrt(k) of
+its threshold (k terms per equation)."""
 
 from fractions import Fraction
 
@@ -58,21 +59,45 @@ def exact_profile(arr, theta, x: QI):
 
 
 def exact_filter_decision(arr, theta, x: QI, tol: float):
-    """Same acceptance rule as filter_x, but in exact arithmetic
-    (thresholds compared through squared magnitudes)."""
-    t = exact_profile(arr, theta, x)
-    s = exact_profile(arr, theta, x.reciprocal())
-    tol2 = Fraction(tol) ** 2
-    for i in range(1, arr.n_classes + 1):
-        if (t[i] * s[i] - QI(1)).norm2() > tol2:
-            return False
+    """filter_x's rule in exact arithmetic: True or False, or None when
+    the exact rule cannot be decided rationally.  With x_d the dominant
+    member of {x, 1/x} and t = t(x_d), s = 1/t must solve rows 1..N of
+    the recurrence at 1/x_d and t the terminal equation, each within tol
+    of the sum of its terms' moduli.  That sum is irrational, so it is
+    bracketed between sqrt(sum |term|^2) and sqrt(k sum |term|^2), k the
+    number of terms: a gap within tol of the lower end passes, one beyond
+    tol of the upper end fails, and one in between is undecided.  A zero
+    t_i fails."""
+    xd = x if x.norm2() >= 1 else x.reciprocal()
+    t = exact_profile(arr, theta, xd)
+    if any(ti.norm2() == 0 for ti in t):
+        return False
+    s = [ti.reciprocal() for ti in t]
+    y = xd.reciprocal()
     n = arr.n_classes
     v = valencies(arr)
-    lhs = t[n].scaled(v[n]) * (x.scaled(theta[n]) - QI(arr.a[n]))
-    rhs = t[n - 1].scaled(arr.b[n - 1] * v[n - 1])
-    gap2 = (lhs - rhs).norm2()
-    scale2 = max(lhs.norm2(), rhs.norm2())
-    return scale2 == 0 or gap2 <= tol2 * scale2
+    equations = []
+    for i in range(1, n + 1):
+        vs = s[i].scaled(v[i])
+        terms = [vs * y.scaled(theta[i]), vs.scaled(arr.a[i]),
+                 s[i - 1].scaled(arr.b[i - 1] * v[i - 1])]
+        if i < n:
+            terms.append(s[i + 1].scaled(arr.c[i] * v[i + 1]))
+        equations.append(terms)
+    vt = t[n].scaled(v[n])
+    equations.append([vt * xd.scaled(theta[n]), vt.scaled(arr.a[n]),
+                      t[n - 1].scaled(arr.b[n - 1] * v[n - 1])])
+    tol2 = Fraction(tol) ** 2
+    undecided = False
+    for own, *rest in equations:
+        gap = own
+        for term in rest:
+            gap = gap - term
+        squares = own.norm2() + sum(term.norm2() for term in rest)
+        if gap.norm2() > tol2 * (1 + len(rest)) * squares:
+            return False
+        undecided |= gap.norm2() > tol2 * squares
+    return None if undecided else True
 
 
 def exact_theta(scheme):
@@ -99,6 +124,7 @@ def test_float_filter_agrees_with_exact_filter(spec):
     tol = sp.DEFAULT_CONFIG.filter_tol
     for x in PROBES:
         exact = exact_filter_decision(scheme.array, theta, x, tol)
+        assert exact is not None, f"undecided at x = {x.re} + {x.im}i"
         numeric, _ = filter_x(scheme.array, scheme.theta,
                               complex(float(x.re), float(x.im)))
         assert numeric == exact, f"disagreement at x = {x.re} + {x.im}i"
@@ -111,3 +137,13 @@ def test_exact_filter_accepts_the_known_solutions():
     assert exact_filter_decision(scheme.array, theta, QI(0, -1), 1e-300)
     q4 = build(FamilySpec("hamming", {"N": 3, "q": 4}))
     assert exact_filter_decision(q4.array, exact_theta(q4), QI(-1), 1e-300)
+
+
+def test_a_vanishing_profile_entry_rejects_without_raising():
+    # hamming(3,2) at x = -1 has t_2 = 0, so s_2 = 1/t_2 does not exist
+    scheme = build(FamilySpec("hamming", {"N": 3, "q": 2}))
+    theta = exact_theta(scheme)
+    assert exact_profile(scheme.array, theta, QI(-1))[2].norm2() == 0
+    assert exact_filter_decision(scheme.array, theta, QI(-1), 1e-8) is False
+    assert filter_x(scheme.array, scheme.theta, -1.0) == (
+        False, "reciprocal_identity_failed at i=2")

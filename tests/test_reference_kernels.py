@@ -2,16 +2,19 @@
 
 The functions named reference_* are the earlier implementations, kept
 verbatim in logic: exact Fraction arithmetic for validation and
-valencies, numpy scalars for the profile recurrence and its filter,
-column writes for the eigenmatrix, and m - mu I and t0^3 m - I formed
-in full for the cube.  The rewrites do the same arithmetic with less
-overhead, so every comparison here is exact equality, but one: the cube
-(A diag(t))^3 is now formed as A (T (A (T A T))) with real-by-complex
-products where the reference multiplied complex A diag(t) three times.
-The two orders round differently, so the cube is held to Higham's
-componentwise bound on both (Accuracy and Stability of Numerical
-Algorithms, 2nd ed., sections 3.5 and 3.6), and everything solve derives
-from the cube stays exact against the matrix it returns.
+valencies, numpy scalars for the profile recurrence, column writes for
+the eigenmatrix, and m - mu I and t0^3 m - I formed in full for the cube.
+The rewrites do the same arithmetic with less overhead, so those
+comparisons are exact equality, but two: the cube (A diag(t))^3 is now
+formed as A (T (A (T A T))) with real-by-complex products where the
+reference multiplied complex A diag(t) three times, so both are held to
+Higham's componentwise bound (Accuracy and Stability of Numerical
+Algorithms, 2nd ed., sections 3.5 and 3.6); and each root's residual is
+read off the cube's diagonal and largest off-diagonal modulus, within
+the rounding of the off-diagonal products of the full residual.  The
+pair filter's reference forms every term of every equation on numpy
+arrays and takes each modulus on its own, where solve walks the rows in
+order and multiplies moduli.
 """
 
 import cmath
@@ -32,6 +35,7 @@ from spinsolve.families import FamilySpec, build, eigenmatrix, eigenvalues_from_
 from spinsolve.solver import filter_x, scalar_and_T0, solve, t_profile
 
 CFG = sp.DEFAULT_CONFIG
+UNIT = np.finfo(float).eps / 2
 
 
 # -- references ----------------------------------------------------------------
@@ -101,19 +105,32 @@ def reference_t_profile(arr, theta, x):
 
 
 def reference_filter_x(arr, theta, x, cfg=CFG):
-    t = reference_t_profile(arr, theta, x)
-    s = reference_t_profile(arr, theta, 1.0 / x)
+    """The pair check on numpy arrays: s = 1/t(x_d), x_d the dominant
+    member of {x, 1/x}, solves rows 1..N of the recurrence at 1/x_d, and
+    t(x_d) solves the terminal equation, each within filter_tol of the sum
+    of its terms' moduli; a zero or non-finite t_i fails the row fixing
+    s_i.  Every term is formed, and its modulus taken, on its own."""
+    xd = x if abs(x) >= 1 or abs(abs(x) - 1) <= cfg.root_dedup_tol else 1.0 / x
+    t = reference_t_profile(arr, theta, xd)
     n = arr.n_classes
-    for i in range(1, n + 1):
-        if abs(t[i] * s[i] - 1.0) > cfg.filter_tol:
-            return False, f"reciprocal_identity_failed at i={i}"
-    v, a, b, _ = float_arrays(arr)
-    lhs = v[n] * t[n] * (x * float(theta[n]) - a[n])
-    rhs = b[n - 1] * v[n - 1] * t[n - 1]
-    gap_scale = max(abs(lhs), abs(rhs))
-    if gap_scale > 0 and abs(lhs - rhs) > cfg.filter_tol * gap_scale:
-        return False, "terminal_failed"
-    return True, None
+    v, a, b, c = float_arrays(arr)
+    th = np.asarray(theta, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vs = v / t
+        terms = np.zeros((4, n + 1), dtype=complex)
+        terms[0, :n] = vs[1:] * th[1:] / xd
+        terms[1, :n] = vs[1:] * a[1:]
+        terms[2, :n] = b * vs[:-1]
+        terms[3, :n - 1] = c[1:] * vs[2:]
+        terms[:3, n] = (v[n] * t[n] * xd * th[n], v[n] * t[n] * a[n], b[n - 1] * v[n - 1] * t[n - 1])
+        gaps = np.abs(terms[0] - terms[1] - terms[2] - terms[3])
+        sums = np.abs(terms).sum(axis=0)
+        passed = (gaps <= cfg.filter_tol * sums) & np.isfinite(sums)
+    passed[:n - 1] &= (t[2:] != 0) & np.isfinite(t[2:])
+    if passed.all():
+        return True, None
+    row = int(np.argmin(passed)) + 1
+    return False, f"reciprocal_identity_failed at i={row + 1}" if row < n else "terminal_failed"
 
 
 def reference_cube(p, t):
@@ -123,10 +140,16 @@ def reference_cube(p, t):
 
 
 def reference_scalar(m):
-    """(mu, defect, norm) of a cube m as measured before: m - mu I in full."""
+    """(mu, defect) of a cube m as measured before: m - mu I in full."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
-    return mu, max_abs(m - mu * np.eye(dim)), max_abs(m)
+    return mu, max_abs(m - mu * np.eye(dim))
+
+
+def reference_scale(a, t):
+    """The largest row sum of (|A||T|)^3, the matrix formed in full."""
+    at = np.abs(a) * np.abs(np.asarray(t, dtype=complex))[np.newaxis, :]
+    return float((at @ at @ at).sum(axis=1).max())
 
 
 def cube_error_bound(a, t, extra=0):
@@ -356,15 +379,21 @@ def _check_cube(p, t):
     m = solver._cube(p, t)
     assert m.flags.c_contiguous
     assert np.all(np.abs(m - reference_cube(p, t)) <= cube_error_bound(p, t))
-    mu, defect, norm = reference_scalar(m)
+    mu, defect = reference_scalar(m)
+    # S from three products or one matrix: sums of nonnegative terms, each
+    # within gamma_{3 dim} of the exact S
+    scale = reference_scale(p, t)
+    k = 3 * len(t)
+    assert abs(solver._rounding_scale(p, t) - scale) <= 2 * k * UNIT * scale
     try:
         cube = scalar_and_T0(p, t, CFG)
     except solver.SingularCubeError:
-        assert defect <= CFG.residual_tol * norm
+        assert defect <= CFG.residual_tol * solver._rounding_scale(p, t)
         return
     assert np.array_equal(cube.matrix, m)
-    assert (cube.mu, cube.defect, cube.norm) == (mu, defect, norm)
-    assert cube.is_scalar == (defect <= CFG.residual_tol * norm)
+    assert bits(cube.diagonal) == bits(m.diagonal())
+    assert (cube.mu, cube.defect) == (mu, defect)
+    assert cube.is_scalar == (defect <= CFG.residual_tol * cube.scale)
     for t0 in cube.t0_roots:
         assert solver._root_residual(m, t0) == reference_residual(m, t0)
 
@@ -431,7 +460,7 @@ def test_solutions_report_the_cube_of_their_own_profile(spec):
     for s in solve(scheme).accepted:
         cube = scalar_and_T0(u, np.array(s.t), CFG)
         assert s.mu == cube.mu and s.t0 in cube.t0_roots
-        assert s.residual == solver._root_residual(cube.matrix, s.t0)
+        assert s.residual == solver._residuals(cube)[cube.t0_roots.index(s.t0)]
 
 
 @given(st.data())
@@ -457,8 +486,8 @@ def test_roots_come_sorted_by_their_rounded_parts(coeffs):
     assert roots == sorted(roots, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
 
 
-# Moduli from the subnormal to the overflow range, with the bounds of the
-# peak path among them: the smallest normal float and the product floor.
+# Moduli from the subnormal to the overflow range, the smallest normal
+# float among them.
 moduli = st.sampled_from((0.0, 5e-324, 1e-310, sys.float_info.min, 1e-295, 1e-280, 1e-200,
                           1e-14, 1e-3, 1.0, 7.5, 1e14, 1e200, 1e300, 1e307))
 units = st.one_of(st.floats(min_value=0.0, max_value=2 * math.pi).map(
@@ -468,8 +497,8 @@ units = st.one_of(st.floats(min_value=0.0, max_value=2 * math.pi).map(
 @st.composite
 def cubes_near_scalar(draw):
     """Square complex matrices: a diagonal around one value, and
-    off-diagonal entries all zero, of assorted moduli, or clustered at the
-    1e-14 margin below the largest."""
+    off-diagonal entries all zero, of assorted moduli, or clustered within
+    a relative 1e-14 of the largest, where their roundings compete."""
     dim = draw(st.integers(1, 5))
     mu = draw(moduli.filter(lambda r: r > 0)) * draw(units)
     m = np.array([[mu * (1 + draw(st.sampled_from((0.0, 1e-16, -3e-12, 1e-3)))) if i == j
@@ -490,28 +519,22 @@ def cubes_near_scalar(draw):
 
 @given(cubes_near_scalar(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
 @settings(max_examples=200, deadline=None)
-def test_peak_residuals_match_full_residuals(m, cfg):
-    # residual_tol 2 makes every nonsingular cube scalar, so the peaks are
-    # taken from matrices that are far from scalar too
+def test_residuals_match_full_residuals_within_rounding(m, cfg):
+    # the cube is held to its largest modulus, and residual_tol 2 makes
+    # every nonsingular cube scalar, so residuals are taken of matrices far
+    # from scalar too.  |fl(c m_ij)| is within 4u |c| |m_ij| of the exact
+    # modulus; below the normal range each rounding adds up to the
+    # smallest subnormal, and where c m_ij overflows no relative bound holds
     try:
-        cube = solver._scalar_cube(m, cfg)
+        cube = solver._scalar_cube(m, max_abs(m), cfg)
     except solver.SingularCubeError:
         return
-    want = [solver._root_residual(m, t0) for t0 in cube.t0_roots]
-    assert np.array_equal(solver._residuals(cube), want, equal_nan=True)
-
-
-def test_peaks_keep_the_diagonal_and_the_entries_within_the_margin():
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = 1e-12
-    m[1, 2] = -1e-12 * (1 - 0.5e-14)
-    m[2, 0] = 1e-12j * (1 - 2e-14)
-    m[1, 0] = 1e-13
-    cube = solver._scalar_cube(m, CFG)
-    entries, dim = cube.peaks
-    assert dim == 3
-    assert bits(entries) == bits([1, 1, 1, m[0, 1], m[1, 2]])
-    assert solver._residuals(cube) == [solver._root_residual(m, t0) for t0 in cube.t0_roots]
+    got = solver._residuals(cube)
+    for t0, residual in zip(cube.t0_roots, got):
+        want = solver._root_residual(m, t0)
+        assume(math.isfinite(want))
+        bound = 4 * UNIT * abs(t0**3) * cube.off + 4 * sys.float_info.min * UNIT
+        assert abs(residual - want) <= bound
 
 
 diagonal_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
@@ -537,26 +560,19 @@ def conjugate_twins(draw):
 @given(conjugate_twins(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
 @settings(max_examples=150, deadline=None)
 def test_derived_conjugate_cube_matches_scalar_cube_of_conjugate(m, cfg):
+    scale = max_abs(m)
     try:
-        twin = solver._scalar_cube(m, cfg)
+        twin = solver._scalar_cube(m, scale, cfg)
     except solver.SingularCubeError:
         return
     derived = solver._conjugate_cube(twin)
-    direct = solver._scalar_cube(m.conj(), cfg)
+    direct = solver._scalar_cube(m.conj(), scale, cfg)
     assert derived.is_scalar == direct.is_scalar
     assert bits([derived.mu]) == bits([direct.mu])
     assert bits(derived.t0_roots) == bits(direct.t0_roots)
-    assert (derived.defect, derived.norm) == (direct.defect, direct.norm)
-    if direct.peaks is None:
-        assert derived.peaks is None
-    else:
-        assert derived.peaks.dim == direct.peaks.dim
-        assert bits(derived.peaks.entries) == bits(direct.peaks.entries)
-    # the matrix is formed only when residuals are measured on it
-    if direct.is_scalar and direct.peaks is None:
-        assert np.array_equal(derived.matrix, direct.matrix)
-    else:
-        assert derived.matrix is None
+    assert (derived.defect, derived.scale, derived.off) == (direct.defect, direct.scale, direct.off)
+    assert bits(derived.diagonal) == bits(direct.diagonal)
+    assert derived.matrix is None  # never formed
     assert solver._residuals(derived) == solver._residuals(direct)
 
 

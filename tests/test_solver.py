@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve import solver
-from spinsolve.families import FamilySpec, build, build_custom
+from spinsolve.families import BuildError, FamilySpec, build, build_custom
 from spinsolve.solver import (
     DegenerateSchemeError,
     candidate_quartic,
@@ -20,6 +22,7 @@ from spinsolve.solver import (
     t_profile,
     verify_solution,
 )
+from spinsolve.theorems import random_intersection_array
 
 CFG = sp.DEFAULT_CONFIG
 
@@ -451,8 +454,11 @@ def test_partial_cube_root_failure_is_recorded(monkeypatch):
 # -- the paper's counts, where the solver gets them right ---------------------
 
 # Largest N at which every hamming(N, q) count is right (ROADMAP "Where the
-# counts stand"); the paper's count is 6, or 3 at q = 4.
-HAMMING_RIGHT_UP_TO = {2: 22, 3: 22, 4: 23, 5: 10, 7: 7, 8: 6, 9: 5, 11: 5, 13: 4, 16: 5}
+# counts stand"); the paper's count is 6, or 3 at q = 4.  Each stops at
+# N = 30 or just before the first N whose build is refused, except q = 2:
+# hamming(30,2) counts 0, its cube at x = +-i not scalar within its
+# rounding scale.
+HAMMING_RIGHT_UP_TO = {2: 29, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 24, 11: 22, 13: 22, 16: 19}
 
 
 @pytest.mark.parametrize("q", sorted(HAMMING_RIGHT_UP_TO))
@@ -461,6 +467,23 @@ def test_hamming_counts_match_the_paper(q):
     counts = {n: solve(build(FamilySpec("hamming", {"N": n, "q": q}))).count
               for n in range(1, HAMMING_RIGHT_UP_TO[q] + 1) if (n, q) != (2, 2)}
     assert counts == dict.fromkeys(counts, want)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_small_hamming_counts_match_the_paper_for_large_alphabets(n):
+    counts = {q: solve(build(FamilySpec("hamming", {"N": n, "q": q}))).count
+              for q in range(2, 300)}
+    assert counts == {q: 3 if q == 4 else 6 for q in counts}
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("hamming", {"N": 1, "q": q})
+                                  for q in (10**4, 15625, 10**5)]
+                         + [FamilySpec("bilinear", {"M": 1, "N": 6, "q": q}) for q in (5, 7)],
+                         ids=lambda spec: f"{spec.family}{spec.params}")
+def test_large_complete_graphs_keep_both_members_of_the_pair(spec):
+    # K_n: the quartic is the squared terminal equation, whose big root
+    # failed the terminal check on its own forward profile
+    assert solve(build(spec)).count == 6
 
 
 NGON_SAMPLE = sorted((set(range(3, 401, 7)) | {398, 399, 400}) - {4})
@@ -507,3 +530,84 @@ def test_symmetric_frame_fixes_match_the_paper(spec):
     u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
     for s in sol.accepted:
         assert verify_solution(u, s.diag) <= CFG.residual_tol + _oracle_rounding(u, s.diag)
+
+
+# -- each decision held to its own rounding scale ------------------------------
+
+
+@pytest.mark.parametrize("n,q", [(12, 7), (18, 5)])
+def test_accepted_roots_clear_their_limit_by_far(n, q):
+    # these were accepted at 9.9e-11 and 5.6e-11 against an absolute
+    # residual_tol of 1e-10; the cube's own rounding scale S sets the limit
+    scheme = build(FamilySpec("hamming", {"N": n, "q": q}))
+    sol = solve(scheme)
+    assert sol.count == 6
+    u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
+    for s in sol.accepted:
+        cube = scalar_and_T0(u, np.array(s.t), CFG)
+        limit = CFG.residual_tol * max(1.0, cube.scale / abs(cube.mu))
+        assert s.residual <= 1e-3 * limit
+
+
+def _negative_control_grid():
+    hamming = [FamilySpec("hamming", {"N": n, "q": q})
+               for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for n in range(1, 31)
+               if (n, q) != (2, 2) and n <= HAMMING_RIGHT_UP_TO[q]]
+    ngons = [FamilySpec("ngon", {"n": n}) for n in NGON_SAMPLE]
+    bilinear = [FamilySpec("bilinear", {"M": m, "N": n, "q": q})
+                for m in (1, 2) for n in range(m, 7) for q in (2, 3, 4, 5, 7)]
+    return hamming + ngons + bilinear
+
+
+# x is doubled here; the filter's gaps are quadratic in its error, so 1e-6
+# moves them by 1e-12 only
+DOUBLED_ROOTS = {("hamming", q) for q in (2, 4)} | {
+    ("bilinear", (1, 1, 4)), ("bilinear", (1, 2, 2)), ("bilinear", (2, 2, 2))}
+
+
+def _is_doubled(spec):
+    if spec.family == "hamming":
+        return (spec.family, spec.params["q"]) in DOUBLED_ROOTS
+    return (spec.family, tuple(spec.params.get(k) for k in "MNq")) in DOUBLED_ROOTS
+
+
+def test_the_filter_rejects_every_perturbed_accepted_root():
+    checks = 0
+    for spec in _negative_control_grid():
+        scheme = build(spec)
+        step = 1e-3 if _is_doubled(spec) else 1e-6
+        for x in set(solve(scheme).accepted_x()):
+            for moved in (x * (1 + step), x * cmath.exp(1j * step)):
+                ok, _ = filter_x(scheme.array, scheme.theta, moved, CFG)
+                assert not ok, (spec, x, moved)
+                checks += 1
+    assert checks > 1000
+
+
+# Arrays of the kind theorems draws, and Krawtchouk arrays with a rational
+# q, b_i = (N - i)(q - 1) and c_i = i, whose pairs often pass the filter.
+pair_arrays = st.one_of(
+    st.tuples(st.randoms(use_true_random=False), st.integers(1, 8)).map(
+        lambda case: random_intersection_array(*case)),
+    st.tuples(st.integers(1, 12), st.fractions(min_value=2, max_value=20,
+                                               max_denominator=7)).map(
+        lambda case: sp.IntersectionArray([(case[0] - i) * (case[1] - 1) for i in range(case[0])],
+                                          range(1, case[0] + 1))),
+)
+
+
+@given(pair_arrays)
+@settings(max_examples=100, deadline=None)
+def test_both_members_of_a_pair_get_one_filter_decision(arr):
+    try:
+        scheme = build_custom(arr, CFG)
+        sol = solve(scheme)
+    except (BuildError, DegenerateSchemeError, solver.SingularCubeError):
+        assume(False)
+    roots = roots_of_quartic(candidate_quartic(arr, scheme.theta), CFG)
+    filter_reasons = {x: reason for x, reason in sol.rejected_x
+                      if reason.startswith(("reciprocal", "terminal"))}
+    for x in roots:
+        partner = min(roots, key=lambda w: abs(w * x - 1))
+        assert filter_reasons.get(x) == filter_reasons.get(partner)
+        assert filter_x(arr, scheme.theta, x, CFG)[0] == (x not in filter_reasons)
