@@ -519,10 +519,11 @@ def cubes_near_scalar(draw):
 
 @given(cubes_near_scalar(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
 @settings(max_examples=200, deadline=None)
-def test_residuals_match_full_residuals_within_rounding(m, cfg):
-    # the cube is held to its largest modulus, and residual_tol 2 makes
-    # every nonsingular cube scalar, so residuals are taken of matrices far
-    # from scalar too.  |fl(c m_ij)| is within 4u |c| |m_ij| of the exact
+def test_peak_residuals_match_full_residuals(m, cfg):
+    # each residual is taken from the cube's peaks, its diagonal and its
+    # largest off-diagonal modulus.  The cube is held to its largest
+    # modulus, and residual_tol 2 makes every nonsingular cube scalar, so
+    # residuals are taken of matrices far from scalar too.  |fl(c m_ij)| is within 4u |c| |m_ij| of the exact
     # modulus; below the normal range each rounding adds up to the
     # smallest subnormal, and where c m_ij overflows no relative bound holds
     try:
@@ -535,6 +536,23 @@ def test_residuals_match_full_residuals_within_rounding(m, cfg):
         assume(math.isfinite(want))
         bound = 4 * UNIT * abs(t0**3) * cube.off + 4 * sys.float_info.min * UNIT
         assert abs(residual - want) <= bound
+
+
+def test_peaks_keep_the_diagonal_and_the_entries_within_the_margin():
+    # the off-diagonal moduli lie within a relative 2e-14 of each other,
+    # where their roundings compete: the cube keeps its diagonal bit for
+    # bit and the largest of them exactly
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = 1e-12
+    m[1, 2] = -1e-12 * (1 - 0.5e-14)
+    m[2, 0] = 1e-12j * (1 - 2e-14)
+    m[1, 0] = 1e-13
+    cube = solver._scalar_cube(m, max_abs(m), CFG)
+    assert bits(cube.diagonal) == bits([1, 1, 1])
+    assert cube.off == abs(m[0, 1])
+    for t0, residual in zip(cube.t0_roots, solver._residuals(cube)):
+        want = solver._root_residual(m, t0)
+        assert abs(residual - want) <= 4 * UNIT * abs(t0**3) * cube.off
 
 
 diagonal_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
