@@ -39,8 +39,9 @@ two real-by-complex matrix products.  It is formed once per x:
 (U diag(T_0 t))^3 = T_0^3 (U diag(t))^3.  Every decision on it is held to
 its own rounding scale S, the largest row sum of (|U||T|)^3 (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5):
-  - m is scalar when max |m - mu I| <= residual_tol S, else x is
-    rejected as non_scalar_cube;
+  - m is scalar when max |m - mu I| <= residual_tol S and |mu| exceeds
+    3 dim u S, which bounds the rounding of its diagonal mean (u the unit
+    roundoff); else x is rejected as non_scalar_cube;
   - with c = T_0^3 and off the largest off-diagonal modulus of m, a root's
     residual is max(|c m_ii - 1|, |c| off), which is max |c m - I| up to
     the rounding of the off-diagonal products (section 3.6);
@@ -360,7 +361,7 @@ def scalar_and_T0(u: np.ndarray, t: np.ndarray,
 
 def _scalar_cube(m: np.ndarray, scale: float, cfg: SolverConfig) -> ScalarCube:
     """scalar_and_T0 of the C-contiguous cube m with rounding scale S: m is
-    scalar when its defect is at most residual_tol S."""
+    scalar when its defect is at most residual_tol S and |mu| > 3 dim u S."""
     dim = m.shape[0]
     mu = complex(np.trace(m)) / dim
     # one |m|, its diagonal (every (dim + 1)-th entry of the C-contiguous
@@ -371,9 +372,10 @@ def _scalar_cube(m: np.ndarray, scale: float, cfg: SolverConfig) -> ScalarCube:
     off = float(mag.max())
     diagonal = m.diagonal().copy()
     defect = _nan_max(off, float(np.abs(diagonal - mu).max()))
-    if not defect <= cfg.residual_tol * scale:
+    unit = np.finfo(float).eps / 2
+    if not (defect <= cfg.residual_tol * scale and abs(mu) > 3 * dim * unit * scale):
         return ScalarCube(False, mu, (), defect, scale, off, diagonal, m)
-    return ScalarCube(True, mu, _cube_roots(mu, defect), defect, scale, off, diagonal, m)
+    return ScalarCube(True, mu, _cube_roots(mu), defect, scale, off, diagonal, m)
 
 
 def _nan_max(a: float, b: float) -> float:
@@ -381,11 +383,10 @@ def _nan_max(a: float, b: float) -> float:
     return a if a >= b or a != a else b
 
 
-def _cube_roots(mu: complex, defect: float) -> tuple[complex, complex, complex]:
+def _cube_roots(mu: complex) -> tuple[complex, complex, complex]:
     """The three cube roots of 1/mu, principal value first, then +2*pi/3
-    steps; SingularCubeError when mu is numerically zero, below 1e-300 or
-    1e-14 of the cube's defect from mu I."""
-    if abs(mu) <= 1e-300 or abs(mu) <= 1e-14 * defect:
+    steps; SingularCubeError when |mu| <= 1e-300, as 1/mu may overflow."""
+    if abs(mu) <= 1e-300:
         raise SingularCubeError(
             "cube of U diag(t) is numerically singular; U and t were "
             "expected invertible"
@@ -405,7 +406,7 @@ def _conjugate_cube(cube: ScalarCube) -> ScalarCube:
     which decide the principal cube root."""
     diagonal = cube.diagonal.conj()
     mu = complex(diagonal.sum()) / len(diagonal)
-    roots = _cube_roots(mu, cube.defect) if cube.is_scalar else ()
+    roots = _cube_roots(mu) if cube.is_scalar else ()
     return cube._replace(mu=mu, t0_roots=roots, diagonal=diagonal, matrix=None)
 
 

@@ -455,10 +455,11 @@ def test_partial_cube_root_failure_is_recorded(monkeypatch):
 
 # Largest N at which every hamming(N, q) count is right (ROADMAP "Where the
 # counts stand"); the paper's count is 6, or 3 at q = 4.  Each stops at
-# N = 30 or just before the first N whose build is refused, except q = 2:
-# hamming(30,2) counts 0, its cube at x = +-i not scalar within its
-# rounding scale.
-HAMMING_RIGHT_UP_TO = {2: 29, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 24, 11: 22, 13: 22, 16: 19}
+# N = 30 or just before the first N whose build is refused, except q = 2,
+# where hamming(30,2)'s cube at x = +-i is not scalar within its rounding
+# scale, and q = 9, 11, 13, 16, where the next N's cubes have |mu| below
+# their rounding 3 dim u S, so floating point cannot tell mu from zero.
+HAMMING_RIGHT_UP_TO = {2: 29, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 21, 11: 19, 13: 18, 16: 16}
 
 
 @pytest.mark.parametrize("q", sorted(HAMMING_RIGHT_UP_TO))
@@ -549,10 +550,30 @@ def test_accepted_roots_clear_their_limit_by_far(n, q):
         assert s.residual <= 1e-3 * limit
 
 
+def _pinned_hamming():
+    return [FamilySpec("hamming", {"N": n, "q": q})
+            for q in sorted(HAMMING_RIGHT_UP_TO) for n in range(1, HAMMING_RIGHT_UP_TO[q] + 1)
+            if (n, q) != (2, 2)]
+
+
+def test_every_accepted_mu_clears_the_rounding_of_its_cube():
+    # T_0 is a cube root of 1/mu, so mu must exceed 3 dim u S, the rounding
+    # its diagonal mean can carry; the cube and S are formed here in full,
+    # in another order than solve forms them
+    unit = np.finfo(float).eps / 2
+    for spec in _pinned_hamming():
+        scheme = build(spec)
+        u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
+        for s in solve(scheme).accepted:
+            ut = u * np.array(s.t)
+            w = np.abs(ut)
+            scale = (w @ w @ w).sum(axis=1).max()
+            mu = np.trace(ut @ ut @ ut) / len(u)
+            assert abs(mu) > 3 * len(u) * unit * scale, spec
+
+
 def _negative_control_grid():
-    hamming = [FamilySpec("hamming", {"N": n, "q": q})
-               for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16) for n in range(1, 31)
-               if (n, q) != (2, 2) and n <= HAMMING_RIGHT_UP_TO[q]]
+    hamming = _pinned_hamming()
     ngons = [FamilySpec("ngon", {"n": n}) for n in NGON_SAMPLE]
     bilinear = [FamilySpec("bilinear", {"M": m, "N": n, "q": q})
                 for m in (1, 2) for n in range(m, 7) for q in (2, 3, 4, 5, 7)]
