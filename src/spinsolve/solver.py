@@ -28,7 +28,7 @@ filter_tol times the sum of their terms' moduli.  Reasons:
     equation of t fails.
 Both members get that decision, and the |x| < 1 member's profile is
 1/t(x_d).  filter_x runs the same check.  The recurrence runs on Python
-floats and rounds as numpy's scalar arithmetic does.
+complex numbers, one plain division per step.
 
 The cube is measured in the symmetric frame U = K^{1/2} P K^{-1/2}, K the
 diagonal of the valencies (Bannai, Bannai and Jaeger 1997): U is
@@ -48,14 +48,16 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5):
   - a root is accepted when its residual is at most
     residual_tol max(1, S/|mu|).  An x whose three roots all miss that is
     rejected as residual_failed; when only some miss, each is rejected as
-    "residual_failed at root=k", k its index in t0_roots.
+    "residual_failed at root=k", k its index in t0_roots: root 0 is
+    |mu|^(-1/3) exp(-i arg(mu)/3) with arg(mu) in (-pi, pi], a zero
+    imaginary part read as +0.0, and roots 1 and 2 follow in +2 pi/3 steps.
 
 A real z with |z| < 2 gives an on-circle pair, whose partner
-roots_of_quartic forms as the exact conjugate of x.  The recurrence and
-the real-by-complex products are sign-symmetric, so the partner's
-profile and cube are the conjugates of x's, and its cube is not formed
-again (_conjugate_cube).  verify_solution, which cubes P diag(T)
-directly, is the independent check that tests compare against.
+roots_of_quartic forms as the exact conjugate of x.  Rounding is
+sign-symmetric, so the partner's profile and cube equal the conjugates
+of x's, and neither is formed again (_conjugate_cube).  verify_solution,
+which cubes P diag(T) directly, is the independent check that tests
+compare against.
 
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
@@ -178,13 +180,15 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
     doubled roots that coefficient noise (for example eigenvalues computed
     in floating point) would otherwise split by the square root of that
     noise.  A real z with |z| < 2 gives a pair on the unit circle, and the
-    partner is returned as the exact conjugate of x rather than 1/x.
+    partner is returned as the exact conjugate of x rather than 1/x.  The
+    roots are Python complex numbers, sorted by their real and imaginary
+    parts rounded to 12 decimals.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (5,) or coeffs[0] != coeffs[4] or coeffs[1] != coeffs[3]:
+    coeffs = [complex(c) for c in coeffs]
+    if len(coeffs) != 5 or coeffs[0] != coeffs[4] or coeffs[1] != coeffs[3]:
         raise ValueError("candidate polynomial must be a palindromic quartic "
                          "[A4, A3, A2, A3, A4]")
-    scale = float(np.max(np.abs(coeffs)))
+    scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
         raise ValueError("all-zero candidate polynomial")
     a4, a3, a2 = coeffs[:3]
@@ -211,13 +215,8 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
         # conj(x); taking it exactly makes the pair's profiles conjugates
         on_circle = z.imag == 0 and abs(z.real) < 2
         found.extend([x, x.conjugate() if on_circle else 1 / x])
-    # sorted by (round(re, 12), round(im, 12)); the roots are numpy scalars,
-    # whose round() is np.round, so one call over their float view, which
-    # interleaves real and imaginary parts, rounds every key
-    parts = np.round(np.array(found, dtype=complex).view(np.float64), 12).tolist()
-    keys = list(zip(parts[::2], parts[1::2]))
     roots: list[complex] = []
-    for _, z in sorted(zip(keys, found), key=lambda pair: pair[0]):
+    for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
         if abs(z) <= cfg.root_dedup_tol:
             continue
         if all(abs(z - kept) > cfg.root_dedup_tol * max(1.0, abs(z)) for kept in roots):
@@ -236,13 +235,7 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     t = [1 + 0j, x]
     for i in range(1, arr.n_classes):
         num = v[i] * t[i] * (x * th[i] - a[i]) - b[i - 1] * v[i - 1] * t[i - 1]
-        # numpy's complex-by-real division, rounding for rounding: Smith's
-        # algorithm with a zero imaginary part multiplies both parts by
-        # 1/(c_{i+1} v_{i+1}) after adding products with 0.0 (they fix the
-        # signs of zeros)
-        scale = 1.0 / (c[i] * v[i + 1])
-        t.append(complex((num.real + num.imag * 0.0) * scale,
-                         (num.imag - num.real * 0.0) * scale))
+        t.append(num / (c[i] * v[i + 1]))
     return np.array(t)
 
 
@@ -354,8 +347,8 @@ def _rounding_scale(u: np.ndarray, t: np.ndarray) -> float:
 def scalar_and_T0(u: np.ndarray, t: np.ndarray,
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
     """Check that (U diag(t))^3 is a scalar matrix mu I, for any real
-    square float64 U, and return the three cube roots of 1/mu (principal value
-    first, then +2*pi/3 steps) together with the cube itself."""
+    square float64 U, and return the three cube roots of 1/mu (in
+    _cube_roots' order) together with the cube itself."""
     return _scalar_cube(_cube(u, t), _rounding_scale(u, t), cfg)
 
 
@@ -384,15 +377,18 @@ def _nan_max(a: float, b: float) -> float:
 
 
 def _cube_roots(mu: complex) -> tuple[complex, complex, complex]:
-    """The three cube roots of 1/mu, principal value first, then +2*pi/3
-    steps; SingularCubeError when |mu| <= 1e-300, as 1/mu may overflow."""
+    """The three cube roots of 1/mu: |mu|^(-1/3) exp(-i arg(mu)/3), with
+    arg(mu) in (-pi, pi], first, then +2*pi/3 steps.  A zero imaginary part
+    is read as +0.0, so mu and its conjugate have the same order when
+    they are equal.  SingularCubeError when |mu| <= 1e-300, as 1/mu may
+    overflow."""
     if abs(mu) <= 1e-300:
         raise SingularCubeError(
             "cube of U diag(t) is numerically singular; U and t were "
             "expected invertible"
         )
-    w = 1.0 / mu
-    r = abs(w) ** (1.0 / 3.0) * cmath.exp(1j * cmath.phase(w) / 3.0)
+    arg = cmath.phase(complex(mu.real, mu.imag + 0.0))
+    r = abs(mu) ** (-1.0 / 3.0) * cmath.exp(-1j * arg / 3.0)
     step = cmath.exp(2j * cmath.pi / 3.0)
     return (r, r * step, r * step * step)
 
@@ -400,14 +396,11 @@ def _cube_roots(mu: complex) -> tuple[complex, complex, complex]:
 def _conjugate_cube(cube: ScalarCube) -> ScalarCube:
     """_scalar_cube(m.conj(), S) of the cube m that `cube` measured, with no
     pass over m: conjugation keeps every modulus, so the defect, S and
-    the largest off-diagonal modulus carry over, and the diagonal is
-    conjugated.  mu is summed from the conjugated diagonal as np.trace
-    sums it: mu.conjugate() would flip the signs of zero imaginary parts,
-    which decide the principal cube root."""
-    diagonal = cube.diagonal.conj()
-    mu = complex(diagonal.sum()) / len(diagonal)
+    the largest off-diagonal modulus carry over, and mu and the diagonal
+    are conjugated."""
+    mu = cube.mu.conjugate()
     roots = _cube_roots(mu) if cube.is_scalar else ()
-    return cube._replace(mu=mu, t0_roots=roots, diagonal=diagonal, matrix=None)
+    return cube._replace(mu=mu, t0_roots=roots, diagonal=cube.diagonal.conj(), matrix=None)
 
 
 def _residuals(cube: ScalarCube) -> list[float]:
@@ -479,11 +472,9 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
             rejected.append((x, reason))
             continue
         if dominant is not x:
-            # t(x) = 1/t(1/x); an on-circle twin reports its own profile,
-            # whose zeros carry their own signs
-            t = t_profile(arr, theta, x) if on_circle else 1.0 / t
+            # t(x) = 1/t(1/x), and on the circle x = conj(dominant)
+            t = t.conj() if on_circle else 1.0 / t
         if on_circle and conj in cubes:
-            # t is conj(t(conj)) bit for bit, and so is the cube
             cube = _conjugate_cube(cubes[conj])
         else:
             if u is None:

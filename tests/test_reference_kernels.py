@@ -1,20 +1,23 @@
-"""Each rewritten kernel against the code it replaced.
+"""Each rewritten kernel against the code it replaced, or against the
+property that code guarded.
 
 The functions named reference_* are the earlier implementations, kept
 verbatim in logic: exact Fraction arithmetic for validation and
-valencies, numpy scalars for the profile recurrence, column writes for
-the eigenmatrix, and m - mu I and t0^3 m - I formed in full for the cube.
-The rewrites do the same arithmetic with less overhead, so those
-comparisons are exact equality, but two: the cube (A diag(t))^3 is now
-formed as A (T (A (T A T))) with real-by-complex products where the
-reference multiplied complex A diag(t) three times, so both are held to
-Higham's componentwise bound (Accuracy and Stability of Numerical
-Algorithms, 2nd ed., sections 3.5 and 3.6); and each root's residual is
-read off the cube's diagonal and largest off-diagonal modulus, within
-the rounding of the off-diagonal products of the full residual.  The
-pair filter's reference forms every term of every equation on numpy
-arrays and takes each modulus on its own, where solve walks the rows in
-order and multiplies moduli.
+valencies, column writes for the eigenmatrix, and m - mu I and t0^3 m - I
+formed in full for the cube.  The rewrites do the same arithmetic with
+less overhead, so those comparisons are exact equality, but two: the
+cube (A diag(t))^3 is now formed as A (T (A (T A T))) with
+real-by-complex products where the reference multiplied complex
+A diag(t) three times, so both are held to Higham's componentwise bound
+(Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5
+and 3.6); and each root's residual is read off the cube's diagonal and
+largest off-diagonal modulus, within the rounding of the off-diagonal
+products of the full residual.  The pair filter's reference forms every
+term of every equation on numpy arrays and takes each modulus on its
+own, where solve walks the rows in order and multiplies moduli.  The
+profile recurrence has no reference: each of its steps is held to
+Higham's bound on the rounding of its terms, and a conjugate ratio to
+the conjugate profile, by value.
 """
 
 import cmath
@@ -90,20 +93,6 @@ def reference_valencies(arr):
     return v
 
 
-def reference_t_profile(arr, theta, x):
-    n = arr.n_classes
-    v, a, b, c = float_arrays(arr)
-    th = np.asarray(theta, dtype=float)
-    t = np.zeros(n + 1, dtype=complex)
-    t[0] = 1.0
-    t[1] = x
-    for i in range(1, n):
-        t[i + 1] = (v[i] * t[i] * (x * th[i] - a[i]) - b[i - 1] * v[i - 1] * t[i - 1]) / (
-            c[i] * v[i + 1]
-        )
-    return t
-
-
 def reference_filter_x(arr, theta, x, cfg=CFG):
     """The pair check on numpy arrays: s = 1/t(x_d), x_d the dominant
     member of {x, 1/x}, solves rows 1..N of the recurrence at 1/x_d, and
@@ -111,7 +100,7 @@ def reference_filter_x(arr, theta, x, cfg=CFG):
     of its terms' moduli; a zero or non-finite t_i fails the row fixing
     s_i.  Every term is formed, and its modulus taken, on its own."""
     xd = x if abs(x) >= 1 or abs(abs(x) - 1) <= cfg.root_dedup_tol else 1.0 / x
-    t = reference_t_profile(arr, theta, xd)
+    t = t_profile(arr, theta, xd)
     n = arr.n_classes
     v, a, b, c = float_arrays(arr)
     th = np.asarray(theta, dtype=float)
@@ -242,6 +231,40 @@ def reference_self_dual_ordering(arr, eigs, size, tol):
     return by_magnitude if by_magnitude[0] < desc[0] else desc
 
 
+def _exact(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_product(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def assert_solves_recurrence(arr, theta, x, t):
+    """Row i of the recurrence t_profile steps through,
+        v_i t_i (x theta_i - a_i) - b_{i-1} v_{i-1} t_{i-1} - c_i v_{i+1} t_{i+1},
+    evaluated exactly on the floats given and computed, is within gamma_10
+    of the sum of its terms' moduli: a step rounds x theta_i - a_i, two
+    complex-by-real and one complex product, a difference, c_i v_{i+1}
+    and the quotient, each within u or sqrt(2) gamma_2 of its value
+    (Higham, sections 3.5 and 3.6)."""
+    v, a, b, c = arr.float_params()
+    th = [float(value) for value in theta]
+    k = 10
+    gamma = k * UNIT / (1 - k * UNIT)
+    xr, xi = _exact(x)
+    for i in range(1, arr.n_classes):
+        ti, prev, nxt = _exact(t[i]), _exact(t[i - 1]), _exact(t[i + 1])
+        first = _exact_product((Fraction(v[i]) * ti[0], Fraction(v[i]) * ti[1]),
+                               (xr * Fraction(th[i]) - Fraction(a[i]), xi * Fraction(th[i])))
+        back = Fraction(b[i - 1]) * Fraction(v[i - 1])
+        fore = Fraction(c[i]) * Fraction(v[i + 1])
+        gap = [first[j] - back * prev[j] - fore * nxt[j] for j in (0, 1)]
+        total = (v[i] * abs(t[i]) * (abs(x) * abs(th[i]) + abs(a[i]))
+                 + b[i - 1] * v[i - 1] * abs(t[i - 1]) + c[i] * v[i + 1] * abs(t[i + 1]))
+        assert gap[0] ** 2 + gap[1] ** 2 <= Fraction(gamma * total) ** 2, (x, i)
+
+
 def bits(values):
     """The bit patterns of complex values: equal iff equal with the signs of
     their zeros."""
@@ -359,7 +382,9 @@ def test_t_profile_and_filter_match_reference(data):
     arr = data.draw(valid_arrays(max_classes=8))
     theta = _theta(data.draw, arr)
     x = data.draw(ratios)
-    assert np.array_equal(t_profile(arr, theta, x), reference_t_profile(arr, theta, x))
+    t = t_profile(arr, theta, x)
+    assume(np.isfinite(t).all())
+    assert_solves_recurrence(arr, theta, x, t)
     assert filter_x(arr, theta, x, CFG) == reference_filter_x(arr, theta, x)
 
 
@@ -369,8 +394,9 @@ def test_profiles_and_filters_of_every_root_match_reference(spec):
     coeffs = solver.candidate_quartic(scheme.array, scheme.theta)
     for x in solver.roots_of_quartic(coeffs, CFG):
         for z in (x, 1.0 / x):
-            assert np.array_equal(t_profile(scheme.array, scheme.theta, z),
-                                  reference_t_profile(scheme.array, scheme.theta, z))
+            t = t_profile(scheme.array, scheme.theta, z)
+            assert_solves_recurrence(scheme.array, scheme.theta, z, t)
+            assert np.array_equal(t_profile(scheme.array, scheme.theta, z.conjugate()), t.conj())
         assert (filter_x(scheme.array, scheme.theta, x, CFG)
                 == reference_filter_x(scheme.array, scheme.theta, x))
 
@@ -589,12 +615,23 @@ def test_derived_conjugate_cube_matches_scalar_cube_of_conjugate(m, cfg):
     derived = solver._conjugate_cube(twin)
     direct = solver._scalar_cube(m.conj(), scale, cfg)
     assert derived.is_scalar == direct.is_scalar
-    assert bits([derived.mu]) == bits([direct.mu])
-    assert bits(derived.t0_roots) == bits(direct.t0_roots)
+    assert derived.mu == direct.mu
+    assert derived.t0_roots == direct.t0_roots  # the same values in the same order
     assert (derived.defect, derived.scale, derived.off) == (direct.defect, direct.scale, direct.off)
-    assert bits(derived.diagonal) == bits(direct.diagonal)
+    assert np.array_equal(derived.diagonal, direct.diagonal)
     assert derived.matrix is None  # never formed
     assert solver._residuals(derived) == solver._residuals(direct)
+
+
+@pytest.mark.parametrize("r", [1.0, -1.0, 8.0, -8.0, 0.37, -123.4, 2e-300, -1e300])
+def test_cube_roots_ignore_the_sign_of_a_zero_imaginary_part(r):
+    roots = solver._cube_roots(complex(r, 0.0))
+    assert solver._cube_roots(complex(r, -0.0)) == roots
+    # root 0 has argument -arg(mu)/3 with arg(mu) in (-pi, pi], then +2 pi/3 steps
+    assert cmath.phase(roots[0]) == pytest.approx(0.0 if r > 0 else -math.pi / 3, abs=1e-15)
+    for k, t0 in enumerate(roots):
+        assert t0**3 * r == pytest.approx(1.0, rel=1e-14)
+        assert t0 == pytest.approx(roots[0] * cmath.exp(2j * math.pi * k / 3), rel=1e-14)
 
 
 # -- families ----------------------------------------------------------------------

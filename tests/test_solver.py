@@ -136,6 +136,20 @@ def test_profile_is_geometric_for_hamming(hamming32):
         assert np.allclose(t, [x**i for i in range(4)])
 
 
+def test_hamming_q2_profiles_at_i_are_exact():
+    # every step at x = +-i divides an exact integer multiple of i^k by
+    # that integer, so t_k = x^k with no rounding, and the cube is scalar
+    # far below its rounding scale
+    for n in range(1, 31):
+        scheme = build(FamilySpec("hamming", {"N": n, "q": 2}))
+        u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
+        for x, powers in ((1j, (1, 1j, -1, -1j)), (-1j, (1, -1j, -1, 1j))):
+            t = t_profile(scheme.array, scheme.theta, x)
+            assert np.array_equal(t, [powers[k % 4] for k in range(n + 1)]), (n, x)
+            cube = scalar_and_T0(u, t, CFG)
+            assert cube.defect <= 1e-15 * cube.scale, (n, x)
+
+
 def test_profile_starts_with_one_x(bilinear332):
     t = t_profile(bilinear332.array, bilinear332.theta, 0.3 + 0.4j)
     assert t[0] == 1 and t[1] == 0.3 + 0.4j
@@ -419,12 +433,13 @@ def test_scalar_cube_carries_the_cube(hamming32):
 @pytest.mark.parametrize("spec", [FamilySpec("hamming", {"N": n, "q": 2}) for n in (1, 3, 6)]
                          + [FamilySpec("ngon", {"n": 7})], ids=_spec_id)
 def test_solutions_carry_their_own_profile_bit_for_bit(spec):
-    # x = 0+1j meets its partner's reciprocal 1/(0-1j) = -0.0+1j, equal as a
-    # value; a profile shared between the two would differ in signs of zeros
+    # an on-circle twin reports the conjugate of its partner's profile and a
+    # member inside the circle the reciprocal of its partner's; each must be
+    # the profile of its own x, value for value (zeros may differ in sign)
     scheme = build(spec)
     for s in solve(scheme).accepted:
         fresh = t_profile(scheme.array, scheme.theta, s.x)
-        assert np.array(s.t).tobytes() == fresh.tobytes()
+        assert np.array_equal(np.array(s.t), fresh)
 
 
 def test_partial_cube_root_failure_is_recorded(monkeypatch):
@@ -455,11 +470,10 @@ def test_partial_cube_root_failure_is_recorded(monkeypatch):
 
 # Largest N at which every hamming(N, q) count is right (ROADMAP "Where the
 # counts stand"); the paper's count is 6, or 3 at q = 4.  Each stops at
-# N = 30 or just before the first N whose build is refused, except q = 2,
-# where hamming(30,2)'s cube at x = +-i is not scalar within its rounding
-# scale, and q = 9, 11, 13, 16, where the next N's cubes have |mu| below
-# their rounding 3 dim u S, so floating point cannot tell mu from zero.
-HAMMING_RIGHT_UP_TO = {2: 29, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 21, 11: 19, 13: 18, 16: 16}
+# N = 30 or just before the first N whose build is refused, except
+# q = 9, 11, 13, 16, where the next N's cubes have |mu| below their
+# rounding 3 dim u S, so floating point cannot tell mu from zero.
+HAMMING_RIGHT_UP_TO = {2: 30, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 21, 11: 19, 13: 18, 16: 16}
 
 
 @pytest.mark.parametrize("q", sorted(HAMMING_RIGHT_UP_TO))
@@ -592,17 +606,46 @@ def _is_doubled(spec):
     return (spec.family, tuple(spec.params.get(k) for k in "MNq")) in DOUBLED_ROOTS
 
 
-def test_the_filter_rejects_every_perturbed_accepted_root():
-    checks = 0
+@pytest.fixture(scope="module")
+def perturbed_accepted_roots():
+    """(spec, scheme, x, moved) for each accepted x on the grid and each of
+    its two perturbations, a stretch and a rotation."""
+    found = []
     for spec in _negative_control_grid():
         scheme = build(spec)
         step = 1e-3 if _is_doubled(spec) else 1e-6
         for x in set(solve(scheme).accepted_x()):
             for moved in (x * (1 + step), x * cmath.exp(1j * step)):
-                ok, _ = filter_x(scheme.array, scheme.theta, moved, CFG)
-                assert not ok, (spec, x, moved)
-                checks += 1
+                found.append((spec, scheme, x, moved))
+    return found
+
+
+def test_the_filter_rejects_every_perturbed_accepted_root(perturbed_accepted_roots):
+    checks = 0
+    for spec, scheme, x, moved in perturbed_accepted_roots:
+        ok, _ = filter_x(scheme.array, scheme.theta, moved, CFG)
+        assert not ok, (spec, x, moved)
+        checks += 1
     assert checks > 1000
+
+
+def test_solve_rejects_every_perturbed_accepted_pair(perturbed_accepted_roots):
+    # each perturbed root comes to solve with its partner as roots_of_quartic
+    # would list it, the exact conjugate on the unit circle, so an on-circle
+    # twin takes its partner's decision inside solve
+    checks = 0
+    for spec, scheme, x, moved in perturbed_accepted_roots:
+        on_circle = abs(abs(moved) - 1.0) <= CFG.root_dedup_tol
+        pair = [moved, moved.conjugate() if on_circle else 1 / moved]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "roots_of_quartic", lambda coeffs, cfg, pair=pair: pair)
+            sol = solve(scheme)
+        assert sol.count == 0 and sol.raw_count == 0, (spec, x, moved)
+        assert [z for z, _ in sol.rejected_x] == pair, (spec, x, moved)
+        for _, reason in sol.rejected_x:
+            assert reason.startswith(("reciprocal_identity_failed", "terminal_failed")), (spec, x)
+        checks += on_circle
+    assert checks > 300  # on-circle pairs, through the twin path
 
 
 # Arrays of the kind theorems draws, and Krawtchouk arrays with a rational
