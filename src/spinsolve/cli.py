@@ -70,13 +70,9 @@ def _one(value, flag: str) -> int:
 
 
 def _config(args) -> SolverConfig:
-    cfg = DEFAULT_CONFIG
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["residual_tol"] = args.tol
-    if getattr(args, "max_points", None) is not None:
-        overrides["census_max_points"] = args.max_points
-    return cfg.with_(**overrides) if overrides else cfg
+    """--tol and --max-points; a flag not given keeps its default."""
+    given = {"residual_tol": args.tol, "census_max_points": args.max_points}
+    return DEFAULT_CONFIG.with_(**{k: v for k, v in given.items() if v is not None})
 
 
 def _report(command: str, args_echo: dict, cfg: SolverConfig, result,
@@ -159,19 +155,32 @@ def _is_finite_number(x) -> bool:
 # error.
 FAMILY_FLAGS = {**FAMILY_PARAMS, "custom": ("array_file",)}
 
+# Every flag the tables name, in the order a refusal lists them.
+FLAG_ORDER = ("family", "N", "M", "q", "n", "array_file", "random_arrays", "seed", "points")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _refuse_stray_flags(args, subject: str, table: dict, key) -> None:
+    """Refuse every flag the table names that was given but is not among
+    table[key], the flags the subject reads."""
+    reads = table[key]
+    named = {name for names in table.values() for name in names}
+    stray = [name for name in FLAG_ORDER if name in named and name not in reads
+             and getattr(args, name, None) is not None]
+    if stray:
+        it_reads = ", ".join(map(_flag, reads)) or "no flags of its own"
+        raise ValueError(f"{subject} does not read {', '.join(map(_flag, stray))} "
+                         f"(it reads {it_reads})")
+
 
 def _check_family_flags(args) -> None:
     """Refuse a family flag the family does not read; --array-file without
     --family names the custom family."""
-    family = args.family or "custom"
-    reads = FAMILY_FLAGS[family]
-    stray = [name for name in ("N", "M", "q", "n", "array_file")
-             if name not in reads and getattr(args, name, None) is not None]
-    if stray:
-        named = f"--family {family}" if args.family else "--array-file"
-        raise ValueError(f"{named} does not read "
-                         f"{', '.join(map(_flag, stray))} "
-                         f"(it reads {', '.join(map(_flag, reads))})")
+    subject = f"--family {args.family}" if args.family else "--array-file"
+    _refuse_stray_flags(args, subject, FAMILY_FLAGS, args.family or "custom")
 
 
 def _build_scheme(args, cfg: SolverConfig):
@@ -180,7 +189,7 @@ def _build_scheme(args, cfg: SolverConfig):
     if args.family == "custom" or args.array_file:
         if not args.array_file:
             raise ValueError("--family custom requires --array-file")
-        return build_custom(_load_array(args.array_file), cfg)
+        return build_custom(_load_array(args.array_file))
     return build(_family_spec(args), cfg)
 
 
@@ -236,19 +245,11 @@ CLAIM_FLAGS = {1: ("random_arrays",), 2: ("N", "q"), 3: ("M", "N", "q"),
                4: ("n", "q"), 5: ("n", "q"), 6: ("n",)}
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _claim_kwargs(args) -> dict:
     """verify_theorem's keyword arguments from the range flags of one claim."""
     claim, reads = args.theorem, CLAIM_FLAGS[args.theorem]
-    given = {name: getattr(args, name) for name in ("N", "M", "q", "n", "random_arrays")
-             if getattr(args, name) is not None}
-    for name in given:
-        if name not in reads:
-            raise ValueError(f"--theorem {claim} does not read {_flag(name)} "
-                             f"(it reads {', '.join(map(_flag, reads))})")
+    _refuse_stray_flags(args, f"--theorem {claim}", CLAIM_FLAGS, claim)
+    given = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
     if claim == 1:
         n_random = given.get("random_arrays", 200)
         if n_random < 1:
@@ -284,13 +285,8 @@ SYMBOLIC_DEFAULTS = {"seed": 7, "points": 20}
 
 def _check_symbolic_flags(args) -> None:
     """Refuse a flag the action does not read, then fill in its defaults."""
-    action, reads = args.symbolic_action, SYMBOLIC_FLAGS[args.symbolic_action]
-    stray = [name for name in ("family", "N", "M", "q", "n", "array_file", "seed", "points")
-             if name not in reads and getattr(args, name) is not None]
-    if stray:
-        it_reads = ", ".join(map(_flag, reads)) or "no flags of its own"
-        raise ValueError(f"symbolic {action} does not read "
-                         f"{', '.join(map(_flag, stray))} (it reads {it_reads})")
+    action = args.symbolic_action
+    _refuse_stray_flags(args, f"symbolic {action}", SYMBOLIC_FLAGS, action)
     for name, value in SYMBOLIC_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)

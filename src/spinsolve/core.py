@@ -51,25 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and guards threaded explicitly through every operation.
+    """The two values a caller sets (--tol and --max-points), threaded
+    explicitly through every operation that reads them.
 
     residual_tol is relative to the rounding scale S of (UT)^3, U the
-    symmetric frame of P (see the solver module); the remaining
-    tolerances are used scale-relative wherever the compared quantities
-    can be large.
+    symmetric frame of P (see the solver module).  census_max_points caps
+    the points a census enumerates.  The fixed tolerances sit beside the
+    one decision each makes: ROOT_DEDUP_TOL and FILTER_TOL in the solver,
+    SELF_DUAL_TOL in families.
     """
 
     residual_tol: float = 1e-10
-    root_dedup_tol: float = 1e-8
-    filter_tol: float = 1e-8
-    self_dual_tol: float = 1e-8
     census_max_points: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("residual_tol", "root_dedup_tol", "filter_tol", "self_dual_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        tol = self.residual_tol
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"residual_tol must be finite and positive, got {tol}")
         cap = self.census_max_points
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap <= 0:
             raise ValueError(f"census_max_points must be a positive integer, got {cap!r}")
@@ -287,11 +285,13 @@ def valency_sum(arr: IntersectionArray) -> Fraction:
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """A concrete scheme: family tag, array, size, eigenvalues, eigenmatrix.
+    """A concrete scheme: family tag, array, size, eigenvalues, eigenmatrix,
+    and the self-duality defect max |P^2 - |X| I| / |X| of that eigenmatrix.
 
-    Self-duality P^2 = |X| I is enforced by the family builders; a Custom
-    instance records its measured defect without insisting on it, so the
-    solver can be exercised on arbitrary valid arrays.
+    The family builders measure the defect while they order the
+    eigenvalues and enforce self-duality with it; a Custom instance records
+    its defect without insisting on it, so the solver can be exercised on
+    arbitrary valid arrays.
     """
 
     family: str
@@ -300,6 +300,7 @@ class SchemeInstance:
     size: Fraction
     theta: np.ndarray  # shape (N+1,), theta_0 = b_0
     eigenmatrix: np.ndarray  # shape (N+1, N+1), P[i, j] = P_j(i)
+    self_dual_defect: float
 
     def __post_init__(self):
         self.theta.setflags(write=False)
@@ -309,16 +310,6 @@ class SchemeInstance:
     def n_classes(self) -> int:
         return self.array.n_classes
 
-    @property
-    def size_float(self) -> float:
-        return float(self.size)
-
-    def self_dual_defect(self) -> float:
-        """max-entry norm of P^2 - |X| I, relative to |X|."""
-        p = self.eigenmatrix
-        resid = p @ p - self.size_float * np.eye(p.shape[0])
-        return max_abs(resid) / self.size_float
-
     def as_dict(self) -> dict:
         return {
             "family": self.family,
@@ -327,7 +318,7 @@ class SchemeInstance:
             "array": self.array.as_dict(),
             "eigenvalues": [float(t) for t in self.theta],
             "eigenmatrix": [[float(x) for x in row] for row in self.eigenmatrix],
-            "self_dual_defect": self.self_dual_defect(),
+            "self_dual_defect": self.self_dual_defect,
         }
 
 

@@ -12,7 +12,8 @@ the spectrum is real and simple.  The row order of P comes from the
 self-duality identity theta_i = k P_i(theta_1)/k_i (Bannai-Ito,
 Algebraic Combinatorics I, 1984, section 2.3): once theta_1 is chosen the
 rest follows, so at most N + 2 orders are measured against P^2 = |X| I
-before build() gives up with a BuildError.
+before build() gives up with a BuildError.  Each SchemeInstance carries
+the defect of the order chosen; nothing else measures self-duality.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ FAMILIES = tuple(FAMILY_PARAMS) + ("custom",)
 
 # GF families stay within orders whose tables we can build and afford.
 DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+# A named family's eigenvalue order is self-dual when max |P^2 - |X| I|
+# is at most this fraction of |X|.
+SELF_DUAL_TOL = 1e-8
 
 
 class BuildError(ValueError):
@@ -189,10 +194,10 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     return pt.T.copy()
 
 
-def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
-                        tol: float):
-    """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P).
-    eigs is the spectrum in strictly descending order.
+def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
+    """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P),
+    the defect max |P^2 - |X| I| / |X| that the scheme reports.  eigs is the
+    spectrum in strictly descending order.
 
     In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
     so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole
@@ -217,7 +222,7 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
         return max_abs(square) / size, eigs[order], p
 
     desc = measure(identity)
-    if desc[0] <= tol:
+    if desc[0] <= SELF_DUAL_TOL:
         return desc
     if not math.isfinite(desc[0]) and not np.isfinite(p_desc).all():
         return desc  # every order permutes the rows of a non-finite P alike
@@ -227,7 +232,7 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float,
                   & (orders != identity).any(axis=1))
     for order in orders[candidates]:
         found = measure(order)
-        if found[0] <= tol:
+        if found[0] <= SELF_DUAL_TOL:
             return found
     tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
     by_magnitude = measure([0] + tail)
@@ -291,15 +296,14 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
     vsum = valency_sum(arr)
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
-    defect, theta_arr, pmat = _self_dual_ordering(
-        arr, np.asarray(theta, float), size_float, cfg.self_dual_tol)
-    if not defect <= cfg.self_dual_tol:  # NaN when P @ P overflows
+    defect, theta_arr, pmat = _self_dual_ordering(arr, np.asarray(theta, float), size_float)
+    if not defect <= SELF_DUAL_TOL:  # NaN when P @ P overflows
         raise BuildError(
             f"no eigenvalue ordering meets the self-duality tolerance "
-            f"(best defect {defect:.3e} > {cfg.self_dual_tol:.1e})"
+            f"(best defect {defect:.3e} > {SELF_DUAL_TOL:.1e})"
         )
     return SchemeInstance(family=fam, params=dict(p), array=arr, size=size,
-                          theta=theta_arr, eigenmatrix=pmat)
+                          theta=theta_arr, eigenmatrix=pmat, self_dual_defect=defect)
 
 
 def _closed_form_eigenvalues(spec: FamilySpec, arr: IntersectionArray) -> np.ndarray:
@@ -349,7 +353,7 @@ def _float_size(size: Fraction) -> float:
                          f"arithmetic") from None
 
 
-def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
+def build_custom(arr: IntersectionArray) -> SchemeInstance:
     """Wrap an arbitrary valid array as a Custom instance with |X| = sum v_i.
 
     Self-duality is measured, not demanded: the solver is well-defined
@@ -359,6 +363,6 @@ def build_custom(arr: IntersectionArray, cfg: SolverConfig = DEFAULT_CONFIG) -> 
     size = valency_sum(arr)
     size_float = _float_size(size)
     eigs = eigenvalues_from_array(arr)
-    _, theta, pmat = _self_dual_ordering(arr, eigs, size_float, cfg.self_dual_tol)
+    defect, theta, pmat = _self_dual_ordering(arr, eigs, size_float)
     return SchemeInstance(family="custom", params={}, array=arr, size=size,
-                          theta=theta, eigenmatrix=pmat)
+                          theta=theta, eigenmatrix=pmat, self_dual_defect=defect)

@@ -21,7 +21,7 @@ loses accuracy with every step, when |x| < 1 (Gautschi 1967), so
 t(x_d) is the only forward profile a pair needs.  With s = 1/t(x_d), the
 reciprocal identity says s solves the recurrence at 1/x_d; rows 1..N of
 that recurrence, and the terminal equation of t at x_d, are each held to
-filter_tol times the sum of their terms' moduli.  Reasons:
+FILTER_TOL times the sum of their terms' moduli.  Reasons:
   - "reciprocal_identity_failed at i=k": row k - 1 < N fails; it fixes
     s_k, and a zero or non-finite t_k fails it as well;
   - "terminal_failed": row N, which has no forward term, or the terminal
@@ -95,6 +95,12 @@ __all__ = [
     "verify_solution",
 ]
 
+# Roots of the quartic closer than this (relative) are one root, and a root
+# whose modulus is within it of 1 lies on the unit circle.
+ROOT_DEDUP_TOL = 1e-8
+# Each filter row is held to this fraction of the sum of its terms' moduli.
+FILTER_TOL = 1e-8
+
 
 class DegenerateSchemeError(ValueError):
     """The candidate polynomial vanishes identically, so the ratio x is
@@ -162,7 +168,7 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
     return [r1, r2]
 
 
-def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex]:
+def roots_of_quartic(coeffs) -> list[complex]:
     """All distinct nonzero roots of a palindromic candidate polynomial
     A4 x^4 + A3 x^3 + A2 x^2 + A3 x + A4, multiplicity collapsed (x = 0
     never yields an invertible T).
@@ -207,19 +213,17 @@ def roots_of_quartic(coeffs, cfg: SolverConfig = DEFAULT_CONFIG) -> list[complex
         if (z.conjugate() * s).real < 0:
             s = -s
         x = (z + s) / 2
-        if x == 0 or abs(x - 1 / x) <= 1e-6 * max(1.0, abs(x)):
+        if abs(x - 1 / x) <= 1e-6 * max(1.0, abs(x)):
             x = z / 2  # doubled self-reciprocal root (x = +-1 up to noise)
-        if x == 0:
-            continue
         # a real z with |z| < 2 puts x on the unit circle, where 1/x is
         # conj(x); taking it exactly makes the pair's profiles conjugates
         on_circle = z.imag == 0 and abs(z.real) < 2
         found.extend([x, x.conjugate() if on_circle else 1 / x])
     roots: list[complex] = []
     for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
-        if abs(z) <= cfg.root_dedup_tol:
+        if abs(z) <= ROOT_DEDUP_TOL:
             continue
-        if all(abs(z - kept) > cfg.root_dedup_tol * max(1.0, abs(z)) for kept in roots):
+        if all(abs(z - kept) > ROOT_DEDUP_TOL * max(1.0, abs(z)) for kept in roots):
             roots.append(z)
     return roots
 
@@ -239,19 +243,17 @@ def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     return np.array(t)
 
 
-def filter_x(arr: IntersectionArray, theta, x: complex,
-             cfg: SolverConfig = DEFAULT_CONFIG) -> tuple[bool, str | None]:
+def filter_x(arr: IntersectionArray, theta, x: complex) -> tuple[bool, str | None]:
     """Accept x iff its reciprocal pair {x, 1/x} passes the check solve
     makes, on the profile of its dominant member: x itself on the unit
-    circle (within root_dedup_tol), else whichever of x, 1/x is larger."""
-    on_circle = abs(abs(x) - 1.0) <= cfg.root_dedup_tol
+    circle (within ROOT_DEDUP_TOL), else whichever of x, 1/x is larger."""
+    on_circle = abs(abs(x) - 1.0) <= ROOT_DEDUP_TOL
     dominant = x if on_circle or abs(x) >= 1.0 else 1.0 / x
-    reason = _pair_check(arr, theta, dominant, t_profile(arr, theta, dominant), cfg)
+    reason = _pair_check(arr, theta, dominant, t_profile(arr, theta, dominant))
     return reason is None, reason
 
 
-def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray,
-                cfg: SolverConfig) -> str | None:
+def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray) -> str | None:
     """Why the pair {x, 1/x} fails (module docstring), or None, from
     t = t_profile(x) of its dominant member x.  Row i of the recurrence
     of s = 1/t at y = 1/x is
@@ -276,23 +278,23 @@ def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray,
         abs_nxt = math.hypot(nxt.real, nxt.imag)
         gap = cur * (th[i] * y) - cur * a[i] - b[i - 1] * prev - c[i] * nxt
         total = abs_cur * (abs(th[i]) * abs_y + abs(a[i])) + b[i - 1] * abs_prev + c[i] * abs_nxt
-        if not _within(gap, total, cfg):
+        if not _within(gap, total):
             return f"reciprocal_identity_failed at i={i + 1}"
         prev, cur, abs_prev, abs_cur = cur, nxt, abs_cur, abs_nxt
     gap = cur * (th[n] * y) - cur * a[n] - b[n - 1] * prev
     total = abs_cur * (abs(th[n]) * abs_y + abs(a[n])) + b[n - 1] * abs_prev
-    if not _within(gap, total, cfg):
+    if not _within(gap, total):
         return "terminal_failed"
     last, before = v[n] * tl[n], b[n - 1] * v[n - 1] * tl[n - 1]
     gap = last * (x * th[n]) - last * a[n] - before
     total = (math.hypot(last.real, last.imag) * (math.hypot(x.real, x.imag) * abs(th[n]) + abs(a[n]))
              + math.hypot(before.real, before.imag))
-    return None if _within(gap, total, cfg) else "terminal_failed"
+    return None if _within(gap, total) else "terminal_failed"
 
 
-def _within(gap: complex, total: float, cfg: SolverConfig) -> bool:
-    """|gap| <= filter_tol total, with total finite (False on NaN)."""
-    return math.hypot(gap.real, gap.imag) <= cfg.filter_tol * total < math.inf
+def _within(gap: complex, total: float) -> bool:
+    """|gap| <= FILTER_TOL total, with total finite (False on NaN)."""
+    return math.hypot(gap.real, gap.imag) <= FILTER_TOL * total < math.inf
 
 
 class SingularCubeError(ArithmeticError):
@@ -435,7 +437,7 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     """Run the full pipeline and return every verified diagonal solution,
     along with each rejected x and why.  No solution needs merging: the
     three cube roots of one x differ by a factor omega, and distinct x are
-    already root_dedup_tol apart."""
+    already ROOT_DEDUP_TOL apart."""
     arr = scheme.array
     theta = scheme.theta
     coeffs = candidate_quartic(arr, theta)
@@ -450,7 +452,7 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     accepted: list[SolutionCandidate] = []
     rejected: list[tuple[complex, str]] = []
     raw_count = 0
-    roots = roots_of_quartic(coeffs, cfg)
+    roots = roots_of_quartic(coeffs)
     checks: dict = {}  # each dominant member's (reason, profile)
     cubes: dict = {}  # the ScalarCube of each x cubed, for an on-circle conjugate
     u = None  # formed at the first cube; most arrays reject every x before
@@ -458,7 +460,7 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         # each pair {x, 1/x} is decided once, on the profile of its dominant
         # member; on the unit circle, where roots_of_quartic lists the
         # partner as conj(x), that is whichever member comes first
-        on_circle = abs(abs(x) - 1.0) <= cfg.root_dedup_tol
+        on_circle = abs(abs(x) - 1.0) <= ROOT_DEDUP_TOL
         conj = x.conjugate()
         if on_circle:
             dominant = conj if conj in checks else x
@@ -466,7 +468,7 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
             dominant = x if abs(x) >= 1.0 else min(roots, key=lambda w: abs(w * x - 1.0))
         if dominant not in checks:
             t = t_profile(arr, theta, dominant)
-            checks[dominant] = _pair_check(arr, theta, dominant, t, cfg), t
+            checks[dominant] = _pair_check(arr, theta, dominant, t), t
         reason, t = checks[dominant]
         if reason is not None:
             rejected.append((x, reason))

@@ -14,11 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .core import DEFAULT_CONFIG, IntersectionArray, SchemeInstance, SolverConfig, validate_array
-from .families import FamilySpec, build, build_custom
-from .solver import DegenerateSchemeError, scalar_and_T0, solve, symmetric_frame
+from .families import BuildError, FamilySpec, build, build_custom
+from .solver import DegenerateSchemeError, SolutionSet, scalar_and_T0, solve, symmetric_frame
 
 __all__ = [
     "random_intersection_array",
@@ -72,56 +73,60 @@ def verify_solution_bound(
     2..6) plus any supplied schemes."""
     rng = random.Random(seed)
     records = []
-    ok = True
     for index in range(n_random):
         arr = random_intersection_array(rng, rng.randint(2, 6))
-        scheme = build_custom(arr, cfg)
-        sol = solve(scheme, cfg)
-        rec = {
-            "kind": "random",
-            "index": index,
-            "n_classes": arr.n_classes,
-            "count": sol.count,
-            "bound_ok": sol.count <= MAX_SOLUTIONS,
-            "reciprocal_ok": _reciprocal_closed(sol.accepted_x()),
-        }
-        ok = ok and rec["bound_ok"] and rec["reciprocal_ok"]
-        records.append(rec)
+        params = {"kind": "random", "index": index, "n_classes": arr.n_classes}
+        records.append(_instance_record(params, partial(build_custom, arr), _bound_record, cfg))
     for scheme in extra_schemes:
-        sol = solve(scheme, cfg)
-        rec = {
-            "kind": scheme.family,
-            "params": scheme.params,
-            "count": sol.count,
-            "bound_ok": sol.count <= MAX_SOLUTIONS,
-            "reciprocal_ok": _reciprocal_closed(sol.accepted_x()),
-        }
-        ok = ok and rec["bound_ok"] and rec["reciprocal_ok"]
-        records.append(rec)
-    counts = [r["count"] for r in records]
+        params = {"kind": scheme.family, "params": scheme.params}
+        records.append(_instance_record(params, lambda: scheme, _bound_record, cfg))
+    counts = [r["count"] for r in records if "count" in r]
     return {
         "theorem": 1,
         "seed": seed,
         "n_random": n_random,
         "max_count_seen": max(counts) if counts else 0,
         "instances": records,
-        "pass": ok,
+        # a checked instance is judged by its two flags, the others by "pass"
+        "pass": all(r["pass"] if "pass" in r else r["bound_ok"] and r["reciprocal_ok"]
+                    for r in records),
     }
 
 
-def _degenerate_record(params: dict, err: DegenerateSchemeError) -> dict:
-    """An instance the claim does not cover: the solver cannot constrain x
-    (the 4-cycle, hamming(2,2) = ngon(4)).  Reported with the reason and,
-    as with the unasserted bilinear records, never failing the claim."""
-    return {**params, "degenerate": str(err), "asserted": False, "pass": True}
+def _bound_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+    return {**params, "count": sol.count, "bound_ok": sol.count <= MAX_SOLUTIONS,
+            "reciprocal_ok": _reciprocal_closed(sol.accepted_x())}
 
 
-def _check_hamming_instance(n: int, q: int, cfg: SolverConfig) -> dict:
-    scheme = build(FamilySpec("hamming", {"N": n, "q": q}), cfg)
+def _instance_record(params: dict, make_scheme: Callable[[], SchemeInstance],
+                     check: Callable[[dict, SchemeInstance, SolutionSet], dict],
+                     cfg: SolverConfig) -> dict:
+    """check(params, scheme, solve(scheme)) for the scheme make_scheme()
+    builds, each claim's one path for an instance.  An instance that cannot
+    be built fails the claim with the reason.  One whose x the solver
+    cannot constrain (the 4-cycle, hamming(2,2) = ngon(4)) is not covered
+    by the claim: reported with the reason and, as with the unasserted
+    bilinear records, never failing it."""
+    try:
+        scheme = make_scheme()
+    except BuildError as err:
+        return {**params, "build_error": str(err), "pass": False}
     try:
         sol = solve(scheme, cfg)
     except DegenerateSchemeError as err:
-        return _degenerate_record({"N": n, "q": q}, err)
+        return {**params, "degenerate": str(err), "asserted": False, "pass": True}
+    return check(params, scheme, sol)
+
+
+def _family_maker(family: str, params: dict, cfg: SolverConfig) -> Callable[[], SchemeInstance]:
+    """make_scheme of a named family; parameters out of range are a usage
+    error, raised here rather than recorded."""
+    return partial(build, FamilySpec(family, dict(params)), cfg)
+
+
+def _hamming_record(params: dict, scheme: SchemeInstance, sol: SolutionSet,
+                    cfg: SolverConfig) -> dict:
+    n, q = params["N"], params["q"]
     expected = 3 if q == 4 else 6
     issues = []
     if sol.count != expected:
@@ -143,7 +148,7 @@ def _check_hamming_instance(n: int, q: int, cfg: SolverConfig) -> dict:
         limit = cfg.residual_tol * max(1.0, cube.scale / abs(cube.mu))
         if not s.residual <= limit:
             issues.append(f"residual {s.residual} > {limit}")
-    return {"N": n, "q": q, "count": sol.count, "expected": expected,
+    return {**params, "count": sol.count, "expected": expected,
             "issues": issues, "pass": not issues}
 
 
@@ -154,7 +159,9 @@ def verify_hamming_classification(
 ) -> dict:
     """Every solution is T_i = c x^i with 1 - 2x + qx + x^2 = 0 and
     c^3 (q(1+(q-1)x))^N = 1: 6 solutions for q != 4, 3 for q = 4."""
-    records = [_check_hamming_instance(n, q, cfg) for n in n_range for q in q_range]
+    check = partial(_hamming_record, cfg=cfg)
+    records = [_instance_record(p, _family_maker("hamming", p, cfg), check, cfg)
+               for p in ({"N": n, "q": q} for n in n_range for q in q_range)]
     return {"theorem": 2, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
@@ -165,37 +172,37 @@ def verify_bilinear_nonexistence(
 ) -> dict:
     """No solutions when min(M, N) > 2; rejected x values must be present
     (the quartic always has roots, they just fail the filters)."""
-    records = []
-    for m, n, q in instances:
-        scheme = build(FamilySpec("bilinear", {"M": m, "N": n, "q": q}), cfg)
-        sol = solve(scheme, cfg)
-        asserted = min(m, n) > 2
-        rec = {
-            "M": m, "N": n, "q": q,
-            "count": sol.count,
-            "rejected": [reason for _, reason in sol.rejected_x],
-            "asserted": asserted,
-            "pass": (not asserted) or (sol.count == 0 and len(sol.rejected_x) > 0),
-        }
-        records.append(rec)
+    records = [_instance_record(p, _family_maker("bilinear", p, cfg), _bilinear_record, cfg)
+               for p in ({"M": m, "N": n, "q": q} for m, n, q in instances)]
     return {"theorem": 3, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
 
+def _bilinear_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+    asserted = min(params["M"], params["N"]) > 2
+    return {
+        **params,
+        "count": sol.count,
+        "rejected": [reason for _, reason in sol.rejected_x],
+        "asserted": asserted,
+        "pass": (not asserted) or (sol.count == 0 and len(sol.rejected_x) > 0),
+    }
+
+
 def _census_family_nonexistence(theorem: int, family: str, asserted_when,
                                 instances, cfg: SolverConfig) -> dict:
-    records = []
-    for params in instances:
-        scheme = build(FamilySpec(family, dict(params)), cfg)
-        sol = solve(scheme, cfg)
-        asserted = asserted_when(params)
-        records.append({
-            "params": dict(params),
+    def check(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+        asserted = asserted_when(params["params"])
+        return {
+            **params,
             "count": sol.count,
             "rejected": [reason for _, reason in sol.rejected_x],
             "asserted": asserted,
             "pass": (not asserted) or sol.count == 0,
-        })
+        }
+
+    records = [_instance_record({"params": dict(p)}, _family_maker(family, p, cfg), check, cfg)
+               for p in instances]
     return {"theorem": theorem, "family": family, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
@@ -255,12 +262,8 @@ def _ngon_constant_target(fam: str, sgn: int, n: int) -> complex:
     return sgn * 1j  # n = 4m + 3
 
 
-def _check_ngon_instance(n: int, cfg: SolverConfig) -> dict:
-    scheme = build(FamilySpec("ngon", {"n": n}), cfg)
-    try:
-        sol = solve(scheme, cfg)
-    except DegenerateSchemeError as err:
-        return _degenerate_record({"n": n}, err)
+def _ngon_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+    n = params["n"]
     even = n % 2 == 0
     expected = 12 if even else 6
     issues = []
@@ -294,7 +297,7 @@ def _check_ngon_instance(n: int, cfg: SolverConfig) -> dict:
         reasons = {reason for _, reason in sol.rejected_x}
         if reasons != expected_reasons:
             issues.append(f"odd-n rejections {reasons} != {expected_reasons}")
-    return {"n": n, "count": sol.count, "expected": expected,
+    return {**params, "count": sol.count, "expected": expected,
             "families": tally, "issues": issues, "pass": not issues}
 
 
@@ -306,7 +309,8 @@ def verify_ngon_classification(
     exactly 6, all alternating-sign, the others failing the terminal
     equation (the triangle, n = 3, has one class and rejects no x);
     constants match the quarter-turn case table."""
-    records = [_check_ngon_instance(n, cfg) for n in n_range]
+    records = [_instance_record({"n": n}, _family_maker("ngon", {"n": n}, cfg), _ngon_record, cfg)
+               for n in n_range]
     return {"theorem": 6, "instances": records,
             "pass": all(r["pass"] for r in records)}
 

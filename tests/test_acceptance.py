@@ -165,8 +165,8 @@ def test_criterion_8_self_duality_suite(
                 for m, n, q in BILINEAR_INSTANCES]
     schemes += [build(FamilySpec("ngon", {"n": n})) for n in NGON_RANGE]
     schemes += [alternating62, alternating72, hermitian32]
-    worst = max(s.self_dual_defect() for s in schemes)
-    failures = [s.family for s in schemes if s.self_dual_defect() > 1e-8]
+    worst = max(s.self_dual_defect for s in schemes)
+    failures = [s.family for s in schemes if s.self_dual_defect > 1e-8]
     x_ok = True
     for n in range(3, 7):
         sol = solve(build(FamilySpec("hamming", {"N": n, "q": 2})))

@@ -34,6 +34,18 @@ def test_solve_hamming_43(capsys):
     assert report["result"]["count"] == 6
 
 
+def test_config_echoes_the_two_values_a_caller_sets(capsys):
+    fields = [f.name for f in dataclasses.fields(spinsolve.SolverConfig)]
+    assert fields == ["residual_tol", "census_max_points"]
+    code, out, _ = run_cli(capsys, "families", "--family", "hermitian", "--n", "2", "--q", "2")
+    assert code == 0
+    assert json.loads(out)["config"] == {"residual_tol": 1e-10, "census_max_points": 1_000_000}
+    code, out, _ = run_cli(capsys, "families", "--family", "hermitian", "--n", "2", "--q", "2",
+                           "--tol", "1e-9", "--max-points", "5000")
+    assert code == 0
+    assert json.loads(out)["config"] == {"residual_tol": 1e-9, "census_max_points": 5000}
+
+
 def test_solve_ngon6_count(capsys):
     code, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "6")
     assert code == 0
@@ -229,6 +241,40 @@ def test_verify_hamming_reports_the_degenerate_4_cycle(capsys):
     assert all(r["count"] == 6 and r["pass"] for r in records.values())
 
 
+SELF_DUALITY_MISSED = "no eigenvalue ordering meets the self-duality tolerance"
+
+
+@pytest.mark.parametrize("argv, built, refused", [
+    (("--theorem", "2", "--N", "29..30", "--q", "5"), [(29, 5)], [(30, 5)]),
+    (("--theorem", "3", "--M", "5..6", "--N", "6", "--q", "7"), [], [(5, 6, 7), (6, 6, 7)]),
+], ids=["hamming", "bilinear"])
+def test_verify_reports_every_instance_when_one_cannot_be_built(capsys, argv, built, refused):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert not err.startswith("error:")
+    report = json.loads(out)["result"]
+    assert report["pass"] is False
+    keys = ("N", "q") if argv[1] == "2" else ("M", "N", "q")
+    records = {tuple(r[k] for k in keys): r for r in report["instances"]}
+    assert list(records) == sorted(built + refused)
+    for params in built:
+        assert records[params]["count"] == 6 and records[params]["pass"] is True
+    for params in refused:
+        record = records[params]
+        assert set(record) == set(keys) | {"build_error", "pass"}
+        assert record["build_error"].startswith(SELF_DUALITY_MISSED)
+        assert record["pass"] is False
+
+
+def test_solution_bound_reports_the_degenerate_4_cycle():
+    square = spinsolve.build(spinsolve.FamilySpec("hamming", {"N": 2, "q": 2}))
+    report = spinsolve.theorems.verify_solution_bound(n_random=1, extra_schemes=[square])
+    assert report["pass"]
+    cycle = report["instances"][1]
+    assert cycle["kind"] == "hamming" and cycle["degenerate"].startswith(DEGENERATE)
+    assert cycle["asserted"] is False and "count" not in cycle
+
+
 def test_verify_ngon_reports_the_degenerate_4_cycle(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "6", "--n", "4..12")
     assert code == 0
@@ -331,6 +377,7 @@ def test_custom_array_beyond_float_range_exits_2(tmp_path, capsys):
     (("--theorem", "1", "--N", "4"), "--N"),
     (("--theorem", "6", "--random-arrays", "5"), "--random-arrays"),
     (("--theorem", "2", "--M", "3"), "--M"),
+    (("--theorem", "6", "--N", "8", "--M", "2"), "--N, --M"),
 ])
 def test_verify_rejects_range_flags_its_claim_does_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, "verify", *argv)

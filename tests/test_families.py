@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve import families
-from spinsolve.core import validate_array, valencies
+from spinsolve.core import max_abs, validate_array, valencies
 from spinsolve.families import (
     BuildError,
     FamilySpec,
@@ -152,7 +152,7 @@ def test_census_built_families_validate(alternating62, hermitian32):
     assert alternating62.size == 2 ** 15
     assert hermitian32.size == 512
     for scheme in (alternating62, hermitian32):
-        assert scheme.self_dual_defect() <= 1e-8
+        assert scheme.self_dual_defect <= 1e-8
         assert all(v.denominator == 1 for v in valencies(scheme.array))
 
 
@@ -177,7 +177,20 @@ def test_custom_build_measures_self_duality():
     scheme = build_custom(arr)
     assert scheme.family == "custom"
     assert scheme.size == Fraction(19, 4)  # 1 + 5/2 + 5/4
-    assert scheme.self_dual_defect() >= 0.0
+    assert scheme.self_dual_defect >= 0.0
+
+
+def test_self_dual_defect_is_measured_on_the_reported_eigenmatrix(hermitian32):
+    # the defect the builders keep is max |P^2 - |X| I| / |X| of the very
+    # P the scheme reports, bit for bit
+    schemes = [build(FamilySpec("hamming", {"N": 4, "q": 3})),
+               build(FamilySpec("bilinear", {"M": 2, "N": 3, "q": 2})),
+               build(FamilySpec("ngon", {"n": 7})),
+               hermitian32,
+               build_custom(random_intersection_array(random.Random(18), 4))]
+    for scheme in schemes:
+        p, size = scheme.eigenmatrix, float(scheme.size)
+        assert scheme.self_dual_defect == max_abs(p @ p - size * np.eye(len(p))) / size
 
 
 def test_custom_requires_valid_array():

@@ -10,10 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-import spinsolve as sp
 from spinsolve.core import valencies
 from spinsolve.families import FamilySpec, build
-from spinsolve.solver import filter_x
+from spinsolve.solver import FILTER_TOL, filter_x
 
 
 class QI:
@@ -121,7 +120,7 @@ PROBES = [QI(0, 1), QI(0, -1), QI(-1), QI(1), QI(Fraction(3, 5), Fraction(4, 5))
 def test_float_filter_agrees_with_exact_filter(spec):
     scheme = build(spec)
     theta = exact_theta(scheme)
-    tol = sp.DEFAULT_CONFIG.filter_tol
+    tol = FILTER_TOL
     for x in PROBES:
         exact = exact_filter_decision(scheme.array, theta, x, tol)
         assert exact is not None, f"undecided at x = {x.re} + {x.im}i"

@@ -93,13 +93,13 @@ def reference_valencies(arr):
     return v
 
 
-def reference_filter_x(arr, theta, x, cfg=CFG):
+def reference_filter_x(arr, theta, x):
     """The pair check on numpy arrays: s = 1/t(x_d), x_d the dominant
     member of {x, 1/x}, solves rows 1..N of the recurrence at 1/x_d, and
-    t(x_d) solves the terminal equation, each within filter_tol of the sum
+    t(x_d) solves the terminal equation, each within FILTER_TOL of the sum
     of its terms' moduli; a zero or non-finite t_i fails the row fixing
     s_i.  Every term is formed, and its modulus taken, on its own."""
-    xd = x if abs(x) >= 1 or abs(abs(x) - 1) <= cfg.root_dedup_tol else 1.0 / x
+    xd = x if abs(x) >= 1 or abs(abs(x) - 1) <= solver.ROOT_DEDUP_TOL else 1.0 / x
     t = t_profile(arr, theta, xd)
     n = arr.n_classes
     v, a, b, c = float_arrays(arr)
@@ -114,7 +114,7 @@ def reference_filter_x(arr, theta, x, cfg=CFG):
         terms[:3, n] = (v[n] * t[n] * xd * th[n], v[n] * t[n] * a[n], b[n - 1] * v[n - 1] * t[n - 1])
         gaps = np.abs(terms[0] - terms[1] - terms[2] - terms[3])
         sums = np.abs(terms).sum(axis=0)
-        passed = (gaps <= cfg.filter_tol * sums) & np.isfinite(sums)
+        passed = (gaps <= solver.FILTER_TOL * sums) & np.isfinite(sums)
     passed[:n - 1] &= (t[2:] != 0) & np.isfinite(t[2:])
     if passed.all():
         return True, None
@@ -385,19 +385,19 @@ def test_t_profile_and_filter_match_reference(data):
     t = t_profile(arr, theta, x)
     assume(np.isfinite(t).all())
     assert_solves_recurrence(arr, theta, x, t)
-    assert filter_x(arr, theta, x, CFG) == reference_filter_x(arr, theta, x)
+    assert filter_x(arr, theta, x) == reference_filter_x(arr, theta, x)
 
 
 @pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
 def test_profiles_and_filters_of_every_root_match_reference(spec):
     scheme = build(spec)
     coeffs = solver.candidate_quartic(scheme.array, scheme.theta)
-    for x in solver.roots_of_quartic(coeffs, CFG):
+    for x in solver.roots_of_quartic(coeffs):
         for z in (x, 1.0 / x):
             t = t_profile(scheme.array, scheme.theta, z)
             assert_solves_recurrence(scheme.array, scheme.theta, z, t)
             assert np.array_equal(t_profile(scheme.array, scheme.theta, z.conjugate()), t.conj())
-        assert (filter_x(scheme.array, scheme.theta, x, CFG)
+        assert (filter_x(scheme.array, scheme.theta, x)
                 == reference_filter_x(scheme.array, scheme.theta, x))
 
 
@@ -508,7 +508,7 @@ def test_root_residual_matches_reference(data):
 def test_roots_come_sorted_by_their_rounded_parts(coeffs):
     a4, a3, a2 = coeffs
     try:
-        roots = solver.roots_of_quartic([a4, a3, a2, a3, a4], CFG)
+        roots = solver.roots_of_quartic([a4, a3, a2, a3, a4])
     except ValueError:
         assume(False)
     assert roots == sorted(roots, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
@@ -681,8 +681,8 @@ def test_self_dual_ordering_matches_reference(arr):
     except families.BuildError:
         assume(False)
     size = float(sum(reference_valencies(arr)))
-    got = families._self_dual_ordering(arr, eigs, size, CFG.self_dual_tol)
-    want = reference_self_dual_ordering(arr, eigs, size, CFG.self_dual_tol)
+    got = families._self_dual_ordering(arr, eigs, size)
+    want = reference_self_dual_ordering(arr, eigs, size, families.SELF_DUAL_TOL)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 

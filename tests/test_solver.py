@@ -55,7 +55,7 @@ def test_quartic_hamming_33():
     coeffs = candidate_quartic(scheme.array, scheme.theta)
     assert coeffs == [3, 2, 5, 2, 3]
     # factors as (x^2 + x + 1)(3x^2 - x + 3)
-    roots = roots_of_quartic(coeffs, CFG)
+    roots = roots_of_quartic(coeffs)
     cube = [(-1 + 1j * math.sqrt(3)) / 2, (-1 - 1j * math.sqrt(3)) / 2]
     other = [(1 + 1j * math.sqrt(35)) / 6, (1 - 1j * math.sqrt(35)) / 6]
     assert _roots_match(roots, cube + other, tol=1e-9)
@@ -69,7 +69,7 @@ def test_quartic_is_palindromic_on_random_arrays():
     rng = random.Random(5)
     for _ in range(50):
         arr = random_intersection_array(rng, rng.randint(2, 6))
-        scheme = build_custom(arr, CFG)
+        scheme = build_custom(arr)
         a4, a3, a2, a1, a0 = candidate_quartic(arr, scheme.theta)
         assert a4 == a0 and a3 == a1
 
@@ -87,22 +87,22 @@ def test_one_class_quartic_is_the_squared_terminal_equation(q):
 
 
 def test_roots_double_pair_collapse():
-    assert _roots_match(roots_of_quartic([1, 0, 2, 0, 1], CFG), [1j, -1j])
+    assert _roots_match(roots_of_quartic([1, 0, 2, 0, 1]), [1j, -1j])
 
 
 def test_roots_ngon6_quartic():
     expected = [cmath.exp(1j * math.pi / 6), cmath.exp(-1j * math.pi / 6),
                 cmath.exp(5j * math.pi / 6), cmath.exp(-5j * math.pi / 6)]
-    assert _roots_match(roots_of_quartic([1, 0, -1, 0, 1], CFG), expected)
+    assert _roots_match(roots_of_quartic([1, 0, -1, 0, 1]), expected)
 
 
 def test_roots_exclude_zero_after_degree_drop():
-    assert roots_of_quartic([0, 0, 1, 0, 0], CFG) == []
+    assert roots_of_quartic([0, 0, 1, 0, 0]) == []
 
 
 def test_roots_all_zero_is_an_error():
     with pytest.raises(ValueError, match="all-zero"):
-        roots_of_quartic([0, 0, 0, 0, 0], CFG)
+        roots_of_quartic([0, 0, 0, 0, 0])
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -113,7 +113,7 @@ def test_roots_all_zero_is_an_error():
 ])
 def test_roots_reject_non_palindromic_input(coeffs):
     with pytest.raises(ValueError, match="palindromic"):
-        roots_of_quartic(coeffs, CFG)
+        roots_of_quartic(coeffs)
 
 
 def test_roots_closed_under_reciprocal_on_random_palindromics():
@@ -122,7 +122,7 @@ def test_roots_closed_under_reciprocal_on_random_palindromics():
         a4, a3, a2 = rng.normal(size=3)
         if abs(a4) < 1e-3:
             continue
-        roots = roots_of_quartic([a4, a3, a2, a3, a4], CFG)
+        roots = roots_of_quartic([a4, a3, a2, a3, a4])
         for z in roots:
             assert any(abs(1 / z - w) <= 1e-8 * max(1, abs(1 / z)) for w in roots)
 
@@ -171,23 +171,23 @@ def test_profile_rejects_zero_ratio(hamming32):
 
 
 def test_filter_accepts_hamming_solution(hamming32):
-    ok, reason = filter_x(hamming32.array, hamming32.theta, 1j, CFG)
+    ok, reason = filter_x(hamming32.array, hamming32.theta, 1j)
     assert ok and reason is None
 
 
 def test_filter_rejects_spurious_hamming_root():
     scheme = build(FamilySpec("hamming", {"N": 3, "q": 3}))
     x = (1 + 1j * math.sqrt(35)) / 6  # root of the 3x^2 - x + 3 cofactor
-    ok, reason = filter_x(scheme.array, scheme.theta, x, CFG)
+    ok, reason = filter_x(scheme.array, scheme.theta, x)
     assert not ok
     assert reason.startswith("reciprocal_identity_failed")
 
 
 def test_filter_terminal_rejects_odd_ngon_plain_family():
     scheme = build(FamilySpec("ngon", {"n": 7}))
-    ok, reason = filter_x(scheme.array, scheme.theta, cmath.exp(1j * math.pi / 7), CFG)
+    ok, reason = filter_x(scheme.array, scheme.theta, cmath.exp(1j * math.pi / 7))
     assert not ok and reason == "terminal_failed"
-    ok, _ = filter_x(scheme.array, scheme.theta, -cmath.exp(1j * math.pi / 7), CFG)
+    ok, _ = filter_x(scheme.array, scheme.theta, -cmath.exp(1j * math.pi / 7))
     assert ok
 
 
@@ -304,7 +304,7 @@ def test_solve_single_class_triangle():
 
 def test_solve_complete_graph_keeps_its_doubled_root():
     # K4: the quartic is -(x + 1)^4, so x = -1 is the only ratio
-    scheme = build_custom(sp.IntersectionArray(b=[3], c=[1]), CFG)
+    scheme = build_custom(sp.IntersectionArray(b=[3], c=[1]))
     sol = solve(scheme)
     assert sol.count == 3 and not sol.rejected_x
     for s in sol.accepted:
@@ -314,14 +314,14 @@ def test_solve_complete_graph_keeps_its_doubled_root():
 
 def test_solve_vanishing_theta1_invents_no_ratio():
     # theta_1 = a_1 = 0: the quartic is -32 x^2 up to rounding in A4
-    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[6, 8]), CFG))
+    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[6, 8])))
     assert sol.count == 0
     assert sol.rejected_x == ()
 
 
 def test_solve_vanishing_theta1_keeps_the_doubled_root_whole():
     # theta_1 = 0, a_1 = 2: x (-8 x^2 - 16 x - 8), a doubled x = -1
-    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[4, 8]), CFG))
+    sol = solve(build_custom(sp.IntersectionArray(b=[8, 2], c=[4, 8])))
     assert sol.count == 0
     assert len(sol.rejected_x) == 1
     x, reason = sol.rejected_x[0]
@@ -359,7 +359,7 @@ def test_accepted_x_closed_under_reciprocal():
 def test_reciprocal_solutions_are_scaled_inverses():
     scheme = build(FamilySpec("hamming", {"N": 3, "q": 5}))
     sol = solve(scheme)
-    size = scheme.size_float
+    size = float(scheme.size)
     by_x = {}
     for s in sol.accepted:
         by_x.setdefault(round(s.x.real, 9), []).append(s)
@@ -623,7 +623,7 @@ def perturbed_accepted_roots():
 def test_the_filter_rejects_every_perturbed_accepted_root(perturbed_accepted_roots):
     checks = 0
     for spec, scheme, x, moved in perturbed_accepted_roots:
-        ok, _ = filter_x(scheme.array, scheme.theta, moved, CFG)
+        ok, _ = filter_x(scheme.array, scheme.theta, moved)
         assert not ok, (spec, x, moved)
         checks += 1
     assert checks > 1000
@@ -635,10 +635,10 @@ def test_solve_rejects_every_perturbed_accepted_pair(perturbed_accepted_roots):
     # twin takes its partner's decision inside solve
     checks = 0
     for spec, scheme, x, moved in perturbed_accepted_roots:
-        on_circle = abs(abs(moved) - 1.0) <= CFG.root_dedup_tol
+        on_circle = abs(abs(moved) - 1.0) <= solver.ROOT_DEDUP_TOL
         pair = [moved, moved.conjugate() if on_circle else 1 / moved]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "roots_of_quartic", lambda coeffs, cfg, pair=pair: pair)
+            patch.setattr(solver, "roots_of_quartic", lambda coeffs, pair=pair: pair)
             sol = solve(scheme)
         assert sol.count == 0 and sol.raw_count == 0, (spec, x, moved)
         assert [z for z, _ in sol.rejected_x] == pair, (spec, x, moved)
@@ -664,14 +664,14 @@ pair_arrays = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_both_members_of_a_pair_get_one_filter_decision(arr):
     try:
-        scheme = build_custom(arr, CFG)
+        scheme = build_custom(arr)
         sol = solve(scheme)
     except (BuildError, DegenerateSchemeError, solver.SingularCubeError):
         assume(False)
-    roots = roots_of_quartic(candidate_quartic(arr, scheme.theta), CFG)
+    roots = roots_of_quartic(candidate_quartic(arr, scheme.theta))
     filter_reasons = {x: reason for x, reason in sol.rejected_x
                       if reason.startswith(("reciprocal", "terminal"))}
     for x in roots:
         partner = min(roots, key=lambda w: abs(w * x - 1))
         assert filter_reasons.get(x) == filter_reasons.get(partner)
-        assert filter_x(arr, scheme.theta, x, CFG)[0] == (x not in filter_reasons)
+        assert filter_x(arr, scheme.theta, x)[0] == (x not in filter_reasons)
