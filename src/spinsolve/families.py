@@ -186,11 +186,18 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     pt = np.empty((n + 1, n + 1))
     pt[0] = 1.0
     pt[1] = theta
+    # row j - 1 is theta - a_j; each step writes into P's own row
+    shifted = theta - np.array(a[1:n])[:, np.newaxis]
+    term = np.empty(n + 1)
     for j in range(1, n):
         cj1 = c[j]  # c_{j+1}
         if cj1 == 0:
             raise ValueError(f"c_{j + 1} = 0 before the last column")
-        pt[j + 1] = ((theta - a[j]) * pt[j] - b[j - 1] * pt[j - 1]) / cj1
+        row = pt[j + 1]
+        np.multiply(shifted[j - 1], pt[j], out=row)
+        np.multiply(b[j - 1], pt[j - 1], out=term)
+        np.subtract(row, term, out=row)
+        np.divide(row, cj1, out=row)
     return pt.T.copy()
 
 

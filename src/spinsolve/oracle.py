@@ -3,28 +3,32 @@
 Every point space here is a translation scheme: words, cyclic-group
 elements, or matrices over a finite field, with the class of a pair
 determined by the difference (Hamming weight, circular distance, or rank).
-One distance function, `raw_between(y, z)`, measures the weight of z - y;
-the distance from the base point is its case y = 0.  A matrix point's
-matrix is additive in its coordinates (negation and Hermitian conjugation
-are additive), so the matrix of z - y is M(z) - M(y).
+One distance function, `raw_between(ys, zs)`, measures the weight of
+z - y for every pair of a y and a z; the distance from the base point is
+its case ys = [0].  A matrix point's matrix is additive in its coordinates
+(negation and Hermitian conjugation are additive), so the matrix of z - y
+is M(z) - M(y).
 
 The census fixes the base point 0, classifies every point, then measures
 the table p_{1,j}^r by histogramming the classes of y - z over all
 first-class points z, for several representatives y of each class r.
 Representatives must agree exactly, which catches wrong distance
-functions without trusting translation invariance blindly.
+functions without trusting translation invariance blindly.  Every
+representative of every class goes through one `raw_between` call, so
+the first-class points' rows or matrices are built once.
 
 The census streams the whole space once, in blocks of GF2_BLOCK codes,
 into one array of distances in the narrowest unsigned type that holds the
-largest possible distance, and reads class sizes, neighbours and
-representatives off it.  GF(2) matrices are bit-packed, one unsigned
-integer per row; a bilinear matrix with more rows than columns is packed
-transposed, as rank is the same and the kernel's cost grows with the
-rows.  A block at a multiple b of GF2_BLOCK holds the codes b ^ o, so its
-rows are a cached offset table XOR the rows of b, ranked by a branch-free
-elimination whose every pass is one in-place numpy operation over the
-block.  Over larger fields each block's difference matrices are built as
-one (points, rows, cols) array and ranked by the scalar path.
+largest possible distance, and reads class sizes (one count per distance
+value and block), neighbours and representatives off it.  GF(2) matrices are
+bit-packed, one unsigned integer per row; a bilinear matrix with more
+rows than columns is packed transposed, as rank is the same and the
+kernel's cost grows with the rows.  A block at a multiple b of GF2_BLOCK
+holds the codes b ^ o, so its rows are a cached offset table XOR the rows
+of b, ranked by a branch-free elimination whose every pass is one
+in-place numpy operation over the block.  Over larger fields each block's
+difference matrices are built as one (points, rows, cols) array and
+ranked by the scalar path.
 """
 
 from __future__ import annotations
@@ -106,17 +110,20 @@ def rank_batch_gf2(rows: np.ndarray, ncols: int) -> np.ndarray:
     The rows are worked on as a transposed copy, (n_rows, n_matrices), in
     the narrowest unsigned type that holds ncols bits, so every pass is
     one contiguous in-place numpy operation; callers keep the batch
-    cache-sized (GF2_BLOCK).
+    cache-sized (GF2_BLOCK).  Ranks are counted in uint8, as a rank is at
+    most ncols, and returned as int64.
     """
     rows = np.asarray(rows)
     nmat, nrows = rows.shape
     dtype = _gf2_dtype(ncols)
-    if np.any(rows >> ncols):
+    # x >> ncols is 0 exactly for 0 <= x < 2^ncols and is monotone in x
+    if rows.size and (rows.min() >> ncols or rows.max() >> ncols):
         raise ValueError(f"row bitmasks have bits at or above column {ncols}")
     pivots = np.array(rows.T, dtype=dtype, order="C")
     low = np.empty_like(pivots)
     mask = np.empty(nmat, dtype=dtype)
-    ranks = np.zeros(nmat, dtype=np.int64)
+    nonzero = np.empty(nmat, dtype=bool)
+    ranks = np.zeros(nmat, dtype=np.uint8)  # rank <= ncols <= 64
     for i in range(nrows):
         row = pivots[i]
         for k in range(i):
@@ -126,8 +133,9 @@ def rank_batch_gf2(rows: np.ndarray, ncols: int) -> np.ndarray:
             np.bitwise_xor(row, mask, out=row)
         np.negative(row, out=low[i])
         np.bitwise_and(low[i], row, out=low[i])
-        ranks += row != 0
-    return ranks
+        np.not_equal(row, 0, out=nonzero)
+        np.add(ranks, nonzero.view(np.uint8), out=ranks)
+    return ranks.astype(np.int64)
 
 
 @dataclass
@@ -204,36 +212,56 @@ class PointSpace:
                 rows = self._gf2_offsets[:, :stop - start] ^ bases[:, k:k + 1]
                 out[start:stop] = rank_batch_gf2(rows.T, self.gf2_shape[1])
             else:
-                out[start:stop] = self.raw_between(0, np.arange(start, stop))
+                out[start:stop] = self.raw_between([0], np.arange(start, stop))[0]
         return out
 
-    def raw_between(self, code_y: int, codes_z: np.ndarray) -> np.ndarray:
-        """Raw distance between y and each z: the weight of z - y."""
+    def raw_between(self, codes_y: np.ndarray, codes_z: np.ndarray) -> np.ndarray:
+        """Raw distance between each y and each z, the weight of z - y, as
+        a (len(codes_y), len(codes_z)) array.
+
+        Every z's digits, rows or matrix are built once for all y.  Over
+        GF(2) the pairs' difference rows are formed and ranked a chunk of
+        at most GF2_BLOCK pairs at a time, into raw_from_zero's distance
+        type; over larger fields each y's difference matrices are formed
+        in turn and ranked by scalar `rank`."""
+        codes_y = np.asarray(codes_y, dtype=np.int64)
+        codes_z = np.asarray(codes_z, dtype=np.int64)
+        shape = (len(codes_y), len(codes_z))
         if self.family == "ngon":
-            diff = (codes_z - code_y) % self.n
+            diff = (codes_z[np.newaxis, :] - codes_y[:, np.newaxis]) % self.n
             return np.minimum(diff, self.n - diff)
-        y = np.array([code_y], dtype=np.int64)
         if self.family == "hamming":
-            dy = self._digits(y, self.alphabet, self.word_len)[0]
+            dy = self._digits(codes_y, self.alphabet, self.word_len)
             dz = self._digits(codes_z, self.alphabet, self.word_len)
-            return np.count_nonzero((dz - dy) % self.alphabet, axis=1)
+            return np.count_nonzero(dz[np.newaxis] != dy[:, np.newaxis], axis=2)
         # matrix spaces: the matrix of z - y is M(z) - M(y)
         if self.gf2_shape:
-            rows_y = self._gf2_rows(y)
-            ranks = np.empty(len(codes_z), dtype=np.int64)
-            for start in range(0, len(codes_z), GF2_BLOCK):
-                rows = self._gf2_rows(codes_z[start:start + GF2_BLOCK])
-                rows ^= rows_y
-                ranks[start:start + rows.shape[1]] = rank_batch_gf2(rows.T, self.gf2_shape[1])
+            rows_y = self._gf2_rows(codes_y)
+            ranks = np.empty(shape, dtype=np.min_scalar_type(self.max_raw))
+            # each chunk pairs up to GF2_BLOCK zs with as many ys as fit in
+            # GF2_BLOCK pairs, so memory stays at one chunk however many zs
+            ys_per_chunk = max(1, GF2_BLOCK // max(1, shape[1]))
+            for z0 in range(0, shape[1], GF2_BLOCK):
+                rows_z = self._gf2_rows(codes_z[z0:z0 + GF2_BLOCK])
+                for y0 in range(0, shape[0], ys_per_chunk):
+                    diff = rows_z[:, np.newaxis, :] ^ rows_y[:, y0:y0 + ys_per_chunk, np.newaxis]
+                    block = ranks[y0:y0 + ys_per_chunk, z0:z0 + GF2_BLOCK]
+                    block[...] = rank_batch_gf2(diff.reshape(len(diff), -1).T,
+                                                self.gf2_shape[1]).reshape(block.shape)
             return ranks
-        diff = self.field.sub[self._matrices(codes_z), self._matrices(y)[0]]
-        return np.array([rank(mat, self.field) for mat in diff.tolist()], dtype=np.int64)
+        mats_z = self._matrices(codes_z)
+        ranks = np.empty(shape, dtype=np.int64)
+        for row, mat_y in zip(ranks, self._matrices(codes_y)):
+            row[:] = [rank(mat, self.field) for mat in self.field.sub[mats_z, mat_y].tolist()]
+        return ranks
 
     # -- internals --------------------------------------------------------
 
     @staticmethod
     def _digits(codes: np.ndarray, base: int, ndigits: int) -> np.ndarray:
-        out = np.empty((len(codes), ndigits), dtype=np.int16)
+        """Base-`base` digits of each code, least significant first, in the
+        narrowest unsigned type that holds base - 1."""
+        out = np.empty((len(codes), ndigits), dtype=np.min_scalar_type(base - 1))
         rest = codes.copy()
         for k in range(ndigits):
             out[:, k] = rest % base
@@ -296,9 +324,12 @@ class PointSpace:
 def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensus:
     """Measure p_{1,j}^r and class sizes over the whole point space.
 
-    Class sizes are counted block by block from `raw_from_zero()`, and each
-    class's first CENSUS_REPRESENTATIVES codes are found block by block,
-    stopping once every class has them."""
+    Class sizes are counted block by block from `raw_from_zero()`, one
+    `count_nonzero` per raw value and block (no cast, no whole-space
+    temporary), and each class's first CENSUS_REPRESENTATIVES codes are
+    found block by block, stopping once every class has them.  One
+    `raw_between` call measures every representative against every
+    first-class point."""
     n = space.n_points
     if n > cfg.census_max_points:
         raise CensusError(
@@ -310,8 +341,10 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
         raise CensusError(f"{space.family} {space.spec.params} space has {n} points, "
                           "more than int64 codes can index")
     raws = space.raw_from_zero()
-    counts = sum(np.bincount(raws[start:start + GF2_BLOCK], minlength=space.max_raw + 1)
-                 for start in range(0, n, GF2_BLOCK))
+    counts = np.zeros(space.max_raw + 1, dtype=np.int64)
+    for start in range(0, n, GF2_BLOCK):
+        block = raws[start:start + GF2_BLOCK]
+        counts += [np.count_nonzero(block == r) for r in range(space.max_raw + 1)]
 
     observed = np.flatnonzero(counts)
     if space.family == "alternating" and np.any(observed % 2 != 0):
@@ -337,12 +370,13 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
             if len(m) < w:
                 m += (start + np.flatnonzero(block == r)[:w - len(m)]).tolist()
 
+    dists = iter(space.raw_between([y for m in members for y in m], neighbors))
     p_table: list[tuple[int, ...]] = []
     reps_checked: list[int] = []
     for r in range(n_classes + 1):
         rows = []
-        for y in members[r]:
-            hist = np.bincount(space.raw_between(y, neighbors), minlength=observed[-1] + 1)
+        for _ in members[r]:
+            hist = np.bincount(next(dists), minlength=observed[-1] + 1)
             bad = [int(v) for v in np.flatnonzero(hist) if int(v) not in class_of_raw]
             if bad:
                 raise CensusError(f"distances {bad} between points do not occur "

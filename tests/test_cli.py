@@ -431,6 +431,16 @@ def test_oracle_verify_of_rows_wider_than_16_bits(capsys):
     assert json.loads(out)["result"]["match"]
 
 
+@pytest.mark.parametrize("q", ["32768", "70000"])
+def test_oracle_verify_of_hamming_digits_wider_than_int16(capsys, q):
+    # digits up to q - 1 >= 2^15; an int16 digit overflowed at 32768 and
+    # would alias digits beyond 65535
+    code, out, _ = run_cli(capsys, "oracle", "verify", "--family", "hamming",
+                           "--N", "1", "--q", q)
+    assert code == 0
+    assert json.loads(out)["result"]["match"]
+
+
 def test_census_beyond_int64_codes_exits_2(capsys):
     code, out, err = run_cli(capsys, "oracle", "census", "--family", "bilinear", "--M", "1",
                              "--N", "70", "--q", "2", "--max-points", "9" * 23)

@@ -101,12 +101,31 @@ def test_batch_rank_at_block_sizes(size):
     expected = np.array([_rank_of_masks(m, ncols) for m in base.tolist()])
     ranks = rank_batch_gf2(base[picks].astype(np.uint16), ncols)
     assert ranks.shape == (size,)
+    assert ranks.dtype == np.int64
     assert np.array_equal(ranks, expected[picks])
 
 
 def test_batch_rank_rejects_bits_beyond_ncols():
     with pytest.raises(ValueError, match="column 3"):
         rank_batch_gf2(np.array([[1, 8]]), 3)
+
+
+@pytest.mark.parametrize("rows,ncols,ok", [
+    (np.array([[1 << 63, 1]], dtype=np.uint64), 64, True),
+    (np.array([[1 << 63, 1]], dtype=np.uint64), 63, False),
+    (np.array([[1 << 62, 3]], dtype=np.int64), 63, True),
+    (np.array([[2, -1]], dtype=np.int64), 63, False),
+    (np.array([[0, -1]], dtype=np.int16), 3, False),
+    (np.array([[7, 0]], dtype=np.uint8), 3, True),
+], ids=["bit63-at-64", "bit63-at-63", "bit62-at-63", "negative-int64", "negative-int16",
+        "top-bit"])
+def test_batch_rank_input_check_at_its_edges(rows, ncols, ok):
+    if ok:
+        assert rank_batch_gf2(rows, ncols).tolist() == [
+            _rank_of_masks([int(r) for r in m], ncols) for m in rows]
+    else:
+        with pytest.raises(ValueError, match=f"column {ncols}"):
+            rank_batch_gf2(rows, ncols)
 
 
 def test_blocked_distance_is_the_rank_of_the_difference():
@@ -122,7 +141,7 @@ def test_blocked_distance_is_the_rank_of_the_difference():
         return [digits[i * 5:(i + 1) * 5] for i in range(4)]
 
     my = matrix(y)
-    ranks = space.raw_between(y, zs)
+    ranks = space.raw_between([y], zs)[0]
     # every 16th point, plus both sides of the block boundary and the tail
     checked = sorted({*range(0, len(zs), 16), *range(GF2_BLOCK - 8, len(zs))})
     expected = [rank([[a ^ b for a, b in zip(rz, ry)] for rz, ry in zip(matrix(zs[k]), my)],
@@ -277,8 +296,61 @@ def test_distance_is_the_rank_of_the_difference(family, params):
         zs = rng.integers(0, space.n_points, size=30)
         expected = [rank([[int(f.sub[a, b]) for a, b in zip(rz, ry)]
                           for rz, ry in zip(matrix(z), matrix(y))], f) for z in zs]
-        assert space.raw_between(int(y), zs).tolist() == expected
-        assert space.raw_between(0, zs).tolist() == [rank(matrix(z), f) for z in zs]
+        assert space.raw_between([y], zs)[0].tolist() == expected
+        assert space.raw_between([0], zs)[0].tolist() == [rank(matrix(z), f) for z in zs]
+
+
+def _scalar_distance(family, params, y, z):
+    """Circular distance, Hamming weight or rank of z - y, point by point."""
+    if family == "ngon":
+        d = (z - y) % params["n"]
+        return min(d, params["n"] - d)
+    if family == "hamming":
+        radices = [params["q"]] * params["N"]
+        return sum(a != b for a, b in zip(_mixed_radix(y, radices), _mixed_radix(z, radices)))
+    f, my = _point_matrix(family, params, y)
+    mz = _point_matrix(family, params, z)[1]
+    return rank([[int(f.sub[a, b]) for a, b in zip(rz, ry)] for rz, ry in zip(mz, my)], f)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("ngon", {"n": 9}),
+    ("hamming", {"N": 4, "q": 3}),
+    ("bilinear", {"M": 2, "N": 3, "q": 2}),
+    ("bilinear", {"M": 5, "N": 4, "q": 2}),  # transposed
+    ("alternating", {"n": 6, "q": 2}),
+    ("bilinear", {"M": 2, "N": 3, "q": 3}),
+    ("alternating", {"n": 4, "q": 3}),
+    ("hermitian", {"n": 2, "q": 2}),
+])
+def test_batched_distance_is_a_loop_of_scalar_distances(family, params):
+    space = PointSpace(sp.FamilySpec(family, params))
+    rng = np.random.default_rng(17)
+    ys = rng.integers(0, space.n_points, size=5)
+    ys[0] = 0
+    zs = rng.integers(0, space.n_points, size=40)
+    dists = space.raw_between(ys, zs)
+    assert dists.shape == (5, 40)
+    assert dists.tolist() == [[_scalar_distance(family, params, int(y), int(z)) for z in zs]
+                              for y in ys]
+
+
+@pytest.mark.parametrize("n_ys,n_zs", [
+    (3, GF2_BLOCK + 100),  # one y per chunk, its zs in two chunks
+    (40, 1500),  # 21 ys per chunk: chunks of 21 and 19 ys
+])
+def test_batched_gf2_distances_across_chunks(n_ys, n_zs):
+    params = {"M": 4, "N": 5, "q": 2}
+    space = PointSpace(sp.FamilySpec("bilinear", params))
+    rng = np.random.default_rng(23)
+    ys = rng.integers(0, space.n_points, size=n_ys)
+    zs = rng.integers(0, space.n_points, size=n_zs)
+    dists = space.raw_between(ys, zs)
+    assert dists.shape == (n_ys, n_zs)
+    cols = sorted({0, n_zs - 1, *range(min(n_zs, GF2_BLOCK) - 2, min(n_zs, GF2_BLOCK + 2)),
+                   *rng.integers(0, n_zs, size=12).tolist()})
+    assert dists[:, cols].tolist() == [
+        [_scalar_distance("bilinear", params, int(y), int(zs[k])) for k in cols] for y in ys]
 
 
 def test_representatives_are_recorded():
@@ -291,11 +363,10 @@ class _BrokenSpace(PointSpace):
     """Circular distance from the base point, but a garbled pairwise
     distance: representatives of the same class then disagree."""
 
-    def raw_between(self, code_y, codes_z):
-        import numpy as np
-
-        diff = (codes_z - code_y) % self.n
-        return np.minimum(diff, self.n - diff + (code_y % 2))
+    def raw_between(self, codes_y, codes_z):
+        codes_y = np.asarray(codes_y)[:, np.newaxis]
+        diff = (codes_z - codes_y) % self.n
+        return np.minimum(diff, self.n - diff + (codes_y % 2))
 
 
 def test_disagreeing_representatives_are_an_error():
@@ -330,7 +401,7 @@ def _reference_census(space):
     """The census before the streamed pass, kept as an oracle: every code
     in one int64 array, a class-index gather and one scan per class."""
     codes = np.arange(space.n_points, dtype=np.int64)
-    raws = space.raw_between(0, codes)
+    raws = space.raw_between([0], codes)[0]
     observed = np.flatnonzero(np.bincount(raws))
     class_of_raw = {int(r): k for k, r in enumerate(observed)}
     n_classes = len(observed) - 1
@@ -344,7 +415,7 @@ def _reference_census(space):
     for r in range(n_classes + 1):
         members = codes[cls == r][:CENSUS_REPRESENTATIVES]
         rows = {tuple(int(x) for x in np.bincount(
-            raw_lookup[space.raw_between(int(y), neighbors)], minlength=n_classes + 1))
+            raw_lookup[space.raw_between([y], neighbors)[0]], minlength=n_classes + 1))
             for y in members}
         assert len(rows) == 1
         p_table.append(rows.pop())
@@ -356,15 +427,15 @@ def _reference_census(space):
 
 
 class _RecordingSpace(PointSpace):
-    """Records the first point of every raw_between call."""
+    """Records the y codes of every raw_between call."""
 
     def __post_init__(self):
         super().__post_init__()
         self.ys = []
 
-    def raw_between(self, code_y, codes_z):
-        self.ys.append(int(code_y))
-        return super().raw_between(code_y, codes_z)
+    def raw_between(self, codes_y, codes_z):
+        self.ys.append([int(y) for y in codes_y])
+        return super().raw_between(codes_y, codes_z)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -381,9 +452,11 @@ def test_streamed_census_matches_the_reference(family, params, big_cfg):
     streamed, reference = _RecordingSpace(spec), _RecordingSpace(spec)
     cen = census(streamed, big_cfg)
     assert dumps_report(cen) == dumps_report(_reference_census(reference))
-    # the same representatives, in the same order
+    # the same representatives, in the same order, all in one call after
+    # the base point's
     k = sum(cen.representatives_checked)
-    assert streamed.ys[-k:] == reference.ys[-k:]
+    assert streamed.ys[-1] == [y for ys in reference.ys[-k:] for y in ys]
+    assert all(ys == [0] for ys in streamed.ys[:-1])
 
 
 @pytest.mark.parametrize("family,params", [
@@ -396,4 +469,4 @@ def test_streamed_distances_match_the_general_distance(family, params):
     space = PointSpace(sp.FamilySpec(family, params))
     raws = space.raw_from_zero()
     assert raws.dtype == np.uint8
-    assert raws.tolist() == space.raw_between(0, np.arange(space.n_points)).tolist()
+    assert raws.tolist() == space.raw_between([0], np.arange(space.n_points))[0].tolist()
