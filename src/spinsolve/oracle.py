@@ -26,9 +26,12 @@ rows than columns is packed transposed, as rank is the same and the
 kernel's cost grows with the rows.  A block at a multiple b of GF2_BLOCK
 holds the codes b ^ o, so its rows are a cached offset table XOR the rows
 of b, ranked by a branch-free elimination whose every pass is one
-in-place numpy operation over the block.  Over larger fields each block's
-difference matrices are built as one (points, rows, cols) array and
-ranked by the scalar path.
+in-place numpy operation over the block.  The leading rows that no base
+touches are the same in every block, so the whole-space pass reduces
+them once, reduces each block's own rows against them by linearity, and
+eliminates only those per block, with the elimination `rank_batch_gf2`
+runs.  Over larger fields each block's difference matrices are built as
+one (points, rows, cols) array and ranked by the scalar path.
 """
 
 from __future__ import annotations
@@ -97,45 +100,70 @@ def rank_batch_gf2(rows: np.ndarray, ncols: int) -> np.ndarray:
     """Ranks of a batch of GF(2) matrices given as per-row bitmasks.
 
     rows has shape (n_matrices, n_rows); bit j of rows[m, i] is entry (i, j),
-    and ncols <= 64.  Elimination is position-free and branch-free: row i
-    of every matrix is reduced at once against each earlier reduced row k,
-    in order, by `row ^= pivots[k] & -(row & low[k])`, where low[k] is the
-    lowest set bit of pivots[k] (0 for a zero row).  The mask is all ones
-    from that bit up exactly when row has it, and pivots[k] has no lower
-    bit, so each pass clears bit low[k]; later pivots lack the lowest bits
-    of earlier ones, so bits once cleared stay clear.  The reduced row is
-    nonzero iff row i is independent of rows 0..i-1, so the rank is the
-    number of nonzero reduced rows.
-
-    The rows are worked on as a transposed copy, (n_rows, n_matrices), in
-    the narrowest unsigned type that holds ncols bits, so every pass is
-    one contiguous in-place numpy operation; callers keep the batch
+    and ncols <= 64.  The rows are worked on as a transposed copy,
+    (n_rows, n_matrices), in the narrowest unsigned type that holds ncols
+    bits, and reduced by `_eliminate_gf2`; callers keep the batch
     cache-sized (GF2_BLOCK).  Ranks are counted in uint8, as a rank is at
-    most ncols, and returned as int64.
+    most ncols, and returned as int64.  `PointSpace.raw_from_zero` runs
+    the same elimination on its own pivot tables, so only `raw_between`
+    calls this.
     """
     rows = np.asarray(rows)
-    nmat, nrows = rows.shape
+    nmat, _ = rows.shape
     dtype = _gf2_dtype(ncols)
+    _check_gf2_bits(rows, ncols)
+    pivots = np.array(rows.T, dtype=dtype, order="C")
+    ranks = np.zeros(nmat, dtype=np.uint8)  # rank <= ncols <= 64
+    _eliminate_gf2(pivots, np.empty_like(pivots), ranks)
+    return ranks.astype(np.int64)
+
+
+def _check_gf2_bits(rows: np.ndarray, ncols: int) -> None:
+    """ValueError unless every bitmask lies in 0 <= x < 2^ncols."""
     # x >> ncols is 0 exactly for 0 <= x < 2^ncols and is monotone in x
     if rows.size and (rows.min() >> ncols or rows.max() >> ncols):
         raise ValueError(f"row bitmasks have bits at or above column {ncols}")
-    pivots = np.array(rows.T, dtype=dtype, order="C")
-    low = np.empty_like(pivots)
-    mask = np.empty(nmat, dtype=dtype)
-    nonzero = np.empty(nmat, dtype=bool)
-    ranks = np.zeros(nmat, dtype=np.uint8)  # rank <= ncols <= 64
-    for i in range(nrows):
-        row = pivots[i]
-        for k in range(i):
-            np.bitwise_and(row, low[k], out=mask)
-            np.negative(mask, out=mask)
-            np.bitwise_and(mask, pivots[k], out=mask)
-            np.bitwise_xor(row, mask, out=row)
+
+
+def _eliminate_gf2(pivots: np.ndarray, low: np.ndarray, ranks: np.ndarray) -> None:
+    """Eliminate a batch of GF(2) matrices in place and add their ranks to
+    ranks.
+
+    pivots is (n_rows, n_matrices), one unsigned bitmask per row and
+    matrix.  Row i of every matrix is reduced at once against rows
+    0..i-1 (`_reduce_gf2`), and low[i] becomes the lowest set bit of the
+    reduced row (0 for a zero row).  The reduced row is nonzero iff row i
+    is independent of rows 0..i-1, so the rank is the number of nonzero
+    reduced rows.
+    """
+    mask = np.empty(pivots.shape[1:], dtype=pivots.dtype)
+    nonzero = np.empty(pivots.shape[1:], dtype=bool)
+    for i, row in enumerate(pivots):
+        _reduce_gf2(row, pivots[:i], low[:i], mask)
         np.negative(row, out=low[i])
         np.bitwise_and(low[i], row, out=low[i])
         np.not_equal(row, 0, out=nonzero)
         np.add(ranks, nonzero.view(np.uint8), out=ranks)
-    return ranks.astype(np.int64)
+
+
+def _reduce_gf2(rows: np.ndarray, pivots: np.ndarray, low: np.ndarray,
+                mask: np.ndarray) -> None:
+    """Reduce rows in place against reduced pivots, in order, by
+    `rows ^= pivots[k] & -(rows & low[k])`; rows is one row of the batch
+    or a stack of them, and mask is scratch of its shape.
+
+    The mask is all ones from bit low[k] up exactly when a row has that
+    bit, and pivots[k] has no lower bit, so each pass clears bit low[k];
+    later pivots lack the lowest bits of earlier ones, so bits once
+    cleared stay clear.  Each pass adds pivots[k] times one bit of the
+    row, so the reduction is GF(2)-linear in the row.  Every pass is one
+    contiguous in-place numpy operation over the batch.
+    """
+    for pivot, bit in zip(pivots, low):
+        np.bitwise_and(rows, bit, out=mask)
+        np.negative(mask, out=mask)
+        np.bitwise_and(mask, pivot, out=mask)
+        np.bitwise_xor(rows, mask, out=rows)
 
 
 @dataclass
@@ -200,19 +228,58 @@ class PointSpace:
         The space is streamed in blocks of GF2_BLOCK codes.  Over GF(2) the
         block at base b holds the codes b ^ o, and M is additive in its
         coordinates, so its rows are the cached offset rows XOR the rows
-        of b.
+        of b.  The bases hold only the high code bits, which fill the last
+        rows, so the rows before the first one that some base touches are
+        the same in every block.  Rank does not depend on the order of the
+        rows, so those are reduced first, once per call, and kept with
+        their low bits and partial ranks.  Reduction against them is
+        GF(2)-linear, so each of a block's own rows, offset ^ base, is
+        reduced as the once-reduced offset row XOR base XOR a once-reduced
+        correction per bit of base; each block then eliminates only its
+        own rows among themselves (`_eliminate_gf2`).  A block's rows have
+        a bit at or above the row width exactly when its offset or its
+        base rows do, so those two tables are checked, not each block.
         """
         out = np.empty(self.n_points, dtype=np.min_scalar_type(self.max_raw))
         starts = np.arange(0, self.n_points, GF2_BLOCK)
-        if self.gf2_shape:
-            bases = self._gf2_rows(starts)
+        if not self.gf2_shape:
+            for start in starts.tolist():
+                codes = np.arange(start, min(start + GF2_BLOCK, self.n_points))
+                out[start:start + GF2_BLOCK] = self.raw_between([0], codes)[0]
+            return out
+        offsets, bases = self._gf2_offsets, self._gf2_rows(starts)
+        ncols = self.gf2_shape[1]
+        for table in (offsets, bases):
+            _check_gf2_bits(table, ncols)
+        # the rows before the first one a base touches (all if none is)
+        shared = int(np.argmax(np.append(bases.any(axis=1), True)))
+        width = offsets.shape[1]  # every block's: a GF(2) space has 2^k points
+        cached, low = offsets[:shared].copy(), np.empty_like(offsets[:shared])
+        prefix = np.zeros(width, dtype=np.uint8)
+        _eliminate_gf2(cached, low, prefix)
+        # R, the reduction against the cached pivots, is linear, so an own
+        # row offset ^ base reduces to R(offset) ^ base ^ (R(2^j) ^ 2^j for
+        # each bit j of base): reduce the own offsets, and the unit rows of
+        # the bits some base sets, once
+        own_bases = bases[shared:]
+        used = int(np.bitwise_or.reduce(own_bases, axis=None))
+        bits = [1 << j for j in range(ncols) if used >> j & 1]
+        units = np.array(bits, dtype=offsets.dtype)[:, np.newaxis]
+        reduced = np.concatenate([offsets[shared:], np.broadcast_to(units, (len(units), width))])
+        _reduce_gf2(reduced, cached, low, np.empty_like(reduced))
+        own_offsets = reduced[:len(own_bases)]
+        corrections = [(bit, correction) for bit, correction in
+                       zip(bits, reduced[len(own_bases):] ^ units) if correction.any()]
+        own, own_low = np.empty_like(own_offsets), np.empty_like(own_offsets)
         for k, start in enumerate(starts.tolist()):
-            stop = min(start + GF2_BLOCK, self.n_points)
-            if self.gf2_shape:
-                rows = self._gf2_offsets[:, :stop - start] ^ bases[:, k:k + 1]
-                out[start:stop] = rank_batch_gf2(rows.T, self.gf2_shape[1])
-            else:
-                out[start:stop] = self.raw_between([0], np.arange(start, stop))[0]
+            for row, offset, base in zip(own, own_offsets, own_bases[:, k].tolist()):
+                np.bitwise_xor(offset, base, out=row)
+                for bit, correction in corrections:
+                    if base & bit:
+                        np.bitwise_xor(row, correction, out=row)
+            ranks = out[start:start + GF2_BLOCK]  # uint8: max_raw <= 64
+            ranks[:] = prefix
+            _eliminate_gf2(own, own_low, ranks)
         return out
 
     def raw_between(self, codes_y: np.ndarray, codes_z: np.ndarray) -> np.ndarray:
@@ -329,7 +396,8 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
     temporary), and each class's first CENSUS_REPRESENTATIVES codes are
     found block by block, stopping once every class has them.  One
     `raw_between` call measures every representative against every
-    first-class point."""
+    first-class point, and each representative's row is histogrammed in
+    its own type (`_bincount`)."""
     n = space.n_points
     if n > cfg.census_max_points:
         raise CensusError(
@@ -376,12 +444,12 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
     for r in range(n_classes + 1):
         rows = []
         for _ in members[r]:
-            hist = np.bincount(next(dists), minlength=observed[-1] + 1)
-            bad = [int(v) for v in np.flatnonzero(hist) if int(v) not in class_of_raw]
+            hist = _bincount(next(dists), int(observed[-1]) + 1)
+            bad = [v for v, h in enumerate(hist) if h and v not in class_of_raw]
             if bad:
                 raise CensusError(f"distances {bad} between points do not occur "
                                   "from the base point")
-            rows.append(tuple(int(x) for x in hist[observed]))
+            rows.append(tuple(hist[v] for v in observed.tolist()))
         if len(set(rows)) != 1:
             raise CensusError(
                 f"representatives of class {r} disagree: {sorted(set(rows))}; "
@@ -406,6 +474,15 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
         measured_p=tuple(p_table),
         representatives_checked=tuple(reps_checked),
     )
+
+
+def _bincount(row: np.ndarray, minlength: int) -> list[int]:
+    """np.bincount(row, minlength=minlength) of a row of distances, counted
+    in the row's own type by one comparison with every value per
+    GF2_BLOCK entries, so that no intp copy of a long row is made."""
+    values = np.arange(max(int(row.max()) + 1, minlength), dtype=row.dtype)[:, np.newaxis]
+    return sum(np.count_nonzero(row[start:start + GF2_BLOCK] == values, axis=1)
+               for start in range(0, len(row), GF2_BLOCK)).tolist()
 
 
 def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:

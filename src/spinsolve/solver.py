@@ -330,10 +330,17 @@ def _real_times(u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _cube(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(U diag(t))^3 = U (T (U (T U T))), two real-by-complex products."""
+    """(U diag(t))^3 = U (T (U (T U T))), two real-by-complex products.
+    The diagonal scalings run in place in arrays the function already
+    holds, as (col * u) * t and col * w: that operand order fixes every
+    rounding of the cube."""
     t = np.asarray(t, dtype=complex)
     col = t[:, np.newaxis]
-    return _real_times(u, col * _real_times(u, col * u * t))
+    w = col * u
+    w *= t
+    w = _real_times(u, w)
+    np.multiply(col, w, out=w)
+    return _real_times(u, w)
 
 
 def _rounding_scale(u: np.ndarray, t: np.ndarray) -> float:

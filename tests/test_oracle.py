@@ -1,5 +1,7 @@
 """Census machinery: ranks, exhaustive counts, closed-form agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,23 @@ def test_disagreeing_representatives_are_an_error():
         census(space)
 
 
+class _StraySpace(PointSpace):
+    """The last representative sees one neighbour at a distance above
+    max_raw, which no point has from the base point."""
+
+    def raw_between(self, codes_y, codes_z):
+        dists = super().raw_between(codes_y, codes_z)
+        if len(codes_y) > 1:
+            dists[-1, 0] = self.max_raw + 1
+        return dists
+
+
+def test_a_distance_above_every_class_is_an_error():
+    space = _StraySpace(sp.FamilySpec("ngon", {"n": 9}))
+    with pytest.raises(CensusError, match=r"distances \[5\] between points do not occur"):
+        census(space)
+
+
 def test_census_of_transposed_bilinear_matches_closed_form(big_cfg):
     # 7 rows x 3 columns: the bit-packed rows are the 3 columns
     report = verify_family(sp.FamilySpec("bilinear", {"M": 7, "N": 3, "q": 2}), big_cfg)
@@ -470,3 +489,58 @@ def test_streamed_distances_match_the_general_distance(family, params):
     raws = space.raw_from_zero()
     assert raws.dtype == np.uint8
     assert raws.tolist() == space.raw_between([0], np.arange(space.n_points))[0].tolist()
+
+
+@pytest.mark.parametrize("family,params,shared", [
+    ("alternating", {"n": 7, "q": 2}, 3),  # 64 blocks
+    ("bilinear", {"M": 3, "N": 7, "q": 2}, 2),  # 64 blocks
+    ("bilinear", {"M": 7, "N": 3, "q": 2}, 0),  # transposed, every row its block's own
+    ("alternating", {"n": 6, "q": 2}, 6),  # one block: every row shared
+    ("bilinear", {"M": 1, "N": 3, "q": 2}, 1),  # smaller than one block
+])
+def test_prefix_reduced_distances_are_the_batch_ranks(family, params, shared):
+    space = PointSpace(sp.FamilySpec(family, params))
+    bases = space._gf2_rows(np.arange(0, space.n_points, GF2_BLOCK))
+    # the rows no block base touches come first
+    assert bases.any(axis=1).tolist() == [False] * shared + [True] * (len(bases) - shared)
+    raws = space.raw_from_zero()
+    for start in range(0, space.n_points, GF2_BLOCK):
+        codes = np.arange(start, min(start + GF2_BLOCK, space.n_points))
+        expected = rank_batch_gf2(space._gf2_rows(codes).T, space.gf2_shape[1])
+        assert np.array_equal(raws[codes], expected), start
+
+
+@pytest.mark.parametrize("family,params,code", [
+    ("bilinear", {"M": 4, "N": 5, "q": 2}, 1),  # in the offset table only
+    ("bilinear", {"M": 4, "N": 5, "q": 2}, GF2_BLOCK),  # a block base only
+    ("bilinear", {"M": 1, "N": 3, "q": 2}, 5),  # one block
+])
+def test_gf2_distances_refuse_bits_beyond_the_row_width(family, params, code, monkeypatch):
+    space = PointSpace(sp.FamilySpec(family, params))
+    ncols, rows_of = space.gf2_shape[1], space._gf2_rows
+
+    def rows_with_a_stray_bit(codes):
+        rows = rows_of(codes)
+        rows[-1, np.asarray(codes) == code] |= 1 << ncols
+        return rows
+
+    monkeypatch.setattr(space, "_gf2_rows", rows_with_a_stray_bit)
+    with pytest.raises(ValueError, match=f"column {ncols}"):
+        space.raw_from_zero()
+
+
+def test_census_histograms_rows_without_a_wide_cast():
+    # bilinear(1,19,2): every nonzero point is a neighbour, so the census
+    # holds the uint8 distances (1 byte a point), the int64 neighbour codes
+    # (8) and six representatives' uint8 rows (6).  An intp cast of one
+    # row while histogramming it would add 8 more.
+    space = PointSpace(sp.FamilySpec("bilinear", {"M": 1, "N": 19, "q": 2}))
+    census(PointSpace(space.spec))  # warm numpy's own caches first
+    tracemalloc.start()
+    try:
+        cen = census(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cen.representatives_checked == (1, 5)
+    assert peak < 20 * space.n_points
