@@ -75,17 +75,19 @@ def _config(args) -> SolverConfig:
     return DEFAULT_CONFIG.with_(**{k: v for k, v in given.items() if v is not None})
 
 
-def _report(command: str, args_echo: dict, cfg: SolverConfig, result,
-            elapsed: float, fmt: str, timings: bool) -> None:
-    if fmt == "json":
+def _report(args, cfg: SolverConfig, result, elapsed: float) -> None:
+    """The report (JSON, or the table) on stdout; the wall time on stderr."""
+    action = getattr(args, f"{args.command}_action", None)
+    command = f"{args.command} {action}" if action else args.command
+    if args.format == "json":
         payload = {
             "command": command,
             "version": __version__,
             "config": dataclasses.asdict(cfg),
-            "args": args_echo,
-            "result": to_jsonable(result),
+            "args": _echo(args),
+            "result": result,
         }
-        if timings:
+        if args.timings:
             payload["timings"] = {"wall_seconds": elapsed}
         print(dumps_report(payload))
     else:
@@ -196,48 +198,30 @@ def _build_scheme(args, cfg: SolverConfig):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_solve(args) -> int:
-    cfg = _config(args)
-    start = time.perf_counter()
-    scheme = _build_scheme(args, cfg)
-    result = solve(scheme, cfg)
-    _report("solve", _echo(args), cfg, result, time.perf_counter() - start,
-            args.format, args.timings)
-    return 0
+# Each handler takes the parsed flags and the config they set, and returns
+# (result, exit code); main times it and reports the result.
 
 
-def _cmd_families(args) -> int:
-    cfg = _config(args)
-    start = time.perf_counter()
-    scheme = _build_scheme(args, cfg)
-    _report("families", _echo(args), cfg, scheme, time.perf_counter() - start,
-            args.format, args.timings)
-    return 0
+def _cmd_solve(args, cfg: SolverConfig):
+    return solve(_build_scheme(args, cfg), cfg), 0
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _config(args)
-    start = time.perf_counter()
+def _cmd_families(args, cfg: SolverConfig):
+    return _build_scheme(args, cfg), 0
+
+
+def _cmd_oracle(args, cfg: SolverConfig):
     _check_family_flags(args)
     spec = _family_spec(args)
     if args.oracle_action == "census":
-        result = census(PointSpace(spec), cfg)
-        code = 0
-    else:
-        result = verify_family(spec, cfg)
-        code = 0 if result["match"] else ASSERTION_ERROR
-    _report(f"oracle {args.oracle_action}", _echo(args), cfg, result,
-            time.perf_counter() - start, args.format, args.timings)
-    return code
+        return census(PointSpace(spec), cfg), 0
+    result = verify_family(spec, cfg)
+    return result, 0 if result["match"] else ASSERTION_ERROR
 
 
-def _cmd_verify(args) -> int:
-    cfg = _config(args)
-    start = time.perf_counter()
+def _cmd_verify(args, cfg: SolverConfig):
     result = theorems.verify_theorem(args.theorem, cfg, **_claim_kwargs(args))
-    _report("verify", _echo(args), cfg, result, time.perf_counter() - start,
-            args.format, args.timings)
-    return 0 if result["pass"] else ASSERTION_ERROR
+    return result, 0 if result["pass"] else ASSERTION_ERROR
 
 
 # The range flags each claim reads; giving a claim any other is a usage error.
@@ -292,10 +276,7 @@ def _check_symbolic_flags(args) -> None:
             setattr(args, name, value)
 
 
-def _cmd_symbolic(args) -> int:
-    _check_symbolic_flags(args)
-    cfg = _config(args)
-    start = time.perf_counter()
+def _cmd_symbolic(args, cfg: SolverConfig):
     if args.symbolic_action == "quartic":
         scheme = _build_scheme(args, cfg)
         arr = scheme.array
@@ -308,18 +289,13 @@ def _cmd_symbolic(args) -> int:
             coeffs = candidate_quartic(arr, scheme.theta)
         result = {"family": scheme.family, "params": scheme.params,
                   "coefficients_high_to_low": coeffs, "ok": True}
-        code = 0
     elif args.symbolic_action == "hamming-resultant":
         result = {"factorization": hamming_factor_check(),
                   "resultant": hamming_resultant_check()}
         result["ok"] = result["factorization"]["ok"] and result["resultant"]["ok"]
-        code = 0 if result["ok"] else ASSERTION_ERROR
     else:  # bilinear-identities
         result = bilinear_identity_checks(seed=args.seed, points=args.points)
-        code = 0 if result["ok"] else ASSERTION_ERROR
-    _report(f"symbolic {args.symbolic_action}", _echo(args), cfg, result,
-            time.perf_counter() - start, args.format, args.timings)
-    return code
+    return result, 0 if result["ok"] else ASSERTION_ERROR
 
 
 def _echo(args) -> dict:
@@ -406,7 +382,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "symbolic":
+            _check_symbolic_flags(args)  # stray flags are refused before --tol is read
+        cfg = _config(args)
+        start = time.perf_counter()
+        result, code = args.func(args, cfg)
+        _report(args, cfg, result, time.perf_counter() - start)
+        return code
     except (BuildError, CensusError, DegenerateSchemeError, SingularCubeError,
             ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -32,8 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 __all__ = [
     "SolverConfig",
     "IntersectionArray",
@@ -316,8 +314,8 @@ class SchemeInstance:
             "params": self.params,
             "size": _num_json(self.size),
             "array": self.array.as_dict(),
-            "eigenvalues": [float(t) for t in self.theta],
-            "eigenmatrix": [[float(x) for x in row] for row in self.eigenmatrix],
+            "eigenvalues": self.theta.tolist(),
+            "eigenmatrix": self.eigenmatrix.tolist(),
             "self_dual_defect": self.self_dual_defect,
         }
 
@@ -396,7 +394,8 @@ def max_abs(m) -> float:
 #
 # Complex numbers serialize as {"re": ..., "im": ...}; matrices row-major.
 # Floats use Python's shortest round-trip repr, so identical inputs always
-# produce byte-identical reports.
+# produce byte-identical reports.  _leaf holds the one set of rules, for
+# the values json cannot write itself; json applies it as it writes.
 # ---------------------------------------------------------------------------
 
 
@@ -405,38 +404,31 @@ def _cplx(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _num_json(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
+def _num_json(x: Fraction) -> int | float:
+    """An exact rational as a report writes it: an int when it is whole."""
+    return int(x) if x.denominator == 1 else float(x)
 
 
-def to_jsonable(obj):
-    """Recursively convert package types into JSON-serializable data."""
+def _leaf(obj):
+    """json's default hook: an object with as_dict becomes as_dict(), a
+    complex number {"re", "im"}, a Fraction an int or a float, a numpy
+    array or scalar its tolist().  json writes what comes back in turn."""
     if hasattr(obj, "as_dict"):
-        return to_jsonable(obj.as_dict())
+        return obj.as_dict()
     if isinstance(obj, complex):
         return _cplx(obj)
     if isinstance(obj, Fraction):
         return _num_json(obj)
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(row) for row in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_jsonable(obj):
+    """obj as plain JSON data, by the rules dumps_report writes it with: a
+    JSON round trip, so an integer dict key comes back as a string."""
+    return json.loads(json.dumps(obj, default=_leaf))
 
 
 def dumps_report(obj) -> str:
-    return json.dumps(to_jsonable(obj), indent=2, allow_nan=False)
+    return json.dumps(obj, default=_leaf, indent=2, allow_nan=False)

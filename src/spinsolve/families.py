@@ -201,10 +201,12 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     return pt.T.copy()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
     """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P),
     the defect max |P^2 - |X| I| / |X| that the scheme reports.  eigs is the
-    spectrum in strictly descending order.
+    spectrum in strictly descending order.  A P beyond the float range
+    overflows quietly: its NaN defect is the refusal build() raises.
 
     In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
     so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole

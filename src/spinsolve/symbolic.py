@@ -573,6 +573,31 @@ def reciprocal_numerator(t: RationalFunction) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
+_HAMMING_COFACTORS: tuple | None = None
+
+
+def _hamming_cofactors() -> tuple:
+    """(vars, shared, cofactors) for the Hamming family: the shared
+    quadratic factor 1 - 2x + qx + x^2 and, for i = 2 and 3, the exact
+    quotient of the numerator of t_i(x)t_i(1/x)-1 by it, or the
+    NonExactDivision that division raised.  Computed once per process."""
+    global _HAMMING_COFACTORS
+    if _HAMMING_COFACTORS is not None:
+        return _HAMMING_COFACTORS
+    params = hamming_profile_params()
+    vars_ = params.vars
+    x, nn, q = polynomial_ring(*vars_)
+    shared = MultiPoly.constant(vars_, 1) - 2 * x + q * x + x**2
+    cofactors = {}
+    for i in (2, 3):
+        try:
+            cofactors[i] = exact_divide(reciprocal_numerator(symbolic_t(i, params)), shared)
+        except NonExactDivision as err:
+            cofactors[i] = err
+    _HAMMING_COFACTORS = (vars_, shared, cofactors)
+    return _HAMMING_COFACTORS
+
+
 def hamming_factor_check() -> dict:
     """Expand the numerators of t_2(x)t_2(1/x)-1 and t_3(x)t_3(1/x)-1 for
     the Hamming family and divide out their shared quadratic factor
@@ -582,38 +607,25 @@ def hamming_factor_check() -> dict:
     coefficient at N + q - Nq (equal to the constant term), which settles
     the one coefficient that is ambiguous on the printed page.
     """
-    params = hamming_profile_params()
-    vars_ = params.vars
-    x, nn, q = polynomial_ring(*vars_)
-    one = MultiPoly.constant(vars_, 1)
-    shared = one - 2 * x + q * x + x**2
+    vars_, shared, quotients = _hamming_cofactors()
+    _, nn, q = polynomial_ring(*vars_)
 
     report: dict = {"shared_factor": str(shared), "profiles": {}}
-    cofactors = {}
-    for i in (2, 3):
-        t = symbolic_t(i, params)
-        numerator = reciprocal_numerator(t)
-        try:
-            cof = exact_divide(numerator, shared)
-            divisible = True
-        except NonExactDivision as err:
-            cof = None
-            divisible = False
+    for i, cof in quotients.items():
+        if isinstance(cof, NonExactDivision):
             report["profiles"][f"t{i}"] = {
                 "divisible": False,
-                "remainder_witness": str(err.remainder),
+                "remainder_witness": str(cof.remainder),
             }
             continue
-        cofactors[i] = cof
         report["profiles"][f"t{i}"] = {
             "divisible": True,
             "cofactor": str(cof),
             "cofactor_degree_x": cof.degree("x"),
             "cofactor_coefficients_x": [str(c) for c in cof.coefficients_in("x")],
         }
-    if 2 in cofactors:
-        cof2 = cofactors[2]
-        coeffs = cof2.coefficients_in("x")
+    if not isinstance(quotients[2], NonExactDivision):
+        coeffs = quotients[2].coefficients_in("x")
         expected_const = nn + q - nn * q
         report["cofactor2_constant_is_N+q-Nq"] = coeffs[0] == expected_const
         report["cofactor2_x_coefficient_is_q-2"] = coeffs[1] == q - 2
@@ -630,14 +642,13 @@ def hamming_resultant_check() -> dict:
     """Resultant in x of the two Hamming cofactors, compared exactly (up
     to overall sign) with 4(N-1)^2 (q-2)^2 (q-1)^2 (Nq-N-2)^2 (Nq-N-q)^4,
     and evaluated at (N, q) = (3, 3) where it equals 82944."""
-    params = hamming_profile_params()
-    vars_ = params.vars
-    x, nn, q = polynomial_ring(*vars_)
+    vars_, _, quotients = _hamming_cofactors()
+    _, nn, q = polynomial_ring(*vars_)
     one = MultiPoly.constant(vars_, 1)
-    shared = one - 2 * x + q * x + x**2
-    cof2 = exact_divide(reciprocal_numerator(symbolic_t(2, params)), shared)
-    cof3 = exact_divide(reciprocal_numerator(symbolic_t(3, params)), shared)
-    res = sylvester_resultant(cof2, cof3, "x")
+    for cof in quotients.values():
+        if isinstance(cof, NonExactDivision):
+            raise cof
+    res = sylvester_resultant(quotients[2], quotients[3], "x")
     target = 4 * (nn - one) ** 2 * (q - 2) ** 2 * (q - one) ** 2 \
         * (nn * q - nn - 2) ** 2 * (nn * q - nn - q) ** 4
     sign = 1 if res == target else -1 if res == -target else 0

@@ -590,3 +590,18 @@ def test_singular_cube_exits_2(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: cube of P diag(t) is numerically singular")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--family", "hamming", "--N", "1020", "--q", "2"],
+                                  ["families", "--family", "hamming", "--N", "600", "--q", "2"]],
+                         ids=["solve-1020", "families-600"])
+def test_overflowing_eigenmatrix_refusal_prints_one_error_line(argv):
+    # a fresh process with every warning shown: numpy's overflow in the
+    # eigenmatrix and in P @ P must not reach stderr ahead of the refusal
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsolve.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "always", "-m", "spinsolve.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: no eigenvalue ordering meets the self-duality tolerance")

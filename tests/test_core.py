@@ -3,8 +3,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from spinsolve import cli
 from spinsolve.core import (
     IntersectionArray,
     SolverConfig,
@@ -13,6 +15,11 @@ from spinsolve.core import (
     valencies,
     validate_array,
 )
+from spinsolve.families import FamilySpec, build
+from spinsolve.oracle import PointSpace, census
+from spinsolve.solver import solve
+from spinsolve.symbolic import symbolic_quartic
+from spinsolve.theorems import verify_theorem
 
 
 def test_hamming_array_is_valid():
@@ -180,3 +187,96 @@ def test_caching_leaves_equality_and_hash_alone():
     assert arr == twin and hash(arr) == hash(twin) == before
     assert arr != IntersectionArray(b=[3, 2, 1], c=[1, 2, 2], a=[0, 0, 0, 1])
     assert len({arr, twin}) == 1
+
+
+# -- one set of leaf rules -----------------------------------------------------
+
+
+def _reference_jsonable(obj):
+    """The recursive copy dumps_report made before json's default hook
+    applied the leaf rules; kept as the reference the hook must match."""
+    if hasattr(obj, "as_dict"):
+        return _reference_jsonable(obj.as_dict())
+    if isinstance(obj, complex):
+        return {"re": complex(obj).real, "im": complex(obj).imag}
+    if isinstance(obj, Fraction):
+        return int(obj) if obj.denominator == 1 else float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonable(row) for row in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def _reference_dumps(obj) -> str:
+    return json.dumps(_reference_jsonable(obj), indent=2, allow_nan=False)
+
+
+QUARTIC_FRACTIONS = (Fraction(5, 2), Fraction(1, 3), Fraction(7, 4), Fraction(3, 2))
+
+REPORTS = {
+    "solve-hamming(4,3)": lambda: solve(build(FamilySpec("hamming", {"N": 4, "q": 3}))),
+    "solve-ngon(12)": lambda: solve(build(FamilySpec("ngon", {"n": 12}))),
+    "solve-bilinear(3,3,2)": lambda: solve(build(FamilySpec("bilinear",
+                                                            {"M": 3, "N": 3, "q": 2}))),
+    "build-hermitian(3,2)": lambda: build(FamilySpec("hermitian", {"n": 3, "q": 2})),
+    "census-alternating(6,2)": lambda: census(PointSpace(FamilySpec("alternating",
+                                                                    {"n": 6, "q": 2}))),
+    "theorem-1": lambda: verify_theorem(1, n_random=5),
+    "theorem-2": lambda: verify_theorem(2),
+    "theorem-3": lambda: verify_theorem(3),
+    "theorem-6": lambda: verify_theorem(6),
+    "symbolic-quartic": lambda: {"coefficients_high_to_low":
+                                 symbolic_quartic(*QUARTIC_FRACTIONS)},
+    "numpy-leaves": lambda: {"array": np.arange(6, dtype=float).reshape(2, 3),
+                             "int64": np.int64(-7), "float32": np.float32(0.1),
+                             "bool": np.bool_(True), "complex128": np.complex128(1.5 - 2j),
+                             "complex-array": np.array([1j, 2 + 0.5j])},
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_dumps_report_matches_the_recursive_reference(name):
+    obj = REPORTS[name]()
+    assert dumps_report(obj) == _reference_dumps(obj)
+    assert to_jsonable(obj) == json.loads(dumps_report(obj))
+
+
+def test_symbolic_quartic_fractions_write_as_floats():
+    coeffs = symbolic_quartic(*QUARTIC_FRACTIONS)
+    assert any(isinstance(c, Fraction) for c in coeffs)
+    assert json.loads(dumps_report(coeffs)) == [float(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("value", [float("nan"), np.float64("nan"), np.float32("inf"),
+                                   complex(float("nan"), 0.0)])
+def test_dumps_report_refuses_non_finite_values(value):
+    with pytest.raises(ValueError):
+        dumps_report({"x": [value]})
+
+
+def test_dumps_report_refuses_unknown_objects():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        dumps_report({"x": object()})
+
+
+def test_to_jsonable_writes_integer_keys_as_strings():
+    assert to_jsonable({1: np.int64(2)}) == {"1": 2}
+
+
+def test_table_format_matches_the_reference(capsys, monkeypatch):
+    argv = ["families", "--family", "hermitian", "--n", "3", "--q", "2", "--format", "table"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "to_jsonable", _reference_jsonable)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert out.startswith("family: hermitian\n")
