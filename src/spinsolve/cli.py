@@ -112,6 +112,11 @@ def _print_table(result) -> None:
             widths = [max(len(_fmt(cell)) for cell in col) for col in zip(*value)]
             for row in value:
                 print("   " + "  ".join(_fmt(c).rjust(w) for c, w in zip(row, widths)))
+        elif isinstance(value, list) and value and isinstance(value[0], dict) \
+                and set(value[0]) != {"re", "im"}:
+            # records (solutions, rejected x, instances): one line each
+            for k, item in enumerate(value):
+                print(f"{key}[{k}]: {_fmt(item)}")
         else:
             print(f"{key}: {_fmt(value)}")
 

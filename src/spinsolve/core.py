@@ -52,8 +52,9 @@ class SolverConfig:
     """The two values a caller sets (--tol and --max-points), threaded
     explicitly through every operation that reads them.
 
-    residual_tol is relative to the rounding scale S of (UT)^3, U the
-    symmetric frame of P (see the solver module).  census_max_points caps
+    residual_tol bounds the gap of the solver's one-product test
+    R = kappa U, each entry relative to its own rounding scale (see the
+    solver module).  census_max_points caps
     the points a census enumerates.  The fixed tolerances sit beside the
     one decision each makes: ROOT_DEDUP_TOL and FILTER_TOL in the solver,
     SELF_DUAL_TOL in families.
@@ -323,9 +324,11 @@ class SchemeInstance:
 @dataclass(frozen=True)
 class SolutionCandidate:
     """One diagonal solution: the ratio x = T_1/T_0, the profile t_i = T_i/T_0,
-    the scalar mu with (U diag(t))^3 = mu I, a cube root T_0 of 1/mu, the
-    full diagonal, and the verified residual of (U diag(T))^3 - I, where
-    U = K^{1/2} P K^{-1/2} is the symmetric frame of P."""
+    the scalar mu = |X| kappa with (U diag(t))^3 = mu I, a cube root T_0
+    of 1/mu, the full diagonal, and as residual the gap of the product
+    test that decided its reciprocal pair, where U = K^{1/2} P K^{-1/2} is
+    the symmetric frame of P.  A member derived from its pair's decided
+    one (see the solver module) shares that gap."""
 
     x: complex
     t: tuple[complex, ...]

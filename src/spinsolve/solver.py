@@ -9,9 +9,9 @@ coefficients vanish, and each z gives a reciprocal pair x, 1/x.  Each x
 generates the full profile t_i = T_i/T_0 by a three-term forward
 recurrence, the pair is filtered by the reciprocal identities
 t_i(x) t_i(1/x) = 1 and by the terminal recurrence equation, and finally
-(P diag(t))^3 must be a scalar matrix mu I, with T_0 ranging over the
-three cube roots of 1/mu.  At most 4 x-values times 3 cube roots can
-survive, so no input yields more than 12 solutions.
+one matrix product decides whether (P diag(t))^3 is a scalar matrix mu I,
+with T_0 ranging over the three cube roots of 1/mu.  At most 4 x-values
+times 3 cube roots can survive, so no input yields more than 12 solutions.
 
 The filter decides each pair once, on the profile of its dominant member
 x_d: |x_d| > 1, or on the unit circle the member listed first (filter_x,
@@ -26,38 +26,42 @@ FILTER_TOL times the sum of their terms' moduli.  Reasons:
     s_k, and a zero or non-finite t_k fails it as well;
   - "terminal_failed": row N, which has no forward term, or the terminal
     equation of t fails.
-Both members get that decision, and the |x| < 1 member's profile is
-1/t(x_d).  filter_x runs the same check.  The recurrence runs on Python
-complex numbers, one plain division per step.
+filter_x runs the same check.  The recurrence runs on Python complex
+numbers, one plain division per step.
 
-The cube is measured in the symmetric frame U = K^{1/2} P K^{-1/2}, K the
-diagonal of the valencies (Bannai, Bannai and Jaeger 1997): U is
-symmetric with U/sqrt|X| orthogonal, so its entries are at most sqrt|X|
-where P's reach k_N, and (P T)^3 = K^{-1/2} (U T)^3 K^{1/2} is the same
-equation.  solve forms U once; the cube m = (U T)^3 is U (T (U (T U T))),
-two real-by-complex matrix products.  It is formed once per x:
-(U diag(T_0 t))^3 = T_0^3 (U diag(t))^3.  Every decision on it is held to
-its own rounding scale S, the largest row sum of (|U||T|)^3 (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5):
-  - m is scalar when max |m - mu I| <= residual_tol S and |mu| exceeds
-    3 dim u S, which bounds the rounding of its diagonal mean (u the unit
-    roundoff); else x is rejected as non_scalar_cube;
-  - with c = T_0^3 and off the largest off-diagonal modulus of m, a root's
-    residual is max(|c m_ii - 1|, |c| off), which is max |c m - I| up to
-    the rounding of the off-diagonal products (section 3.6);
-  - a root is accepted when its residual is at most
-    residual_tol max(1, S/|mu|).  An x whose three roots all miss that is
-    rejected as residual_failed; when only some miss, each is rejected as
-    "residual_failed at root=k", k its index in t0_roots: root 0 is
-    |mu|^(-1/3) exp(-i arg(mu)/3) with arg(mu) in (-pi, pi], a zero
-    imaginary part read as +0.0, and roots 1 and 2 follow in +2 pi/3 steps.
+The product decision works in the symmetric frame U = K^{1/2} P K^{-1/2},
+K the diagonal of the valencies (Bannai, Bannai and Jaeger, "On spin
+models, modular invariance, and duality", J. Algebraic Combin. 6 (1997)):
+U is symmetric with entries at most sqrt|X|, where P's reach k_N, and
+(P T)^3 = K^{-1/2} (U T)^3 K^{1/2} is the same equation.  Its premise is
+U^2 = |X| I, which the reciprocal filter already assumes, and solve reads
+|X| as (U^2)_00.  Then U^{-1} = U/|X|, so (U T)^3 = I iff
+U T U = T^{-1} U T^{-1} / |X|; with T = T_0 diag(t) and A = U diag(t) U
+that is
+    R_ij = A_ij t_i t_j = kappa U_ij for all i, j,  kappa = 1/(|X| T_0^3),
+and (U diag(t))^3 = mu I with mu = |X| kappa.  So one real-by-complex
+product decides the pair on x_d, with no cube formed.  Each entry is held
+to the rounding scale W_ij = r_i r_j + c |U_ij|: r_i = |t_i| sqrt(((U o U)|t|)_i)
+bounds the terms of R_ij by Cauchy-Schwarz, (|U||T||U|)_ij |t_i t_j| <= r_i r_j,
+and kappa is read from the diagonal entry with the largest |U_kk|/r_k^2,
+the smallest rounding scale c = r_k^2/|U_kk| a diagonal quotient
+R_kk/U_kk can have.  The pair passes when the gap max |R - kappa U|/W is
+at most residual_tol and every r_i is finite; else both members are
+rejected as "non_scalar_cube".  A pass proves (U D)^3 = kappa U^2 for
+D = diag(t), so x_d keeps the three roots T_0 of 1/mu, each solution
+reporting the gap as its residual; a mu of modulus at most 1e-300 raises
+SingularCubeError.
 
-A real z with |z| < 2 gives an on-circle pair, whose partner
-roots_of_quartic forms as the exact conjugate of x.  Rounding is
-sign-symmetric, so the partner's profile and cube equal the conjugates
-of x's, and neither is formed again (_conjugate_cube).  verify_solution,
-which cubes P diag(T) directly, is the independent check that tests
-compare against.
+The other member is never decided: if T solves the equation, so does
+T^{-1}/|X| (Bannai, Bannai and Jaeger 1997), with ratio 1/x_d.  Its
+solutions are 1/(|X| T_0 t), the profile 1/t (on the unit circle
+conj(t), the same values and t_profile's own for the conjugate ratio
+roots_of_quartic lists), mu' = |X|^3/mu and T_0' the cube roots of
+1/mu', which are omega^k/(|X| T_0).  So every count is closed under
+x -> 1/x, and a pair gives 0 or 6 solutions (3 for a self-reciprocal
+x = +-1).  The |x| < 1 member could not be decided on its own: kappa is
+tiny there and A's leading entries cancel.  verify_solution, which cubes
+P diag(T) directly, is the independent check that tests compare against.
 
 Family classifications are never baked in here; they are asserted by
 tests and the verification CLI against this solver's raw output.
@@ -298,19 +302,15 @@ def _within(gap: complex, total: float) -> bool:
 
 
 class SingularCubeError(ArithmeticError):
-    """(U diag(t))^3 is numerically zero, so no cube root T_0 of 1/mu
+    """kappa, and so mu, is numerically zero, so no cube root T_0 of 1/mu
     exists; U and t were expected invertible."""
 
 
 class ScalarCube(NamedTuple):
-    is_scalar: bool
-    mu: complex
-    t0_roots: tuple[complex, ...]
-    defect: float  # max |(U diag(t))^3 - mu I|
-    scale: float  # S, the largest row sum of (|U||T|)^3: the cube's rounding scale
-    off: float  # the largest off-diagonal modulus of (U diag(t))^3
-    diagonal: np.ndarray  # the diagonal of (U diag(t))^3
-    matrix: np.ndarray | None = None  # (U diag(t))^3; not formed for a derived conjugate
+    is_scalar: bool  # the one-product identity holds: (U diag(t))^3 = mu I
+    mu: complex  # |X| kappa
+    t0_roots: tuple[complex, ...]  # the cube roots of 1/mu; () when not scalar
+    gap: float  # max |R_ij - kappa U_ij| / W_ij, held to residual_tol
 
 
 def symmetric_frame(arr: IntersectionArray, p: np.ndarray) -> np.ndarray:
@@ -329,60 +329,30 @@ def _real_times(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (u @ w.view(np.float64)).view(np.complex128)
 
 
-def _cube(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(U diag(t))^3 = U (T (U (T U T))), two real-by-complex products.
-    The diagonal scalings run in place in arrays the function already
-    holds, as (col * u) * t and col * w: that operand order fixes every
-    rounding of the cube."""
+def scalar_and_T0(u: np.ndarray, t: np.ndarray, size: float,
+                  cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
+    """Decide whether (U diag(t))^3 is a scalar matrix mu I, for a real
+    square float64 U with U^2 = size I, by the one-product identity
+    R = kappa U (module docstring), and return mu = size kappa with the
+    three cube roots of 1/mu (in _cube_roots' order) when it is."""
     t = np.asarray(t, dtype=complex)
     col = t[:, np.newaxis]
-    w = col * u
-    w *= t
-    w = _real_times(u, w)
-    np.multiply(col, w, out=w)
-    return _real_times(u, w)
-
-
-def _rounding_scale(u: np.ndarray, t: np.ndarray) -> float:
-    """S = max_i ((|U||T|)^3 1)_i, by three matrix-vector products: every
-    entry of the computed cube is within a small multiple of u S."""
-    abs_u, abs_t = np.abs(u), np.abs(np.asarray(t, dtype=complex))
-    rows = np.ones(len(abs_t))
-    for _ in range(3):
-        rows = abs_u @ (abs_t * rows)
-    return float(rows.max())
-
-
-def scalar_and_T0(u: np.ndarray, t: np.ndarray,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> ScalarCube:
-    """Check that (U diag(t))^3 is a scalar matrix mu I, for any real
-    square float64 U, and return the three cube roots of 1/mu (in
-    _cube_roots' order) together with the cube itself."""
-    return _scalar_cube(_cube(u, t), _rounding_scale(u, t), cfg)
-
-
-def _scalar_cube(m: np.ndarray, scale: float, cfg: SolverConfig) -> ScalarCube:
-    """scalar_and_T0 of the C-contiguous cube m with rounding scale S: m is
-    scalar when its defect is at most residual_tol S and |mu| > 3 dim u S."""
-    dim = m.shape[0]
-    mu = complex(np.trace(m)) / dim
-    # one |m|, its diagonal (every (dim + 1)-th entry of the C-contiguous
-    # cube) zeroed, so that its max is the largest off-diagonal modulus; off
-    # the diagonal, m - mu I is m itself
-    mag = np.abs(m)
-    mag.reshape(-1)[::dim + 1] = 0.0
-    off = float(mag.max())
-    diagonal = m.diagonal().copy()
-    defect = _nan_max(off, float(np.abs(diagonal - mu).max()))
-    unit = np.finfo(float).eps / 2
-    if not (defect <= cfg.residual_tol * scale and abs(mu) > 3 * dim * unit * scale):
-        return ScalarCube(False, mu, (), defect, scale, off, diagonal, m)
-    return ScalarCube(True, mu, _cube_roots(mu), defect, scale, off, diagonal, m)
-
-
-def _nan_max(a: float, b: float) -> float:
-    """max(a, b), NaN when either is, as np.max over both would be."""
-    return a if a >= b or a != a else b
+    r = _real_times(u, col * u)  # A = U diag(t) U
+    r *= col
+    r *= t  # R_ij = A_ij t_i t_j
+    abs_t = np.abs(t)
+    rows = abs_t * np.sqrt((u * u) @ abs_t)
+    weights = np.abs(u.diagonal()) / (rows * rows)
+    k = int(np.argmax(weights))
+    kappa = complex(r[k, k] / u[k, k])
+    r -= kappa * u
+    scale = np.multiply.outer(rows, rows)
+    scale += np.abs(u) / weights[k]
+    gap = float((np.abs(r) / scale).max())
+    mu = size * kappa
+    if not (gap <= cfg.residual_tol and np.isfinite(rows).all()):
+        return ScalarCube(False, mu, (), gap)
+    return ScalarCube(True, mu, _cube_roots(mu), gap)
 
 
 def _cube_roots(mu: complex) -> tuple[complex, complex, complex]:
@@ -400,37 +370,6 @@ def _cube_roots(mu: complex) -> tuple[complex, complex, complex]:
     r = abs(mu) ** (-1.0 / 3.0) * cmath.exp(-1j * arg / 3.0)
     step = cmath.exp(2j * cmath.pi / 3.0)
     return (r, r * step, r * step * step)
-
-
-def _conjugate_cube(cube: ScalarCube) -> ScalarCube:
-    """_scalar_cube(m.conj(), S) of the cube m that `cube` measured, with no
-    pass over m: conjugation keeps every modulus, so the defect, S and
-    the largest off-diagonal modulus carry over, and mu and the diagonal
-    are conjugated."""
-    mu = cube.mu.conjugate()
-    roots = _cube_roots(mu) if cube.is_scalar else ()
-    return cube._replace(mu=mu, t0_roots=roots, diagonal=cube.diagonal.conj(), matrix=None)
-
-
-def _residuals(cube: ScalarCube) -> list[float]:
-    """max(|c m_ii - 1|, |c| off) for each c = t0^3, t0 in cube.t0_roots:
-    max |c m - I| up to the rounding of the off-diagonal products, which
-    is within 4u |c| off (Higham, section 3.6).  c stays the left operand,
-    as in _root_residual, so the diagonal terms are its own bit for bit."""
-    c = np.array([t0**3 for t0 in cube.t0_roots])
-    diagonal_terms = np.abs(c[:, np.newaxis] * cube.diagonal - 1.0).max(axis=1)
-    return np.maximum(diagonal_terms, np.abs(c) * cube.off).tolist()
-
-
-def _root_residual(m: np.ndarray, t0: complex) -> float:
-    """max |t0^3 m - I| over the whole cube, with I subtracted from the
-    diagonal of t0^3 m in place rather than formed; the reference that
-    _residuals is tested against.  m is C-contiguous, as a matmul result
-    is, so the flat view below is a view and its every (dim + 1)-th entry
-    is the diagonal."""
-    scaled = t0**3 * m
-    scaled.reshape(-1)[::len(m) + 1] -= 1.0
-    return max_abs(scaled)
 
 
 def verify_solution(p: np.ndarray, diag) -> float:
@@ -458,11 +397,9 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
 
     accepted: list[SolutionCandidate] = []
     rejected: list[tuple[complex, str]] = []
-    raw_count = 0
     roots = roots_of_quartic(coeffs)
-    checks: dict = {}  # each dominant member's (reason, profile)
-    cubes: dict = {}  # the ScalarCube of each x cubed, for an on-circle conjugate
-    u = None  # formed at the first cube; most arrays reject every x before
+    decisions: dict = {}  # each dominant member's (reason, profile, ScalarCube)
+    u = None  # formed at the first product; most arrays reject every x before
     for x in roots:
         # each pair {x, 1/x} is decided once, on the profile of its dominant
         # member; on the unit circle, where roots_of_quartic lists the
@@ -470,53 +407,38 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
         on_circle = abs(abs(x) - 1.0) <= ROOT_DEDUP_TOL
         conj = x.conjugate()
         if on_circle:
-            dominant = conj if conj in checks else x
+            dominant = conj if conj in decisions else x
         else:
             dominant = x if abs(x) >= 1.0 else min(roots, key=lambda w: abs(w * x - 1.0))
-        if dominant not in checks:
+        if dominant not in decisions:
             t = t_profile(arr, theta, dominant)
-            checks[dominant] = _pair_check(arr, theta, dominant, t), t
-        reason, t = checks[dominant]
+            reason, cube = _pair_check(arr, theta, dominant, t), None
+            if reason is None:
+                if u is None:
+                    u = symmetric_frame(arr, scheme.eigenmatrix)
+                    size = float(u[0] @ u[0])  # (U^2)_00, |X| by the premise
+                cube = scalar_and_T0(u, t, size, cfg)
+                reason = None if cube.is_scalar else "non_scalar_cube"
+            decisions[dominant] = reason, t, cube
+        reason, t, cube = decisions[dominant]
         if reason is not None:
             rejected.append((x, reason))
             continue
+        mu, t0_roots = cube.mu, cube.t0_roots
         if dominant is not x:
-            # t(x) = 1/t(1/x), and on the circle x = conj(dominant)
+            # the partner's solutions are 1/(|X| T0 t): t(x) = 1/t(1/x), on
+            # the circle x = conj(dominant), and mu' = 1/T0'^3 = |X|^3/mu
             t = t.conj() if on_circle else 1.0 / t
-        if on_circle and conj in cubes:
-            cube = _conjugate_cube(cubes[conj])
-        else:
-            if u is None:
-                u = symmetric_frame(arr, scheme.eigenmatrix)
-            cube = cubes[x] = scalar_and_T0(u, t, cfg)
-        if not cube.is_scalar:
-            rejected.append((x, "non_scalar_cube"))
-            continue
-        limit = cfg.residual_tol * max(1.0, cube.scale / abs(cube.mu))
-        failed_roots = []
-        for k, (t0, residual) in enumerate(zip(cube.t0_roots, _residuals(cube))):
-            raw_count += 1
-            if not residual <= limit:
-                failed_roots.append(k)
-                continue
-            accepted.append(
-                SolutionCandidate(
-                    x=x,
-                    t=tuple(t.tolist()),
-                    mu=cube.mu,
-                    t0=t0,
-                    diag=tuple((t0 * t).tolist()),
-                    residual=residual,
-                )
-            )
-        if len(failed_roots) == len(cube.t0_roots):
-            rejected.append((x, "residual_failed"))
-        else:
-            rejected.extend((x, f"residual_failed at root={k}") for k in failed_roots)
+            mu = size**3 / mu
+            t0_roots = _cube_roots(mu)
+        accepted.extend(
+            SolutionCandidate(x=x, t=tuple(t.tolist()), mu=mu, t0=t0,
+                              diag=tuple((t0 * t).tolist()), residual=cube.gap)
+            for t0 in t0_roots)
 
     return SolutionSet(
         scheme=scheme,
         accepted=tuple(accepted),
         rejected_x=tuple(rejected),
-        raw_count=raw_count,
+        raw_count=len(accepted),
     )

@@ -562,6 +562,15 @@ def test_table_format_smoke(capsys):
     assert "count: 6" in out
 
 
+def test_table_format_prints_one_line_per_solution(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--family", "ngon", "--n", "12",
+                           "--format", "table")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("accepted")]
+    assert [row.split(":", 1)[0] for row in rows] == [f"accepted[{k}]" for k in range(12)]
+    assert all(" T0=" in row and " residual=" in row for row in rows)
+
+
 def test_families_dump(capsys):
     code, out, _ = run_cli(capsys, "families", "--family", "hamming",
                            "--N", "3", "--q", "2")

@@ -3,26 +3,21 @@ property that code guarded.
 
 The functions named reference_* are the earlier implementations, kept
 verbatim in logic: exact Fraction arithmetic for validation and
-valencies, column writes for the eigenmatrix, and m - mu I and t0^3 m - I
-formed in full for the cube.  The rewrites do the same arithmetic with
-less overhead, so those comparisons are exact equality, but two: the
-cube (A diag(t))^3 is now formed as A (T (A (T A T))) with
-real-by-complex products where the reference multiplied complex
-A diag(t) three times, so both are held to Higham's componentwise bound
-(Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5
-and 3.6); and each root's residual is read off the cube's diagonal and
-largest off-diagonal modulus, within the rounding of the off-diagonal
-products of the full residual.  The pair filter's reference forms every
-term of every equation on numpy arrays and takes each modulus on its
-own, where solve walks the rows in order and multiplies moduli.  The
-profile recurrence has no reference: each of its steps is held to
-Higham's bound on the rounding of its terms, and a conjugate ratio to
-the conjugate profile, by value.
+valencies, column writes for the eigenmatrix, and the cube
+(P diag(t))^3 as three complex factors.  The rewrites do the same
+arithmetic with less overhead, so those comparisons are exact equality,
+but two.  The cube is the oracle of the solver's one-product decision:
+each solution's mu must be the scalar of the cube of its own profile,
+within Higham's componentwise bound on the cube's rounding (Accuracy and
+Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 3.6).  The
+pair filter's reference forms every term of every equation on numpy
+arrays and takes each modulus on its own, where solve walks the rows in
+order and multiplies moduli.  The profile recurrence has no reference:
+each of its steps is held to Higham's bound on the rounding of its
+terms, and a conjugate ratio to the conjugate profile, by value.
 """
-
 import cmath
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -128,19 +123,6 @@ def reference_cube(p, t):
     return pt @ pt @ pt
 
 
-def reference_scalar(m):
-    """(mu, defect) of a cube m as measured before: m - mu I in full."""
-    dim = m.shape[0]
-    mu = complex(np.trace(m)) / dim
-    return mu, max_abs(m - mu * np.eye(dim))
-
-
-def reference_scale(a, t):
-    """The largest row sum of (|A||T|)^3, the matrix formed in full."""
-    at = np.abs(a) * np.abs(np.asarray(t, dtype=complex))[np.newaxis, :]
-    return float((at @ at @ at).sum(axis=1).max())
-
-
 def cube_error_bound(a, t, extra=0):
     """gamma_k |A||T||A||T||A||T| with k = 6 (n + 3 + extra): each of two
     computations of (A T)^3 in any order is within gamma_{3(n + 3)} of
@@ -155,10 +137,6 @@ def cube_error_bound(a, t, extra=0):
     growth = 1.0 + float(at.sum(axis=1).max())
     return (k * unit / (1 - k * unit) * (at @ at @ at)
             + k * np.finfo(float).smallest_subnormal * growth**2)
-
-
-def reference_residual(m, t0):
-    return max_abs(t0**3 * m - np.eye(m.shape[0]))
 
 
 _REFERENCE_TWO_COS = {
@@ -263,12 +241,6 @@ def assert_solves_recurrence(arr, theta, x, t):
         total = (v[i] * abs(t[i]) * (abs(x) * abs(th[i]) + abs(a[i]))
                  + b[i - 1] * v[i - 1] * abs(t[i - 1]) + c[i] * v[i + 1] * abs(t[i + 1]))
         assert gap[0] ** 2 + gap[1] ** 2 <= Fraction(gamma * total) ** 2, (x, i)
-
-
-def bits(values):
-    """The bit patterns of complex values: equal iff equal with the signs of
-    their zeros."""
-    return np.asarray(list(values), dtype=complex).view(np.uint64).tolist()
 
 
 # -- strategies ----------------------------------------------------------------
@@ -407,57 +379,43 @@ def test_profiles_and_filters_of_every_root_match_reference(spec):
                 == reference_filter_x(scheme.array, scheme.theta, x))
 
 
-def _check_cube(p, t):
-    m = solver._cube(p, t)
-    assert m.flags.c_contiguous
-    assert np.all(np.abs(m - reference_cube(p, t)) <= cube_error_bound(p, t))
-    mu, defect = reference_scalar(m)
-    # S from three products or one matrix: sums of nonnegative terms, each
-    # within gamma_{3 dim} of the exact S
-    scale = reference_scale(p, t)
-    k = 3 * len(t)
-    assert abs(solver._rounding_scale(p, t) - scale) <= 2 * k * UNIT * scale
-    try:
-        cube = scalar_and_T0(p, t, CFG)
-    except solver.SingularCubeError:
-        assert defect <= CFG.residual_tol * solver._rounding_scale(p, t)
-        return
-    assert np.array_equal(cube.matrix, m)
-    assert bits(cube.diagonal) == bits(m.diagonal())
-    assert (cube.mu, cube.defect) == (mu, defect)
-    assert cube.is_scalar == (defect <= CFG.residual_tol * cube.scale
-                              and abs(mu) > 3 * len(t) * UNIT * cube.scale)
-    for t0 in cube.t0_roots:
-        assert solver._root_residual(m, t0) == reference_residual(m, t0)
-
-
+# Entries on a 1e-3 grid, so that no product of them underflows.
 real_matrices = st.integers(2, 7).flatmap(lambda dim: st.lists(
-    st.floats(min_value=-5, max_value=5), min_size=dim * dim, max_size=dim * dim).map(
-    lambda entries: np.array(entries).reshape(dim, dim)))
-
-
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_scalar_cube_matches_reference_on_random_profiles(data):
-    p = data.draw(real_matrices)
-    t = data.draw(st.lists(ratios, min_size=len(p), max_size=len(p)))
-    _check_cube(p, np.array(t, dtype=complex))
+    st.integers(-5000, 5000).map(lambda k: k / 1000), min_size=dim * dim,
+    max_size=dim * dim).map(lambda entries: np.array(entries).reshape(dim, dim)))
 
 
 @pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
 def test_scalar_cube_matches_reference_on_solutions(spec):
+    # the decision on each dominant member's own profile: scalar, with the
+    # mu of the reference cube; a member inside the circle is never decided
     scheme = build(spec)
     u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
     for s in solve(scheme).accepted:
-        _check_cube(u, np.array(s.t))
+        if abs(s.x) < 1 - solver.ROOT_DEDUP_TOL:
+            continue
+        cube = scalar_and_T0(u, np.array(s.t), float(scheme.size), CFG)
+        assert cube.is_scalar and cube.gap <= CFG.residual_tol
+        assert cube.t0_roots == solver._cube_roots(cube.mu)
+        off_scalar = np.abs(reference_cube(u, s.t) - cube.mu * np.eye(len(u)))
+        assert np.all(off_scalar <= cube_error_bound(u, s.t) + 1e-13 * abs(cube.mu)), s.x
 
 
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_cube_of_conjugate_profile_is_conjugate_cube(data):
+    # rounding is sign-symmetric, so the conjugate profile's decision is the
+    # conjugate of the decision: an on-circle pair decides the same
+    # whichever member comes first
     p = data.draw(real_matrices)
+    assume(np.all(p.diagonal() != 0))  # as U's, so every diagonal quotient is finite
     t = np.array(data.draw(st.lists(ratios, min_size=len(p), max_size=len(p))), dtype=complex)
-    assert np.array_equal(solver._cube(p, t.conj()), solver._cube(p, t).conj())
+    size = float(p[0] @ p[0])
+    cube = scalar_and_T0(p, t, size, CFG.with_(residual_tol=2.0))
+    twin = scalar_and_T0(p, t.conj(), size, CFG.with_(residual_tol=2.0))
+    assert twin.is_scalar == cube.is_scalar
+    # by value: x - x is +0.0 whatever the signs, so zeros may differ in sign
+    assert twin.mu == cube.mu.conjugate() and twin.gap == cube.gap
 
 
 @given(st.data())
@@ -479,33 +437,23 @@ def test_symmetric_frame_cube_matches_eigenmatrix_cube(spec):
     root_k = np.sqrt(scheme.array.float_params()[0])
     assert np.allclose(u, u.T, rtol=0, atol=1e-12 * np.abs(u).max())
     for s in solve(scheme).accepted:
-        back = solver._cube(u, s.t) / root_k[:, np.newaxis] * root_k
+        back = reference_cube(u, s.t) / root_k[:, np.newaxis] * root_k
         bound = cube_error_bound(p, s.t, extra=2)
         assert np.all(np.abs(back - reference_cube(p, s.t)) <= bound)
 
 
 @pytest.mark.parametrize("spec", SCHEMES, ids=_spec_id)
 def test_solutions_report_the_cube_of_their_own_profile(spec):
-    # a conjugate partner's cube is taken as conj of x's, never formed; it
-    # must be exactly the cube of the partner's own profile
+    # mu comes from the product test on the pair's dominant member, and a
+    # derived partner's as |X|^3/mu; each must be the scalar of the cube of
+    # that solution's own profile, and T0 a cube root of 1/mu
     scheme = build(spec)
     u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
     for s in solve(scheme).accepted:
-        cube = scalar_and_T0(u, np.array(s.t), CFG)
-        assert s.mu == cube.mu and s.t0 in cube.t0_roots
-        full = solver._root_residual(cube.matrix, s.t0)
-        assert abs(s.residual - full) <= 4 * UNIT * abs(s.t0**3) * cube.off
-
-
-@given(st.data())
-@settings(max_examples=50, deadline=None)
-def test_root_residual_matches_reference(data):
-    dim = data.draw(st.integers(1, 4))
-    entry = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-    m = np.array(data.draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)))
-    t0 = data.draw(ratios)
-    m = m.reshape(dim, dim)
-    assert solver._root_residual(m, t0) == reference_residual(m, t0)
+        cube = reference_cube(u, s.t)
+        off_scalar = np.abs(cube - s.mu * np.eye(len(u)))
+        assert np.all(off_scalar <= cube_error_bound(u, s.t) + 1e-13 * abs(s.mu)), s.x
+        assert abs(s.t0**3 * s.mu - 1) <= 1e-13
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50).filter(lambda c: c == 0 or abs(c) > 1e-3),
@@ -518,115 +466,6 @@ def test_roots_come_sorted_by_their_rounded_parts(coeffs):
     except ValueError:
         assume(False)
     assert roots == sorted(roots, key=lambda w: (round(w.real, 12), round(w.imag, 12)))
-
-
-# Moduli from the subnormal to the overflow range, the smallest normal
-# float among them.
-moduli = st.sampled_from((0.0, 5e-324, 1e-310, sys.float_info.min, 1e-295, 1e-280, 1e-200,
-                          1e-14, 1e-3, 1.0, 7.5, 1e14, 1e200, 1e300, 1e307))
-units = st.one_of(st.floats(min_value=0.0, max_value=2 * math.pi).map(
-    lambda phi: cmath.exp(1j * phi)), st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j)))
-
-
-@st.composite
-def cubes_near_scalar(draw):
-    """Square complex matrices: a diagonal around one value, and
-    off-diagonal entries all zero, of assorted moduli, or clustered within
-    a relative 1e-14 of the largest, where their roundings compete."""
-    dim = draw(st.integers(1, 5))
-    mu = draw(moduli.filter(lambda r: r > 0)) * draw(units)
-    m = np.array([[mu * (1 + draw(st.sampled_from((0.0, 1e-16, -3e-12, 1e-3)))) if i == j
-                   else 0j for j in range(dim)] for i in range(dim)])
-    kind = draw(st.sampled_from(("zero", "assorted", "margin")))
-    top = draw(moduli)
-    for i in range(dim):
-        for j in range(dim):
-            if i == j or kind == "zero":
-                continue
-            if kind == "assorted":
-                m[i, j] = draw(moduli) * draw(units)
-            else:
-                below = draw(st.sampled_from((0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e6)))
-                m[i, j] = top * (1 - 1e-14 * below) * draw(units)
-    return m
-
-
-@given(cubes_near_scalar(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
-@settings(max_examples=200, deadline=None)
-def test_peak_residuals_match_full_residuals(m, cfg):
-    # each residual is taken from the cube's peaks, its diagonal and its
-    # largest off-diagonal modulus.  The cube is held to its largest
-    # modulus, and residual_tol 2 makes every cube scalar whose mu clears
-    # 3 dim u of that modulus, so residuals are taken of matrices far from
-    # scalar too.  |fl(c m_ij)| is within 4u |c| |m_ij| of the exact
-    # modulus; below the normal range each rounding adds up to the
-    # smallest subnormal, and where c m_ij overflows no relative bound holds
-    try:
-        cube = solver._scalar_cube(m, max_abs(m), cfg)
-    except solver.SingularCubeError:
-        return
-    got = solver._residuals(cube)
-    for t0, residual in zip(cube.t0_roots, got):
-        want = solver._root_residual(m, t0)
-        assume(math.isfinite(want))
-        bound = 4 * UNIT * abs(t0**3) * cube.off + 4 * sys.float_info.min * UNIT
-        assert abs(residual - want) <= bound
-
-
-def test_peaks_keep_the_diagonal_and_the_entries_within_the_margin():
-    # the off-diagonal moduli lie within a relative 2e-14 of each other,
-    # where their roundings compete: the cube keeps its diagonal bit for
-    # bit and the largest of them exactly
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = 1e-12
-    m[1, 2] = -1e-12 * (1 - 0.5e-14)
-    m[2, 0] = 1e-12j * (1 - 2e-14)
-    m[1, 0] = 1e-13
-    cube = solver._scalar_cube(m, max_abs(m), CFG)
-    assert bits(cube.diagonal) == bits([1, 1, 1])
-    assert cube.off == abs(m[0, 1])
-    for t0, residual in zip(cube.t0_roots, solver._residuals(cube)):
-        want = solver._root_residual(m, t0)
-        assert abs(residual - want) <= 4 * UNIT * abs(t0**3) * cube.off
-
-
-diagonal_parts = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
-                           st.floats(min_value=-1e3, max_value=1e3))
-
-
-@st.composite
-def conjugate_twins(draw):
-    """Square complex matrices near a scalar one, whose diagonal parts are
-    often zeros of either sign or cancel to zero in the trace."""
-    dim = draw(st.integers(1, 5))
-    diag = [complex(draw(diagonal_parts), draw(diagonal_parts)) for _ in range(dim)]
-    if dim > 1 and draw(st.booleans()):
-        diag[-1] = complex(diag[-1].real, -diag[0].imag)
-    scale = draw(st.sampled_from((0.0, 1e-13, 1e-3, 1.0)))
-    off = [[complex(draw(diagonal_parts), draw(diagonal_parts)) * scale for _ in range(dim)]
-           for _ in range(dim)]
-    m = np.array(off)
-    m[np.diag_indices(dim)] = diag
-    return m
-
-
-@given(conjugate_twins(), st.sampled_from((CFG, CFG.with_(residual_tol=2.0))))
-@settings(max_examples=150, deadline=None)
-def test_derived_conjugate_cube_matches_scalar_cube_of_conjugate(m, cfg):
-    scale = max_abs(m)
-    try:
-        twin = solver._scalar_cube(m, scale, cfg)
-    except solver.SingularCubeError:
-        return
-    derived = solver._conjugate_cube(twin)
-    direct = solver._scalar_cube(m.conj(), scale, cfg)
-    assert derived.is_scalar == direct.is_scalar
-    assert derived.mu == direct.mu
-    assert derived.t0_roots == direct.t0_roots  # the same values in the same order
-    assert (derived.defect, derived.scale, derived.off) == (direct.defect, direct.scale, direct.off)
-    assert np.array_equal(derived.diagonal, direct.diagonal)
-    assert derived.matrix is None  # never formed
-    assert solver._residuals(derived) == solver._residuals(direct)
 
 
 @pytest.mark.parametrize("r", [1.0, -1.0, 8.0, -8.0, 0.37, -123.4, 2e-300, -1e300])

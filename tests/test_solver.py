@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spinsolve.solver import (
     t_profile,
     verify_solution,
 )
-from spinsolve.theorems import random_intersection_array
+from spinsolve.theorems import random_intersection_array, verify_hamming_classification
 
 CFG = sp.DEFAULT_CONFIG
 
@@ -138,16 +139,16 @@ def test_profile_is_geometric_for_hamming(hamming32):
 
 def test_hamming_q2_profiles_at_i_are_exact():
     # every step at x = +-i divides an exact integer multiple of i^k by
-    # that integer, so t_k = x^k with no rounding, and the cube is scalar
-    # far below its rounding scale
+    # that integer, so t_k = x^k with no rounding, and the product identity
+    # holds far below its rounding scale
     for n in range(1, 31):
         scheme = build(FamilySpec("hamming", {"N": n, "q": 2}))
         u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
         for x, powers in ((1j, (1, 1j, -1, -1j)), (-1j, (1, -1j, -1, 1j))):
             t = t_profile(scheme.array, scheme.theta, x)
             assert np.array_equal(t, [powers[k % 4] for k in range(n + 1)]), (n, x)
-            cube = scalar_and_T0(u, t, CFG)
-            assert cube.defect <= 1e-15 * cube.scale, (n, x)
+            cube = scalar_and_T0(u, t, 2.0**n, CFG)
+            assert cube.is_scalar and cube.gap <= 1e-15, (n, x)
 
 
 def test_profile_starts_with_one_x(bilinear332):
@@ -191,12 +192,13 @@ def test_filter_terminal_rejects_odd_ngon_plain_family():
     assert ok
 
 
-# -- scalar cube and normalization -------------------------------------------
+# -- the product decision and normalization ----------------------------------
 
 
 def test_scalar_cube_hamming_value(hamming32):
+    # the identity needs only P^2 = |X| I, which P itself meets
     t = t_profile(hamming32.array, hamming32.theta, 1j)
-    cube = scalar_and_T0(hamming32.eigenmatrix, t, CFG)
+    cube = scalar_and_T0(hamming32.eigenmatrix, t, 8.0, CFG)
     assert cube.is_scalar
     assert cmath.isclose(cube.mu, (2 * (1 + 1j)) ** 3)  # -16 + 16i
     assert len(cube.t0_roots) == 3
@@ -210,13 +212,24 @@ def test_scalar_cube_hamming_value(hamming32):
 
 def test_scalar_cube_rejects_non_solution_profile(hamming32):
     junk = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    cube = scalar_and_T0(hamming32.eigenmatrix, junk, CFG)
-    assert not cube.is_scalar
+    cube = scalar_and_T0(hamming32.eigenmatrix, junk, 8.0, CFG)
+    assert not cube.is_scalar and cube.t0_roots == ()
+    assert cube.gap > 1e-3
+
+
+def test_a_numerically_zero_mu_is_singular(hamming32):
+    # R scales with t^3 and its rounding scale W too, so a solution
+    # profile scaled by 1e-101 still passes, with |mu| near 1e-302
+    u = solver.symmetric_frame(hamming32.array, hamming32.eigenmatrix)
+    t = t_profile(hamming32.array, hamming32.theta, 1j)
+    assert scalar_and_T0(u, 1e-100 * t, 8.0, CFG).is_scalar
+    with pytest.raises(solver.SingularCubeError):
+        scalar_and_T0(u, 1e-101 * t, 8.0, CFG)
 
 
 def test_scalar_cube_ngon6_magnitude(ngon6):
     t = t_profile(ngon6.array, ngon6.theta, cmath.exp(1j * math.pi / 6))
-    cube = scalar_and_T0(ngon6.eigenmatrix, t, CFG)
+    cube = scalar_and_T0(ngon6.eigenmatrix, t, 6.0, CFG)
     assert cube.is_scalar
     assert abs(abs(cube.mu) - 6**1.5) < 1e-9
 
@@ -415,19 +428,19 @@ RESIDUAL_GRID = (
 
 @pytest.mark.parametrize("spec", RESIDUAL_GRID, ids=_spec_id)
 def test_residual_agrees_with_direct_cube(spec):
+    # the residual is the product test's gap, shared by a pair; the
+    # direct cube of P diag(T) checks each solution on its own
     scheme = build(spec)
     for s in solve(scheme).accepted:
-        direct = verify_solution(scheme.eigenmatrix, s.diag)
         assert s.residual <= CFG.residual_tol
-        assert direct <= CFG.residual_tol
-        assert abs(s.residual - direct) <= 0.5 * CFG.residual_tol
+        assert verify_solution(scheme.eigenmatrix, s.diag) <= CFG.residual_tol
 
 
 def test_scalar_cube_carries_the_cube(hamming32):
     t = t_profile(hamming32.array, hamming32.theta, 1j)
-    cube = scalar_and_T0(hamming32.eigenmatrix, t, CFG)
+    cube = scalar_and_T0(hamming32.eigenmatrix, t, 8.0, CFG)
     pt = hamming32.eigenmatrix * t[np.newaxis, :]
-    assert np.allclose(cube.matrix, pt @ pt @ pt)
+    assert np.allclose(cube.mu * np.eye(4), pt @ pt @ pt)
 
 
 @pytest.mark.parametrize("spec", [FamilySpec("hamming", {"N": n, "q": 2}) for n in (1, 3, 6)]
@@ -442,38 +455,17 @@ def test_solutions_carry_their_own_profile_bit_for_bit(spec):
         assert np.array_equal(np.array(s.t), fresh)
 
 
-def test_partial_cube_root_failure_is_recorded(monkeypatch):
-    # hamming(3,4) keeps one x with its three roots; push one root off by
-    # 1e-3 and only that root may go, with a record of which it was
-    scheme = build(FamilySpec("hamming", {"N": 3, "q": 4}))
-    base = solve(scheme)
-    assert base.count == 3
-    real = solver.scalar_and_T0
-
-    def skewed(p, t, cfg=CFG):
-        cube = real(p, t, cfg)
-        if not cube.is_scalar:
-            return cube
-        roots = list(cube.t0_roots)
-        roots[1] *= 1 + 1e-3
-        return cube._replace(t0_roots=tuple(roots))
-
-    monkeypatch.setattr(solver, "scalar_and_T0", skewed)
-    sol = solve(scheme)
-    assert sol.count == 2 and sol.raw_count == base.raw_count
-    new = [r for r in sol.rejected_x if r not in base.rejected_x]
-    assert new == [(base.accepted[0].x, "residual_failed at root=1")]
-    assert len(sol.rejected_x) == len(base.rejected_x) + 1
-
 
 # -- the paper's counts, where the solver gets them right ---------------------
 
 # Largest N at which every hamming(N, q) count is right (ROADMAP "Where the
 # counts stand"); the paper's count is 6, or 3 at q = 4.  Each stops at
-# N = 30 or just before the first N whose build is refused, except
-# q = 9, 11, 13, 16, where the next N's cubes have |mu| below their
-# rounding 3 dim u S, so floating point cannot tell mu from zero.
-HAMMING_RIGHT_UP_TO = {2: 30, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 21, 11: 19, 13: 18, 16: 16}
+# N = 30 or just before the first N whose float build is refused.
+HAMMING_RIGHT_UP_TO = {2: 30, 3: 30, 4: 30, 5: 29, 7: 24, 8: 23, 9: 24, 11: 22, 13: 22, 16: 19}
+# The rows whose cube (U diag t)^3 has |mu| below its own rounding, so that
+# the cube cannot tell mu from zero; the one-product test decides them.
+CANCELLING_CUBE_ROWS = ([(n, 9) for n in (22, 23, 24)] + [(n, 11) for n in (20, 21, 22)]
+                        + [(n, 13) for n in (19, 20, 21, 22)] + [(n, 16) for n in (17, 18, 19)])
 
 
 @pytest.mark.parametrize("q", sorted(HAMMING_RIGHT_UP_TO))
@@ -482,6 +474,18 @@ def test_hamming_counts_match_the_paper(q):
     counts = {n: solve(build(FamilySpec("hamming", {"N": n, "q": q}))).count
               for n in range(1, HAMMING_RIGHT_UP_TO[q] + 1) if (n, q) != (2, 2)}
     assert counts == dict.fromkeys(counts, want)
+
+
+@pytest.mark.parametrize("n,q", CANCELLING_CUBE_ROWS + [(23, 8)])
+def test_hamming_rows_with_a_cancelling_cube_meet_the_closed_form(n, q):
+    # the direct cube of P diag(T) rounds beyond |mu| here, so each
+    # solution is held to theorem 2's closed form instead: x a root of
+    # 1 - 2x + qx + x^2, t_i = x^i and c^3 (q(1 + (q - 1)x))^N = 1
+    record = verify_hamming_classification([n], [q])["instances"][0]
+    assert record["count"] == 6 and record["issues"] == [], record
+    for s in solve(build(FamilySpec("hamming", {"N": n, "q": q}))).accepted:
+        constant = s.t0**3 * (q * (1 + (q - 1) * s.x)) ** n
+        assert abs(constant - 1) <= 1e-12, (s.x, constant)
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -513,6 +517,51 @@ def test_bilinear_counts_match_the_paper():
     grid = [(m, n, q) for m in (3, 4) for n in range(m, 7) for q in (2, 3, 4, 5, 7)]
     counts = {g: solve(build(FamilySpec("bilinear", dict(zip("MNq", g))))).count for g in grid}
     assert counts == dict.fromkeys(grid, 0)
+
+
+# Krawtchouk-type arrays with a rational q, b_i = (N - i)(q - 1) and
+# c_i = i: self-dual, with the paper's 6 solutions.  The float eigenmatrix
+# built from them misses P^2 = |X| I by 1.2e-7 to 1.6e-4 relative (their
+# self_dual_defect), so the product test rejects their true pair and the
+# count is 0 until the eigenmatrix is exact; deciding each member apart
+# gave 3 at seven of them, an odd count that broke reciprocal closure.
+KRAWTCHOUK_RATIONAL_Q = [(10, Fraction(31, 3)), (10, Fraction(100, 7)), (12, Fraction(31, 3)),
+                         (12, Fraction(100, 7)), (20, Fraction(9, 2)), (20, Fraction(31, 3)),
+                         (20, Fraction(100, 7)), (26, Fraction(9, 2)), (26, Fraction(31, 3)),
+                         (26, Fraction(100, 7))]
+
+
+@pytest.mark.parametrize("n,q", KRAWTCHOUK_RATIONAL_Q)
+def test_krawtchouk_counts_are_even_and_reciprocal_closed(n, q):
+    arr = sp.IntersectionArray([(n - i) * (q - 1) for i in range(n)], range(1, n + 1))
+    sol = solve(build_custom(arr))
+    xs = sol.accepted_x()
+    assert sol.count % 2 == 0 and sol.count <= 12
+    for x in xs:
+        assert any(abs(1 / x - y) <= 1e-8 * max(1, abs(1 / x)) for y in xs), x
+
+
+@pytest.mark.parametrize("spec,pairs", [(FamilySpec("hamming", {"N": 4, "q": 3}), 1),
+                                        (FamilySpec("hamming", {"N": 22, "q": 9}), 1),
+                                        (FamilySpec("ngon", {"n": 12}), 2),
+                                        (FamilySpec("ngon", {"n": 7}), 1)],
+                         ids=["hamming(4,3)", "hamming(22,9)", "ngon(12)", "ngon(7)"])
+def test_one_product_decides_each_passing_pair(monkeypatch, spec, pairs):
+    # the partner of a decided member is derived, never tested: one
+    # product per filter-passing pair, three solutions for each member
+    scheme = build(spec)
+    calls = []
+    real = solver.scalar_and_T0
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "scalar_and_T0", counted)
+    sol = solve(scheme)
+    assert len(calls) == pairs and sol.count == sol.raw_count == 6 * pairs
+    for t in calls:
+        assert abs(t[1]) >= 1.0 - solver.ROOT_DEDUP_TOL
 
 
 # Sweep-grid instances whose count the symmetric frame and the dominant
@@ -553,37 +602,18 @@ def test_symmetric_frame_fixes_match_the_paper(spec):
 @pytest.mark.parametrize("n,q", [(12, 7), (18, 5)])
 def test_accepted_roots_clear_their_limit_by_far(n, q):
     # these were accepted at 9.9e-11 and 5.6e-11 against an absolute
-    # residual_tol of 1e-10; the cube's own rounding scale S sets the limit
-    scheme = build(FamilySpec("hamming", {"N": n, "q": q}))
-    sol = solve(scheme)
+    # residual_tol of 1e-10; each product entry is held to its own
+    # rounding scale instead
+    sol = solve(build(FamilySpec("hamming", {"N": n, "q": q})))
     assert sol.count == 6
-    u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
     for s in sol.accepted:
-        cube = scalar_and_T0(u, np.array(s.t), CFG)
-        limit = CFG.residual_tol * max(1.0, cube.scale / abs(cube.mu))
-        assert s.residual <= 1e-3 * limit
+        assert s.residual <= 1e-3 * CFG.residual_tol
 
 
 def _pinned_hamming():
     return [FamilySpec("hamming", {"N": n, "q": q})
             for q in sorted(HAMMING_RIGHT_UP_TO) for n in range(1, HAMMING_RIGHT_UP_TO[q] + 1)
             if (n, q) != (2, 2)]
-
-
-def test_every_accepted_mu_clears_the_rounding_of_its_cube():
-    # T_0 is a cube root of 1/mu, so mu must exceed 3 dim u S, the rounding
-    # its diagonal mean can carry; the cube and S are formed here in full,
-    # in another order than solve forms them
-    unit = np.finfo(float).eps / 2
-    for spec in _pinned_hamming():
-        scheme = build(spec)
-        u = solver.symmetric_frame(scheme.array, scheme.eigenmatrix)
-        for s in solve(scheme).accepted:
-            ut = u * np.array(s.t)
-            w = np.abs(ut)
-            scale = (w @ w @ w).sum(axis=1).max()
-            mu = np.trace(ut @ ut @ ut) / len(u)
-            assert abs(mu) > 3 * len(u) * unit * scale, spec
 
 
 def _negative_control_grid():
