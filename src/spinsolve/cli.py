@@ -53,11 +53,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _family_spec(args) -> FamilySpec:
-    fam = args.family
-    if fam not in FAMILY_PARAMS:
-        raise ValueError(f"--family {fam} needs --array-file")
-    return FamilySpec(fam, {name: _one(getattr(args, name), f"--{name}")
-                            for name in FAMILY_PARAMS[fam]})
+    return FamilySpec(args.family, {name: _one(getattr(args, name), f"--{name}")
+                                    for name in FAMILY_PARAMS[args.family]})
 
 
 def _one(value, flag: str) -> int:
@@ -191,8 +188,9 @@ def _check_family_flags(args) -> None:
 
 
 def _build_scheme(args, cfg: SolverConfig):
-    if args.family or args.array_file:  # symbolic quartic may name neither
-        _check_family_flags(args)
+    if not (args.family or args.array_file):  # only symbolic quartic may name neither
+        raise ValueError("symbolic quartic needs --family or --array-file")
+    _check_family_flags(args)
     if args.family == "custom" or args.array_file:
         if not args.array_file:
             raise ValueError("--family custom requires --array-file")

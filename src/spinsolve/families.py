@@ -12,8 +12,12 @@ the spectrum is real and simple.  The row order of P comes from the
 self-duality identity theta_i = k P_i(theta_1)/k_i (Bannai-Ito,
 Algebraic Combinatorics I, 1984, section 2.3): once theta_1 is chosen the
 rest follows, so at most N + 2 orders are measured against P^2 = |X| I
-before build() gives up with a BuildError.  Each SchemeInstance carries
-the defect of the order chosen; nothing else measures self-duality.
+before build() gives up with a BuildError.  Each candidate's implied
+values are sorted once; they name an order when the k-th largest lies in
+the cell of the k-th largest eigenvalue, which needs the spectrum
+strictly descending, as eigenvalues_from_array and the closed forms give
+it.  Each SchemeInstance carries the defect of the order chosen; nothing
+else measures self-duality.
 """
 
 from __future__ import annotations
@@ -213,12 +217,17 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
     order.  Row j of the descending eigenmatrix holds P_i(eigs[j]) and
     depends on eigs[j] alone, so that one matrix yields the order implied
     by every candidate theta_1, and the eigenmatrix of any order is its
-    row permutation.  Tried in turn: descending order, then each
-    theta_1 = eigs[1..N] whose implied values snap to a permutation of the
-    spectrum.  When none is self-dual, the lower-defect of descending and
-    |theta|-descending order is returned (ties to descending), so at most
-    N + 2 orders are measured; when P has left the float range, every
-    order is, and only descending order is measured.
+    row permutation.  A row of implied values snaps to the spectrum when,
+    sorted descending, its k-th value lies in the cell of eigs[k]: between
+    the midpoints to eigs[k]'s neighbours, the lower one inside (so a value
+    midway snaps to the larger eigenvalue, as the nearest one taken first
+    would).  Its order is then each value's rank, read off the one sort.
+    Tried in turn: descending order, then each theta_1 = eigs[1..N] whose
+    row snaps to an order other than descending.  When none is self-dual,
+    the lower-defect of descending and |theta|-descending order is
+    returned (ties to descending), so at most N + 2 orders are measured;
+    when P has left the float range, every order is, and only descending
+    order is measured.
     """
     n = len(eigs) - 1
     identity = np.arange(n + 1)
@@ -236,51 +245,19 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
     if not math.isfinite(desc[0]) and not np.isfinite(p_desc).all():
         return desc  # every order permutes the rows of a non-finite P alike
     v = arr.float_params()[0]
-    orders = _nearest_indices(v[1] * p_desc[1:] / v, eigs)
-    candidates = ((np.sort(orders, axis=1) == identity).all(axis=1)
-                  & (orders != identity).any(axis=1))
-    for order in orders[candidates]:
-        found = measure(order)
+    implied = v[1] * p_desc[1:] / v
+    ranked = np.argsort(-implied, axis=1)  # ranked[j, k]: where the k-th largest is
+    top_down = np.take_along_axis(implied, ranked, axis=1)
+    mids = (eigs[:-1] + eigs[1:]) / 2
+    lower, upper = np.append(mids, -np.inf), np.insert(mids, 0, np.inf)  # eigs[k]'s cell
+    snaps = ((lower <= top_down) & (top_down < upper)).all(axis=1)
+    for perm in ranked[snaps & (ranked != identity).any(axis=1)]:
+        found = measure(np.argsort(perm))
         if found[0] <= SELF_DUAL_TOL:
             return found
     tail = sorted(range(1, n + 1), key=lambda i: (-abs(eigs[i]), -eigs[i]))
     by_magnitude = measure([0] + tail)
     return by_magnitude if by_magnitude[0] < desc[0] else desc
-
-
-def _nearest_indices(rows: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """For each entry of each row, the index of the nearest eigenvalue, the
-    first index on ties: np.abs(row[:, None] - eigs).argmin(axis=1) row by
-    row, from one binary search over every row.
-
-    In a strictly descending spectrum the first of the values tied for
-    nearest is the largest.  That is the lower neighbour in sorted order
-    when it is strictly nearer; otherwise it is the top of the run of
-    values, from the upper neighbour up, whose computed distance rounds to
-    the upper neighbour's (a run of one unless the entry is so far off
-    that rounding ties distinct distances).  A non-finite entry lands on
-    index 0, as argmin puts it.  eigs must be strictly descending, as
-    every spectrum _self_dual_ordering is given is."""
-    last = len(eigs) - 1
-    ascending = eigs[::-1]
-    pos = np.searchsorted(ascending, rows)
-    lo = np.maximum(pos - 1, 0)
-    hi = np.minimum(pos, last)
-    dist_hi = np.abs(rows - ascending[hi])
-    top = hi
-    climb = (hi < last) & (np.abs(rows - ascending[np.minimum(hi + 1, last)]) <= dist_hi)
-    if climb.any():
-        # bisect for the last tie: a ties, the top lies in [a, b]
-        entry, dist = rows[climb], dist_hi[climb]
-        a, b = hi[climb] + 1, np.full(len(entry), last)
-        while (a < b).any():
-            mid = (a + b + 1) // 2
-            tie = np.abs(entry - ascending[mid]) <= dist
-            a, b = np.where(tie, mid, a), np.where(tie, b, mid - 1)
-        top = hi.copy()
-        top[climb] = a
-    nearest = np.where(np.abs(rows - ascending[lo]) < dist_hi, lo, top)
-    return last - nearest
 
 
 def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsolve
+from spinsolve import oracle
 from spinsolve.cli import main
+from spinsolve.solver import candidate_quartic
 
 
 def run_cli(capsys, *argv):
@@ -486,6 +488,17 @@ def test_oracle_census_report(capsys):
     assert report["result"]["array"]["b"] == [2, 1, 1]
 
 
+def test_oracle_verify_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "closed_form_array",
+                        lambda spec: spinsolve.IntersectionArray([4, 1], [1, 4]))
+    code, out, _ = run_cli(capsys, "oracle", "verify", "--family", "hamming",
+                           "--N", "2", "--q", "3")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["match"] is False
+    assert result["mismatches"][0].startswith("census array b=")
+
+
 def test_oracle_census_cap(capsys):
     code, _, err = run_cli(capsys, "oracle", "census", "--family",
                            "alternating", "--n", "7", "--q", "2")
@@ -506,6 +519,32 @@ def test_symbolic_quartic_one_class(capsys):
                            "--N", "1", "--q", "4")
     assert code == 0
     assert json.loads(out)["result"]["coefficients_high_to_low"] == [-1, -4, -6, -4, -1]
+
+
+def test_symbolic_quartic_of_a_fractional_array_is_the_candidate_quartic(tmp_path, capsys):
+    # c_1 = 1/2 is not an integer, so the integer identity does not apply
+    data = {"b": [2.5, 1.5], "c": [0.5, 2]}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "symbolic", "quartic", "--array-file", str(path))
+    assert code == 0
+    scheme = spinsolve.build_custom(spinsolve.IntersectionArray.from_dict(data))
+    want = candidate_quartic(scheme.array, scheme.theta)
+    assert json.loads(out)["result"]["coefficients_high_to_low"] == [float(c) for c in want]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["symbolic", "quartic"], "symbolic quartic needs --family or --array-file"),
+    (["verify", "--theorem", "6", "--n", "5..3"], "empty range '5..3'"),
+    (["solve", "--family", "ngon", "--n", "3..5"],
+     "--n must be a single value here, got '3..5'"),
+    (["solve", "--family", "hamming", "--N", "3"], "missing --q"),
+], ids=["quartic-without-scheme", "empty-range", "range-for-one-value", "missing-flag"])
+def test_usage_errors_exit_2_naming_the_problem(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("argv, stray", [

@@ -1,5 +1,6 @@
 """Census machinery: ranks, exhaustive counts, closed-form agreement."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinsolve as sp
+from spinsolve import oracle
 from spinsolve.core import SchemeCensus, dumps_report
 from spinsolve.families import family_size
 from spinsolve.ffield import FiniteField
@@ -227,6 +229,38 @@ def test_alternating_census_consistency(big_cfg):
 def test_hermitian_census_consistency():
     report = verify_family(sp.FamilySpec("hermitian", {"n": 2, "q": 2}))
     assert report["match"], report["mismatches"]
+
+
+def test_verify_family_reports_a_closed_form_the_census_contradicts(monkeypatch):
+    spec = sp.FamilySpec("hamming", {"N": 2, "q": 3})
+    measured = census(PointSpace(spec)).derived_array()
+    wrong = sp.IntersectionArray([4, 1], [1, 4])
+    monkeypatch.setattr(oracle, "closed_form_array", lambda spec: wrong)
+    report = verify_family(spec)
+    assert report["match"] is False
+    assert report["mismatches"] == [
+        f"census array b={measured.b} c={measured.c} a={measured.a} differs from the "
+        f"closed form b={wrong.b} c={wrong.c} a={wrong.a}"]
+
+
+@pytest.mark.parametrize("doctor, mismatches", [
+    (dict(class_sizes=(1, 4, 11)),
+     ["valencies [1, 5, 10] != measured class sizes [1, 4, 11]"]),
+    (dict(class_sizes=(1, 5, 11)),
+     ["valencies [1, 5, 10] != measured class sizes [1, 5, 11]",
+      "class sizes do not partition the space"]),
+    # an entry off the band, which the derived array does not read
+    (dict(measured_p=((0, 5, 1), (1, 0, 4), (0, 2, 3))),
+     ["row 0 of the p-table sums to 6 != 5"]),
+], ids=["moved-point", "extra-point", "row-sum"])
+def test_verify_family_reports_a_doctored_census(monkeypatch, doctor, mismatches):
+    # hermitian(2, 2) has no closed form, so only the census's own checks run
+    real = oracle.census
+    monkeypatch.setattr(oracle, "census",
+                        lambda *args: dataclasses.replace(real(*args), **doctor))
+    report = verify_family(sp.FamilySpec("hermitian", {"n": 2, "q": 2}))
+    assert report["match"] is False
+    assert report["mismatches"] == mismatches
 
 
 def test_alternating_q3_census():

@@ -30,6 +30,7 @@ from spinsolve import families, solver
 from spinsolve.core import (IntersectionArray, max_abs, valencies, valency_sum,
                             validate_array)
 from spinsolve.families import FamilySpec, build, eigenmatrix, eigenvalues_from_array
+from spinsolve.oracle import PointSpace, census
 from spinsolve.solver import filter_x, scalar_and_T0, solve, t_profile
 
 CFG = sp.DEFAULT_CONFIG
@@ -172,11 +173,6 @@ def reference_coincidence(theta):
     coincide = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :]) <= 1e-12 * scale
     hits = np.argwhere(np.triu(coincide, k=1))
     return f"eigenvalues {hits[0][0]} and {hits[0][1]} coincide" if len(hits) else None
-
-
-def reference_nearest(rows, eigs):
-    return np.array([np.abs(row[:, np.newaxis] - eigs[np.newaxis, :]).argmin(axis=1)
-                     for row in rows])
 
 
 def reference_self_dual_ordering(arr, eigs, size, tol):
@@ -482,42 +478,6 @@ def test_cube_roots_ignore_the_sign_of_a_zero_imaginary_part(r):
 # -- families ----------------------------------------------------------------------
 
 
-@st.composite
-def spectra_and_rows(draw):
-    """(rows, eigs): strictly descending eigenvalues and rows of entries on
-    them, midway between neighbours, far outside the spectrum (where
-    rounding ties distinct distances), non-finite, or anywhere."""
-    size = draw(st.integers(2, 8))
-    eigs = draw(st.lists(st.one_of(st.integers(-6, 6).map(float),
-                                   st.floats(min_value=-1e3, max_value=1e3)),
-                         min_size=size, max_size=size, unique=True))
-    eigs = np.array(sorted(eigs, reverse=True))
-    middles = [(x + y) / 2 for x, y in zip(eigs[:-1], eigs[1:])]
-    entry = st.one_of(st.sampled_from(list(eigs) + middles),
-                      st.sampled_from((1e17, -1e17, 1e300, -1e300, math.inf, -math.inf,
-                                       math.nan)),
-                      st.floats(min_value=-1e4, max_value=1e4))
-    n_rows = draw(st.integers(1, 4))
-    rows = draw(st.lists(entry, min_size=n_rows * size, max_size=n_rows * size))
-    return np.array(rows).reshape(n_rows, size), eigs
-
-
-@given(spectra_and_rows())
-@settings(max_examples=150, deadline=None)
-def test_nearest_indices_match_argmin(case):
-    rows, eigs = case
-    assert np.array_equal(families._nearest_indices(rows, eigs), reference_nearest(rows, eigs))
-
-
-def test_nearest_indices_take_the_first_index_on_ties():
-    eigs = np.array([4.0, 2.0, 0.0, -2.0])
-    # 3 and 1 are midway, so the upper neighbour (first index) wins; -1e300
-    # is equally far from every value once rounded, so index 0 wins
-    rows = np.array([[3.0, 1.0, -1.0, -1e300]])
-    assert families._nearest_indices(rows, eigs).tolist() == [[0, 1, 2, 0]]
-    assert reference_nearest(rows, eigs).tolist() == [[0, 1, 2, 0]]
-
-
 @given(valid_arrays(max_classes=7))
 @settings(max_examples=100, deadline=None)
 def test_self_dual_ordering_matches_reference(arr):
@@ -530,6 +490,28 @@ def test_self_dual_ordering_matches_reference(arr):
     want = reference_self_dual_ordering(arr, eigs, size, families.SELF_DUAL_TOL)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+# Census-built arrays: every Hermitian one past n = 1 is self-dual only in
+# an order other than descending, so the search must find it there; the
+# alternating ones are self-dual in descending order.
+CENSUS_SPECS = ([FamilySpec("hermitian", {"n": n, "q": 2}) for n in range(1, 5)]
+                + [FamilySpec("hermitian", {"n": 2, "q": q}) for q in (3, 4)]
+                + [FamilySpec("alternating", {"n": n, "q": 2}) for n in range(4, 8)]
+                + [FamilySpec("alternating", {"n": n, "q": 3}) for n in (4, 5)])
+
+
+@pytest.mark.parametrize("spec", CENSUS_SPECS, ids=_spec_id)
+def test_self_dual_ordering_matches_reference_on_census_arrays(spec, big_cfg):
+    arr = census(PointSpace(spec), big_cfg).derived_array()
+    eigs = eigenvalues_from_array(arr)
+    size = float(sum(reference_valencies(arr)))
+    got = families._self_dual_ordering(arr, eigs, size)
+    want = reference_self_dual_ordering(arr, eigs, size, families.SELF_DUAL_TOL)
+    assert got[0] == want[0] <= families.SELF_DUAL_TOL
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    descending = bool(np.all(np.diff(got[1]) < 0))
+    assert descending == (spec.family == "alternating" or spec.params["n"] == 1)
 
 
 @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
