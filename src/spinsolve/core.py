@@ -190,7 +190,8 @@ class IntersectionArray:
             "b": [_num_json(x) for x in self.b],
             "c": [_num_json(x) for x in self.c],
             "a": [_num_json(x) for x in self.a],
-            "valencies": [_num_json(v) for v in valencies(self)],
+            # an invalid array, such as a census that misses a row sum, has none
+            "valencies": None if self._problems else [_num_json(v) for v in self._valencies],
         }
 
     @classmethod

@@ -58,6 +58,9 @@ FAMILY_PARAMS = {
     "ngon": ("n",),
 }
 FAMILIES = tuple(FAMILY_PARAMS) + ("custom",)
+# The named families whose arrays closed_form_array writes down; the rest
+# are measured by the census.
+CLOSED_FORM_FAMILIES = ("hamming", "bilinear", "ngon")
 
 # GF families stay within orders whose tables we can build and afford.
 DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -267,7 +270,7 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
         raise BuildError(f"build() does not handle family {fam!r}")
     size = family_size(spec)
     size_float = _float_size(size)
-    if fam in ("hamming", "bilinear", "ngon"):
+    if fam in CLOSED_FORM_FAMILIES:
         arr = closed_form_array(spec)
         theta = _closed_form_eigenvalues(spec, arr)
     else:  # alternating, hermitian

@@ -42,8 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig, valencies
-from .families import FamilySpec, closed_form_array, family_size
+from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig, validate_array, valencies
+from .families import CLOSED_FORM_FAMILIES, FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
 __all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "verify_family"]
@@ -492,12 +492,14 @@ def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
     arr = cen.derived_array()
     mismatches: list[str] = []
 
-    v = valencies(arr)
-    if [int(x) for x in v] != list(cen.class_sizes):
-        mismatches.append(
-            f"valencies {[int(x) for x in v]} != measured class sizes "
-            f"{list(cen.class_sizes)}"
-        )
+    problems = validate_array(arr)
+    if problems:
+        mismatches.append(f"census array b={arr.b} c={arr.c} a={arr.a} is invalid: "
+                          + "; ".join(problems))
+    else:
+        v = [int(x) for x in valencies(arr)]
+        if v != list(cen.class_sizes):
+            mismatches.append(f"valencies {v} != measured class sizes {list(cen.class_sizes)}")
     if sum(cen.class_sizes) != cen.point_count:
         mismatches.append("class sizes do not partition the space")
     b0 = int(arr.b[0])
@@ -505,7 +507,7 @@ def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
         if sum(row) != b0:
             mismatches.append(f"row {r} of the p-table sums to {sum(row)} != {b0}")
 
-    if spec.family in ("hamming", "bilinear", "ngon"):
+    if spec.family in CLOSED_FORM_FAMILIES:
         closed = closed_form_array(spec)
         if closed.b != arr.b or closed.c != arr.c or closed.a != arr.a:
             mismatches.append(

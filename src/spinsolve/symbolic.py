@@ -17,8 +17,10 @@ no floating point enters this module.  The engine reproduces, exactly:
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -176,12 +178,7 @@ class MultiPoly:
         return [self.coefficient(var, k) for k in range(self.degree(var) + 1)]
 
     def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = _gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
+        return math.gcd(*self.terms.values())
 
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
@@ -200,15 +197,11 @@ class MultiPoly:
         return MultiPoly(self.vars, terms)
 
     def substitute(self, assignment: dict):
-        """Exact value at integer/Fraction points for every variable."""
-        total = Fraction(0)
+        """Exact value with every variable set to an int or a Fraction: an
+        int when the value is whole, else a Fraction."""
         values = [assignment[v] for v in self.vars]
-        for expo, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for val, k in zip(values, expo):
-                if k:
-                    term *= Fraction(val) ** k
-            total += term
+        total = sum(coeff * math.prod(val**k for val, k in zip(values, expo) if k)
+                    for expo, coeff in self.terms.items())
         return int(total) if total.denominator == 1 else total
 
     def __str__(self) -> str:
@@ -232,12 +225,6 @@ class MultiPoly:
         return out
 
     __repr__ = __str__
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def polynomial_ring(*names: str):
@@ -365,7 +352,7 @@ class RationalFunction:
                 except NonExactDivision:
                     break
                 num, den = num2, den2
-        g = _gcd(num.content(), den.content())
+        g = math.gcd(num.content(), den.content())
         if g > 1:
             num = num.map_coeffs(lambda c: c // g)
             den = den.map_coeffs(lambda c: c // g)
@@ -465,32 +452,24 @@ def hamming_profile_params(depth: int = 4) -> ProfileParams:
     v_i = binom(N,i)(q-1)^i."""
     vars_ = ("x", "N", "q")
     x, nn, q = polynomial_ring(*vars_)
-    one = RationalFunction(MultiPoly.constant(vars_, 1))
-
-    def rf(p: MultiPoly, d: MultiPoly | int = 1) -> RationalFunction:
-        return RationalFunction(p, d if isinstance(d, MultiPoly) else
-                                MultiPoly.constant(vars_, d))
-
-    qm1 = q - MultiPoly.constant(vars_, 1)
+    qm1 = q - 1
     b = []
     c = []
-    v = [one]
+    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
     theta = []
     a = []
     binom = MultiPoly.constant(vars_, 1)
     fact = 1
     for i in range(depth + 1):
-        const_i = MultiPoly.constant(vars_, i)
-        b.append(rf((nn - const_i) * qm1))
-        theta.append(rf(nn * qm1 - q * const_i))
-        a.append(rf(const_i * (q - MultiPoly.constant(vars_, 2))))
+        b.append(RationalFunction((nn - i) * qm1))
+        theta.append(RationalFunction(nn * qm1 - q * i))
+        a.append(RationalFunction(i * (q - 2)))
         if i >= 1:
-            c.append(rf(const_i))
-            binom = binom * (nn - MultiPoly.constant(vars_, i - 1))
+            c.append(RationalFunction(MultiPoly.constant(vars_, i)))
+            binom = binom * (nn - (i - 1))
             fact *= i
-            v.append(rf(binom * qm1**i, fact))
-    candidates = (nn, nn - 1, nn - 2, nn - 3, qm1,
-                  q - MultiPoly.constant(vars_, 2), q)
+            v.append(RationalFunction(binom * qm1**i, fact))
+    candidates = (nn, nn - 1, nn - 2, nn - 3, qm1, q - 2, q)
     return ProfileParams(vars_, tuple(b), tuple(c), tuple(v[: depth + 1]),
                          tuple(theta), tuple(a), candidates)
 
@@ -501,26 +480,19 @@ def bilinear_profile_params(depth: int = 3) -> ProfileParams:
     c_i = q^{i-1}(q^i - 1)/(q - 1), theta_i = (de + q^i(1 - d - e))/((q-1) q^i)."""
     vars_ = ("x", "d", "e", "q")
     x, d, e, q = polynomial_ring(*vars_)
-    one_p = MultiPoly.constant(vars_, 1)
-    qm1 = q - one_p
-
-    def rf(num: MultiPoly, den: MultiPoly | int = 1) -> RationalFunction:
-        return RationalFunction(num, den if isinstance(den, MultiPoly) else
-                                MultiPoly.constant(vars_, den))
-
-    b = [rf((d - q**i) * (e - q**i), qm1) for i in range(depth + 1)]
-    c = [rf(q ** (i - 1) * (q**i - one_p), qm1) for i in range(1, depth + 1)]
-    theta = [rf(d * e + q**i * (one_p - d - e), qm1 * q**i)
+    qm1 = q - 1
+    b = [RationalFunction((d - q**i) * (e - q**i), qm1) for i in range(depth + 1)]
+    c = [RationalFunction(q ** (i - 1) * (q**i - 1), qm1) for i in range(1, depth + 1)]
+    theta = [RationalFunction(d * e + q**i * (1 - d - e), qm1 * q**i)
              for i in range(depth + 1)]
-    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else rf(MultiPoly.constant(vars_, 0)))
-         for i in range(depth + 1)]
-    v: list[RationalFunction] = [rf(one_p)]
+    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(depth + 1)]
+    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
     for i in range(depth):
         v.append(v[-1] * b[i] / c[i])
     candidates = (
-        d - one_p, e - one_p, d - q, e - q, d - q**2, e - q**2,
+        d - 1, e - 1, d - q, e - q, d - q**2, e - q**2,
         d * e - q**3,  # shows up when clearing theta_3 denominators
-        q, qm1, q + one_p, q**2 + q + one_p,
+        q, qm1, q + 1, q**2 + q + 1,
     )
     return ProfileParams(vars_, tuple(b), tuple(c), tuple(v),
                          tuple(theta), tuple(a), candidates)
@@ -549,12 +521,10 @@ def symbolic_quartic(theta1, a1, b1, c1=1) -> list:
     """The palindromic candidate coefficients [A4, A3, A2, A1, A0] from
     exact inputs (ints or Fractions): A4 = c1*theta1, A3 = a1(theta1 - c1),
     A2 = -(theta1^2 + a1^2 + c1^2 - b1^2)."""
-    th, a, b, c = (Fraction(v) for v in (theta1, a1, b1, c1))
-    a4 = c * th
-    a3 = a * (th - c)
-    a2 = -(th * th + a * a + c * c - b * b)
-    out = [a4, a3, a2, a3, a4]
-    return [int(v) if v.denominator == 1 else v for v in out]
+    a4 = c1 * theta1
+    a3 = a1 * (theta1 - c1)
+    a2 = -(theta1 * theta1 + a1 * a1 + c1 * c1 - b1 * b1)
+    return [int(v) if v.denominator == 1 else v for v in (a4, a3, a2, a3, a4)]
 
 
 def reciprocal_numerator(t: RationalFunction) -> MultiPoly:
@@ -573,29 +543,23 @@ def reciprocal_numerator(t: RationalFunction) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-_HAMMING_COFACTORS: tuple | None = None
-
-
+@cache
 def _hamming_cofactors() -> tuple:
     """(vars, shared, cofactors) for the Hamming family: the shared
     quadratic factor 1 - 2x + qx + x^2 and, for i = 2 and 3, the exact
     quotient of the numerator of t_i(x)t_i(1/x)-1 by it, or the
     NonExactDivision that division raised.  Computed once per process."""
-    global _HAMMING_COFACTORS
-    if _HAMMING_COFACTORS is not None:
-        return _HAMMING_COFACTORS
     params = hamming_profile_params()
     vars_ = params.vars
     x, nn, q = polynomial_ring(*vars_)
-    shared = MultiPoly.constant(vars_, 1) - 2 * x + q * x + x**2
+    shared = 1 - 2 * x + q * x + x**2
     cofactors = {}
     for i in (2, 3):
         try:
             cofactors[i] = exact_divide(reciprocal_numerator(symbolic_t(i, params)), shared)
         except NonExactDivision as err:
             cofactors[i] = err
-    _HAMMING_COFACTORS = (vars_, shared, cofactors)
-    return _HAMMING_COFACTORS
+    return vars_, shared, cofactors
 
 
 def hamming_factor_check() -> dict:
@@ -644,12 +608,11 @@ def hamming_resultant_check() -> dict:
     and evaluated at (N, q) = (3, 3) where it equals 82944."""
     vars_, _, quotients = _hamming_cofactors()
     _, nn, q = polynomial_ring(*vars_)
-    one = MultiPoly.constant(vars_, 1)
     for cof in quotients.values():
         if isinstance(cof, NonExactDivision):
             raise cof
     res = sylvester_resultant(quotients[2], quotients[3], "x")
-    target = 4 * (nn - one) ** 2 * (q - 2) ** 2 * (q - one) ** 2 \
+    target = 4 * (nn - 1) ** 2 * (q - 2) ** 2 * (q - 1) ** 2 \
         * (nn * q - nn - 2) ** 2 * (nn * q - nn - q) ** 4
     sign = 1 if res == target else -1 if res == -target else 0
     at33 = res.substitute({"x": 0, "N": 3, "q": 3})
@@ -668,9 +631,7 @@ def hamming_resultant_check() -> dict:
 # Bilinear-forms identities
 # ---------------------------------------------------------------------------
 
-_BILINEAR_SYSTEM: dict | None = None
-
-
+@cache
 def _bilinear_system() -> dict:
     """The two cleared recurrence identities for the bilinear family, as
     polynomials in (x, d, e, q) with all removable content stripped.
@@ -679,40 +640,29 @@ def _bilinear_system() -> dict:
     multiplied by their natural denominators, share the factor
     (d-1)(e-1); what remains after also removing the integer-visible
     q-power and (q-1), (q+1) content is stored here.  g1 reproduces the
-    four printed division remainders verbatim.
+    four printed division remainders verbatim.  Computed once per process.
     """
-    global _BILINEAR_SYSTEM
-    if _BILINEAR_SYSTEM is not None:
-        return _BILINEAR_SYSTEM
     params = bilinear_profile_params()
     vars_ = params.vars
     x, d, e, q = polynomial_ring(*vars_)
-    one = MultiPoly.constant(vars_, 1)
     t2 = symbolic_t(2, params)
     t3 = symbolic_t(3, params)
     t2n, t2d = t2.num, t2.den  # t2d = q (d-q)(e-q)
     t3n, t3d = t3.num, t3.den  # t3d = q^3 (d-q)(e-q)(d-q^2)(e-q^2)
-    a1_scaled = d * q + e * q - d - e - q**2 - q + 2 * one  # a_1 (q-1)
-    a2_scaled = (d - one) * (e - one) - (d - q**2) * (e - q**2) \
-        - q * (q + one) * (q - one)  # a_2 (q-1)
+    a1_scaled = d * q + e * q - d - e - q**2 - q + 2  # a_1 (q-1)
+    a2_scaled = (d - 1) * (e - 1) - (d - q**2) * (e - q**2) \
+        - q * (q + 1) * (q - 1)  # a_2 (q-1)
     g1_raw = (d * e + q - d * q - e * q) * t2n \
-        - (q - one) * q * x**2 * t2n \
+        - (q - 1) * q * x**2 * t2n \
         - a1_scaled * q * x * t2n \
         - q**2 * (d - q) ** 2 * (e - q) ** 2 * x**2
     g2_raw = (d * e + q**2 - d * q**2 - e * q**2) * t3n * t2d \
-        - (q - one) * q**3 * (q + one) * t2n * t3n \
+        - (q - 1) * q**3 * (q + 1) * t2n * t3n \
         - a2_scaled * q**2 * x * t3n * t2d \
         - (d - q**2) * (e - q**2) * q**2 * x * t2n * t3d
-    g1 = exact_divide(g1_raw, q - one)
-    g2 = exact_divide(exact_divide(exact_divide(g2_raw, q - one), q), q + one)
-    _BILINEAR_SYSTEM = {
-        "params": params,
-        "g1": g1,
-        "g2": g2,
-        "t2": t2,
-        "t3": t3,
-    }
-    return _BILINEAR_SYSTEM
+    g1 = exact_divide(g1_raw, q - 1)
+    g2 = exact_divide(exact_divide(exact_divide(g2_raw, q - 1), q), q + 1)
+    return {"params": params, "g1": g1, "g2": g2, "t2": t2, "t3": t3}
 
 
 def _frac_poly_remainder(num: list, den: list) -> list[Fraction]:
@@ -788,8 +738,7 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         record = {"d": dv, "e": ev, "q": qv, "x": xv}
 
         # construction identity at (x, d, e, q), exact rationals
-        t2v = Fraction(t2.num.substitute({"x": xv, "d": dv, "e": ev, "q": qv}),
-                       t2.den.substitute({"x": xv, "d": dv, "e": ev, "q": qv}))
+        t2v = Fraction(t2.num.substitute(record), t2.den.substitute(record))
         b0 = Fraction((dv - 1) * (ev - 1), qv - 1)
         v1 = b0
         th1 = Fraction(dv * ev + qv * (1 - dv - ev), (qv - 1) * qv)
@@ -797,10 +746,9 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         c2v2 = v1 * Fraction((dv - qv) * (ev - qv), qv - 1)
         identity = v1 * th1 * t2v - b0 * xv**2 * t2v - a1 * v1 * xv * t2v \
             - c2v2 * xv**2
-        clearing = Fraction((qv - 1) ** 2 * qv**2 * (dv - qv) * (ev - qv), 1)
-        g1v = g1.substitute({"x": xv, "d": dv, "e": ev, "q": qv})
+        clearing = (qv - 1) ** 2 * qv**2 * (dv - qv) * (ev - qv)
         record["construction"] = identity * clearing == \
-            Fraction((dv - 1) * (ev - 1) * (qv - 1)) * g1v
+            (dv - 1) * (ev - 1) * (qv - 1) * g1.substitute(record)
 
         g1x = _coeffs_at(g1, "x", {"x": 0, "d": dv, "e": ev, "q": qv})
 
@@ -810,7 +758,7 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         )
 
         rem = _frac_poly_remainder(g1x, [1, ev - 2, 1])  # 1 - 2x + ex + x^2
-        lead = Fraction(ev * (dv - qv) ** 2 * (ev - qv**2))
+        lead = ev * (dv - qv) ** 2 * (ev - qv**2)
         record["remainder_unimodular_quadratic"] = (
             rem[0] == lead and rem[1] == lead * (ev - 2)
         )

@@ -110,6 +110,13 @@ def test_array_json_round_trip():
     assert back.b == arr.b and back.c == arr.c and back.a == arr.a
 
 
+def test_invalid_array_writes_without_valencies():
+    # a_1 + b_1 + c_1 = 6 misses b_0 = 5, so the array has no valencies to write
+    arr = IntersectionArray(b=[5, 4], c=[1, 2], a=[0, 1, 3])
+    assert json.loads(dumps_report(arr)) == {
+        "n_classes": 2, "b": [5, 4], "c": [1, 2], "a": [0, 1, 3], "valencies": None}
+
+
 def test_complex_serialization_shape():
     out = to_jsonable({"z": 1 + 2j})
     assert out == {"z": {"re": 1.0, "im": 2.0}}

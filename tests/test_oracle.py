@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,7 +253,12 @@ def test_verify_family_reports_a_closed_form_the_census_contradicts(monkeypatch)
     # an entry off the band, which the derived array does not read
     (dict(measured_p=((0, 5, 1), (1, 0, 4), (0, 2, 3))),
      ["row 0 of the p-table sums to 6 != 5"]),
-], ids=["moved-point", "extra-point", "row-sum"])
+    # an entry in the band: the derived array itself misses b_0
+    (dict(measured_p=((0, 5, 0), (1, 1, 4), (0, 2, 3))),
+     [f"census array b={(Fraction(5), Fraction(4))} c={(Fraction(1), Fraction(2))} "
+      f"a={(Fraction(0), Fraction(1), Fraction(3))} is invalid: a_1+b_1+c_1 = 6 != b_0 = 5",
+      "row 1 of the p-table sums to 6 != 5"]),
+], ids=["moved-point", "extra-point", "row-sum", "in-band"])
 def test_verify_family_reports_a_doctored_census(monkeypatch, doctor, mismatches):
     # hermitian(2, 2) has no closed form, so only the census's own checks run
     real = oracle.census
@@ -261,6 +267,7 @@ def test_verify_family_reports_a_doctored_census(monkeypatch, doctor, mismatches
     report = verify_family(sp.FamilySpec("hermitian", {"n": 2, "q": 2}))
     assert report["match"] is False
     assert report["mismatches"] == mismatches
+    assert '"match": false' in dumps_report(report)  # the report still writes
 
 
 def test_alternating_q3_census():

@@ -14,6 +14,7 @@ from spinsolve.symbolic import (
     NonExactDivision,
     RationalFunction,
     _bilinear_system,
+    _hamming_cofactors,
     bilinear_identity_checks,
     divide_with_remainder,
     exact_divide,
@@ -57,13 +58,21 @@ def test_exact_divide_inverts_multiplication(p, q):
     assert exact_divide(p * q, q) == p
 
 
-@given(sparse_polys(), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-       st.integers(-10**6, 10**6))
+EXACT_VALUES = st.integers(-10**6, 10**6) | st.fractions(-10**3, 10**3, max_denominator=10**3)
+
+
+@given(sparse_polys(), EXACT_VALUES, EXACT_VALUES, EXACT_VALUES)
 @settings(max_examples=100, deadline=None)
 def test_substitution_is_a_ring_morphism(p, a, b, c):
     point = dict(zip(VARS, (a, b, c)))
-    assert (p + p).substitute(point) == 2 * p.substitute(point)
-    assert (p * p).substitute(point) == p.substitute(point) ** 2
+    value = p.substitute(point)
+    assert MultiPoly.variable(VARS, "x").substitute(point) == a
+    assert (p + p).substitute(point) == 2 * value
+    assert (p * p).substitute(point) == value ** 2
+    # a whole value is an int, whatever the point; an all-int point gives one
+    assert type(value) is (int if value.denominator == 1 else Fraction)
+    if all(type(v) is int for v in (a, b, c)):
+        assert type(value) is int
 
 
 def reference_divide_with_remainder(p, q):
@@ -197,6 +206,7 @@ def test_cofactor_resultant_identity():
     report = hamming_resultant_check()
     assert report["matches_target"] and report["sign"] == 1
     assert report["value_at_N3_q3"] == 82944
+    assert type(report["value_at_N3_q3"]) is int  # the report writes 82944, not 82944/1
     assert report["ok"]
 
 
@@ -237,6 +247,11 @@ def test_bilinear_elimination_is_pinned():
         assert hashlib.sha256(
             repr(sorted(terms.items())).encode()
         ).hexdigest().startswith(digest)
+
+
+def test_identity_systems_are_computed_once_per_process():
+    assert _bilinear_system() is _bilinear_system()
+    assert _hamming_cofactors() is _hamming_cofactors()
 
 
 def test_bilinear_identity_report():
