@@ -95,16 +95,11 @@ def _report(args, cfg: SolverConfig, result, elapsed: float) -> None:
 def _print_table(result) -> None:
     data = to_jsonable(result)
 
-    def emit(prefix: str, value) -> None:
+    def emit(key: str, value) -> None:
         if isinstance(value, dict):
             for k, v in value.items():
-                emit(f"{prefix}{k}.", v) if isinstance(v, (dict,)) else \
-                    emit_row(f"{prefix}{k}", v)
-        else:
-            emit_row(prefix.rstrip("."), value)
-
-    def emit_row(key: str, value) -> None:
-        if isinstance(value, list) and value and isinstance(value[0], list):
+                emit(f"{key}.{k}" if key else k, v)
+        elif isinstance(value, list) and value and isinstance(value[0], list):
             print(f"{key}:")
             widths = [max(len(_fmt(cell)) for cell in col) for col in zip(*value)]
             for row in value:
@@ -159,9 +154,6 @@ def _is_finite_number(x) -> bool:
 # error.
 FAMILY_FLAGS = {**FAMILY_PARAMS, "custom": ("array_file",)}
 
-# Every flag the tables name, in the order a refusal lists them.
-FLAG_ORDER = ("family", "N", "M", "q", "n", "array_file", "random_arrays", "seed", "points")
-
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
@@ -169,11 +161,12 @@ def _flag(name: str) -> str:
 
 def _refuse_stray_flags(args, subject: str, table: dict, key) -> None:
     """Refuse every flag the table names that was given but is not among
-    table[key], the flags the subject reads."""
+    table[key], the flags the subject reads; they are listed in the
+    parser's declaration order, which is the order of vars(args)."""
     reads = table[key]
     named = {name for names in table.values() for name in names}
-    stray = [name for name in FLAG_ORDER if name in named and name not in reads
-             and getattr(args, name, None) is not None]
+    stray = [name for name, value in vars(args).items()
+             if name in named and name not in reads and value is not None]
     if stray:
         it_reads = ", ".join(map(_flag, reads)) or "no flags of its own"
         raise ValueError(f"{subject} does not read {', '.join(map(_flag, stray))} "
@@ -309,13 +302,18 @@ def _echo(args) -> dict:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_family_flags(parser: argparse.ArgumentParser, with_custom: bool = True) -> None:
-    choices = FAMILIES if with_custom else tuple(f for f in FAMILIES if f != "custom")
-    parser.add_argument("--family", required=True, choices=choices)
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--N", help="word length / matrix columns")
     parser.add_argument("--M", help="matrix rows (bilinear)")
     parser.add_argument("--q", help="alphabet or field order")
     parser.add_argument("--n", help="matrix size / polygon size")
+
+
+def _add_family_flags(parser: argparse.ArgumentParser, with_custom: bool = True,
+                      required: bool = True) -> None:
+    choices = FAMILIES if with_custom else tuple(f for f in FAMILIES if f != "custom")
+    parser.add_argument("--family", required=required, choices=choices)
+    _add_param_flags(parser)
     if with_custom:
         parser.add_argument("--array-file", help="JSON intersection array")
 
@@ -337,15 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="enumerate diagonal solutions")
-    _add_family_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("families", help="dump a built scheme instance")
-    _add_family_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(func=_cmd_families)
+    for name, summary, func in (("solve", "enumerate diagonal solutions", _cmd_solve),
+                                ("families", "dump a built scheme instance", _cmd_families)):
+        p = sub.add_parser(name, help=summary)
+        _add_family_flags(p)
+        _add_common_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="point-space census utilities")
     p.add_argument("oracle_action", choices=["census", "verify"])
@@ -355,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a numbered classification claim")
     p.add_argument("--theorem", type=int, required=True, choices=range(1, 7))
-    p.add_argument("--N")
-    p.add_argument("--M")
-    p.add_argument("--q")
-    p.add_argument("--n")
+    _add_param_flags(p)
     p.add_argument("--random-arrays", type=int)
     p.add_argument("--seed", type=int, default=7)
     _add_common_flags(p)
@@ -367,12 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("symbolic", help="exact identity reports")
     p.add_argument("symbolic_action",
                    choices=["quartic", "hamming-resultant", "bilinear-identities"])
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--N")
-    p.add_argument("--M")
-    p.add_argument("--q")
-    p.add_argument("--n")
-    p.add_argument("--array-file")
+    _add_family_flags(p, required=False)
     p.add_argument("--seed", type=int)
     p.add_argument("--points", type=int)
     _add_common_flags(p)

@@ -193,18 +193,12 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     pt = np.empty((n + 1, n + 1))
     pt[0] = 1.0
     pt[1] = theta
-    # row j - 1 is theta - a_j; each step writes into P's own row
+    # row j - 1 is theta - a_j
     shifted = theta - np.array(a[1:n])[:, np.newaxis]
-    term = np.empty(n + 1)
     for j in range(1, n):
-        cj1 = c[j]  # c_{j+1}
-        if cj1 == 0:
+        if c[j] == 0:  # c_{j+1}
             raise ValueError(f"c_{j + 1} = 0 before the last column")
-        row = pt[j + 1]
-        np.multiply(shifted[j - 1], pt[j], out=row)
-        np.multiply(b[j - 1], pt[j - 1], out=term)
-        np.subtract(row, term, out=row)
-        np.divide(row, cj1, out=row)
+        pt[j + 1] = (shifted[j - 1] * pt[j] - b[j - 1] * pt[j - 1]) / c[j]
     return pt.T.copy()
 
 

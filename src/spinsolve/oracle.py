@@ -42,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, SchemeCensus, SolverConfig, validate_array, valencies
+from .core import (DEFAULT_CONFIG, IntersectionArray, SchemeCensus, SolverConfig,
+                   validate_array, valencies)
 from .families import CLOSED_FORM_FAMILIES, FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
@@ -485,6 +486,12 @@ def _bincount(row: np.ndarray, minlength: int) -> list[int]:
                for start in range(0, len(row), GF2_BLOCK)).tolist()
 
 
+def _array_text(arr: IntersectionArray) -> str:
+    """b, c and a as the report writes them: b=[4, 2] c=[1, 2] a=[0, 1, 2]."""
+    written = arr.as_dict()
+    return " ".join(f"{key}={written[key]}" for key in "bca")
+
+
 def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
     """Census vs closed form (exact), or internal consistency for the
     families whose arrays the census itself supplies."""
@@ -494,7 +501,7 @@ def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
 
     problems = validate_array(arr)
     if problems:
-        mismatches.append(f"census array b={arr.b} c={arr.c} a={arr.a} is invalid: "
+        mismatches.append(f"census array {_array_text(arr)} is invalid: "
                           + "; ".join(problems))
     else:
         v = [int(x) for x in valencies(arr)]
@@ -510,10 +517,8 @@ def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
     if spec.family in CLOSED_FORM_FAMILIES:
         closed = closed_form_array(spec)
         if closed.b != arr.b or closed.c != arr.c or closed.a != arr.a:
-            mismatches.append(
-                f"census array b={arr.b} c={arr.c} a={arr.a} differs from the "
-                f"closed form b={closed.b} c={closed.c} a={closed.a}"
-            )
+            mismatches.append(f"census array {_array_text(arr)} differs from the "
+                              f"closed form {_array_text(closed)}")
 
     return {
         "family": spec.family,

@@ -380,6 +380,7 @@ def test_custom_array_beyond_float_range_exits_2(tmp_path, capsys):
     (("--theorem", "6", "--random-arrays", "5"), "--random-arrays"),
     (("--theorem", "2", "--M", "3"), "--M"),
     (("--theorem", "6", "--N", "8", "--M", "2"), "--N, --M"),
+    (("--theorem", "6", "--M", "2", "--N", "8"), "--N, --M"),
 ])
 def test_verify_rejects_range_flags_its_claim_does_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -561,6 +562,7 @@ def test_symbolic_action_refuses_flags_it_does_not_read(capsys, argv, stray):
 
 @pytest.mark.parametrize("argv, stray, reads", [
     (["solve", "--family", "ngon", "--n", "6", "--N", "5", "--q", "9"], "--N, --q", "--n"),
+    (["solve", "--family", "ngon", "--n", "6", "--q", "9", "--N", "5"], "--N, --q", "--n"),
     (["families", "--family", "custom", "--array-file", "arr.json", "--n", "4"], "--n",
      "--array-file"),
     (["oracle", "census", "--family", "ngon", "--n", "6", "--q", "3"], "--q", "--n"),
@@ -570,7 +572,7 @@ def test_symbolic_action_refuses_flags_it_does_not_read(capsys, argv, stray):
      "--array-file", "--N, --q"),
     (["symbolic", "quartic", "--array-file", "arr.json", "--N", "5", "--q", "2"],
      "--N, --q", "--array-file"),
-], ids=["solve", "families", "oracle", "symbolic-quartic", "named-family-array-file",
+], ids=["solve", "solve-reversed", "families", "oracle", "symbolic-quartic", "named-family-array-file",
         "array-file-without-family"])
 def test_family_refuses_flags_it_does_not_read(capsys, argv, stray, reads):
     code, out, err = run_cli(capsys, *argv)
