@@ -9,6 +9,9 @@ Subcommands:
   symbolic   exact identity reports (quartic, factorization/resultant,
              bilinear elimination)
 
+Only core is imported here; each handler imports the modules it runs, so
+a command that computes no numbers never loads numpy.
+
 Reports are JSON on stdout (floats use shortest round-trip repr, so a
 fixed invocation is byte-identical run to run); wall-clock timings go to
 stderr unless --timings pulls them into the report.  Exit codes: 0 = ran
@@ -25,17 +28,10 @@ import math
 import sys
 import time
 
-from . import __version__, theorems
-from .core import DEFAULT_CONFIG, IntersectionArray, SolverConfig, dumps_report, to_jsonable
-from .families import FAMILIES, FAMILY_PARAMS, BuildError, FamilySpec, build, build_custom
-from .oracle import CensusError, PointSpace, census, verify_family
-from .solver import DegenerateSchemeError, SingularCubeError, candidate_quartic, solve
-from .symbolic import (
-    bilinear_identity_checks,
-    hamming_factor_check,
-    hamming_resultant_check,
-    symbolic_quartic,
-)
+from . import __version__
+from .core import (DEFAULT_CONFIG, FAMILIES, FAMILY_PARAMS, BuildError, CensusError,
+                   DegenerateSchemeError, IntersectionArray, SingularCubeError, SolverConfig,
+                   dumps_report, to_jsonable)
 
 USAGE_ERROR = 2
 ASSERTION_ERROR = 1
@@ -52,7 +48,9 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_spec(args):
+    from .families import FamilySpec
+
     return FamilySpec(args.family, {name: _one(getattr(args, name), f"--{name}")
                                     for name in FAMILY_PARAMS[args.family]})
 
@@ -187,19 +185,28 @@ def _build_scheme(args, cfg: SolverConfig):
     if args.family == "custom" or args.array_file:
         if not args.array_file:
             raise ValueError("--family custom requires --array-file")
-        return build_custom(_load_array(args.array_file))
+        arr = _load_array(args.array_file)  # a malformed file is refused before numpy loads
+        from .families import build_custom
+
+        return build_custom(arr)
+    from .families import build
+
     return build(_family_spec(args), cfg)
 
 
 # -- subcommand handlers ----------------------------------------------------
 
 
-# Each handler takes the parsed flags and the config they set, and returns
-# (result, exit code); main times it and reports the result.
+# Each handler takes the parsed flags and the config they set, imports what
+# it runs, and returns (result, exit code); main times it and reports the
+# result.
 
 
 def _cmd_solve(args, cfg: SolverConfig):
-    return solve(_build_scheme(args, cfg), cfg), 0
+    scheme = _build_scheme(args, cfg)
+    from .solver import solve
+
+    return solve(scheme, cfg), 0
 
 
 def _cmd_families(args, cfg: SolverConfig):
@@ -207,6 +214,8 @@ def _cmd_families(args, cfg: SolverConfig):
 
 
 def _cmd_oracle(args, cfg: SolverConfig):
+    from .oracle import PointSpace, census, verify_family
+
     _check_family_flags(args)
     spec = _family_spec(args)
     if args.oracle_action == "census":
@@ -216,6 +225,8 @@ def _cmd_oracle(args, cfg: SolverConfig):
 
 
 def _cmd_verify(args, cfg: SolverConfig):
+    from . import theorems
+
     result = theorems.verify_theorem(args.theorem, cfg, **_claim_kwargs(args))
     return result, 0 if result["pass"] else ASSERTION_ERROR
 
@@ -255,24 +266,34 @@ def _claim_kwargs(args) -> dict:
 
 
 # The flags each symbolic action reads; giving an action any other is a
-# usage error.  --seed and --points are checked before their defaults are
-# filled in, which every report echoes as before.
+# usage error.
 SYMBOLIC_FLAGS = {"quartic": ("family", "N", "M", "q", "n", "array_file"),
                   "hamming-resultant": (),
                   "bilinear-identities": ("seed", "points")}
-SYMBOLIC_DEFAULTS = {"seed": 7, "points": 20}
+
+# The defaults of the flags that verify and symbolic declare without one.
+# main fills them in after the stray-flag check, so only a flag that was
+# given is refused, and every report echoes the value that was used.
+FLAG_DEFAULTS = {"seed": 7, "points": 20}
 
 
-def _check_symbolic_flags(args) -> None:
-    """Refuse a flag the action does not read, then fill in its defaults."""
-    action = args.symbolic_action
-    _refuse_stray_flags(args, f"symbolic {action}", SYMBOLIC_FLAGS, action)
-    for name, value in SYMBOLIC_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, value)
+def _fill_defaults(args) -> None:
+    """Give each flag of FLAG_DEFAULTS that the subcommand declares and
+    that was not given its default."""
+    given = vars(args)
+    for name, value in FLAG_DEFAULTS.items():
+        if name in given and given[name] is None:
+            given[name] = value
 
 
 def _cmd_symbolic(args, cfg: SolverConfig):
+    from .symbolic import (
+        bilinear_identity_checks,
+        hamming_factor_check,
+        hamming_resultant_check,
+        symbolic_quartic,
+    )
+
     if args.symbolic_action == "quartic":
         scheme = _build_scheme(args, cfg)
         arr = scheme.array
@@ -282,6 +303,8 @@ def _cmd_symbolic(args, cfg: SolverConfig):
         if exact and float(theta1).is_integer():
             coeffs = symbolic_quartic(int(theta1), int(arr.a[1]), int(b1), int(arr.c[0]))
         else:
+            from .solver import candidate_quartic
+
             coeffs = candidate_quartic(arr, scheme.theta)
         result = {"family": scheme.family, "params": scheme.params,
                   "coefficients_high_to_low": coeffs, "ok": True}
@@ -352,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", type=int, required=True, choices=range(1, 7))
     _add_param_flags(p)
     p.add_argument("--random-arrays", type=int)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -372,8 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "symbolic":
-            _check_symbolic_flags(args)  # stray flags are refused before --tol is read
+        if args.command == "symbolic":  # stray flags are refused before --tol is read
+            action = args.symbolic_action
+            _refuse_stray_flags(args, f"symbolic {action}", SYMBOLIC_FLAGS, action)
+        _fill_defaults(args)
         cfg = _config(args)
         start = time.perf_counter()
         result, code = args.func(args, cfg)

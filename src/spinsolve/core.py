@@ -25,14 +25,22 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
+    "FAMILY_PARAMS",
+    "FAMILIES",
+    "BuildError",
+    "CensusError",
+    "DegenerateSchemeError",
+    "SingularCubeError",
     "SolverConfig",
     "IntersectionArray",
     "SchemeInstance",
@@ -77,15 +85,52 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
+# Each named family's integer parameters, in the order they are reported.
+FAMILY_PARAMS = {
+    "hamming": ("N", "q"),
+    "bilinear": ("M", "N", "q"),
+    "alternating": ("n", "q"),
+    "hermitian": ("n", "q"),
+    "ngon": ("n",),
+}
+FAMILIES = tuple(FAMILY_PARAMS) + ("custom",)
+
+
+# The usage errors, each re-exported by the module that raises it.  They
+# live here so that the command line can catch them without loading numpy.
+
+
+class BuildError(ValueError):
+    """Family parameters out of range, or a scheme invariant failed to hold."""
+
+
+class DegenerateSchemeError(ValueError):
+    """The candidate polynomial vanishes identically, so the ratio x is
+    unconstrained at this stage (happens for the square, where every
+    unimodular pair works); enumeration is impossible."""
+
+
+class CensusError(RuntimeError):
+    """The enumeration is too large, or the measured structure is not a
+    P-polynomial association scheme."""
+
+
+class SingularCubeError(ArithmeticError):
+    """kappa, and so mu, is numerically zero, so no cube root T_0 of 1/mu
+    exists; U and t were expected invertible."""
+
 
 def _as_fraction(x) -> Fraction:
     # ints first: isinstance against Fraction, an abstract-base subclass, is slow
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, int):
         return Fraction(int(x))
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         return Fraction(x)  # exact binary value
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+    if np is not None and isinstance(x, np.integer):
+        return Fraction(int(x))
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
 
 
@@ -390,6 +435,8 @@ class SchemeCensus:
 
 def max_abs(m) -> float:
     """Entrywise max-abs norm used for every residual in this package."""
+    import numpy as np
+
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
@@ -423,7 +470,8 @@ def _leaf(obj):
         return _cplx(obj)
     if isinstance(obj, Fraction):
         return _num_json(obj)
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")  # as in _as_fraction
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

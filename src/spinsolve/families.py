@@ -30,6 +30,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONFIG,
+    FAMILY_PARAMS,
+    BuildError,
     IntersectionArray,
     SchemeInstance,
     SolverConfig,
@@ -49,15 +51,6 @@ __all__ = [
     "BuildError",
 ]
 
-# Each named family's integer parameters, in the order they are reported.
-FAMILY_PARAMS = {
-    "hamming": ("N", "q"),
-    "bilinear": ("M", "N", "q"),
-    "alternating": ("n", "q"),
-    "hermitian": ("n", "q"),
-    "ngon": ("n",),
-}
-FAMILIES = tuple(FAMILY_PARAMS) + ("custom",)
 # The named families whose arrays closed_form_array writes down; the rest
 # are measured by the census.
 CLOSED_FORM_FAMILIES = ("hamming", "bilinear", "ngon")
@@ -68,10 +61,6 @@ DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 # A named family's eigenvalue order is self-dual when max |P^2 - |X| I|
 # is at most this fraction of |X|.
 SELF_DUAL_TOL = 1e-8
-
-
-class BuildError(ValueError):
-    """Family parameters out of range, or a scheme invariant failed to hold."""
 
 
 @dataclass(frozen=True)
@@ -339,9 +328,12 @@ def _float_size(size: Fraction) -> float:
 def build_custom(arr: IntersectionArray) -> SchemeInstance:
     """Wrap an arbitrary valid array as a Custom instance with |X| = sum v_i.
 
-    Self-duality is measured, not demanded: the solver is well-defined
-    either way and simply finds no solutions on arrays that do not come
-    from a self-dual scheme.
+    Self-duality is measured, not demanded.  The solver rests on the
+    premise U^2 = |X| I of a self-dual scheme (see the solver module), so
+    on an array without it solve's count need not be the number of
+    solutions of the literal equation: on the 2-class arrays that
+    theorems.random_intersection_array draws from random.Random(17), the
+    equation has 6 and solve reports 0.
     """
     size = valency_sum(arr)
     size_float = _float_size(size)

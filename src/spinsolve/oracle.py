@@ -42,8 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_CONFIG, IntersectionArray, SchemeCensus, SolverConfig,
-                   validate_array, valencies)
+from .core import (DEFAULT_CONFIG, CensusError, IntersectionArray, SchemeCensus,
+                   SolverConfig, validate_array, valencies)
 from .families import CLOSED_FORM_FAMILIES, FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
@@ -56,11 +56,6 @@ CENSUS_REPRESENTATIVES = 5
 # enough that numpy's per-call cost is small, small enough that a block's
 # rows and pivots stay in cache.
 GF2_BLOCK = 1 << 15
-
-
-class CensusError(RuntimeError):
-    """The enumeration is too large, or the measured structure is not a
-    P-polynomial association scheme."""
 
 
 def rank(matrix: Sequence[Sequence[int]], f: FiniteField) -> int:

@@ -78,8 +78,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_CONFIG,
+    DegenerateSchemeError,
     IntersectionArray,
     SchemeInstance,
+    SingularCubeError,
     SolutionCandidate,
     SolverConfig,
     max_abs,
@@ -104,12 +106,6 @@ __all__ = [
 ROOT_DEDUP_TOL = 1e-8
 # Each filter row is held to this fraction of the sum of its terms' moduli.
 FILTER_TOL = 1e-8
-
-
-class DegenerateSchemeError(ValueError):
-    """The candidate polynomial vanishes identically, so the ratio x is
-    unconstrained at this stage (happens for the square, where every
-    unimodular pair works); enumeration is impossible."""
 
 
 @dataclass(frozen=True)
@@ -299,11 +295,6 @@ def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray) -> str
 def _within(gap: complex, total: float) -> bool:
     """|gap| <= FILTER_TOL total, with total finite (False on NaN)."""
     return math.hypot(gap.real, gap.imag) <= FILTER_TOL * total < math.inf
-
-
-class SingularCubeError(ArithmeticError):
-    """kappa, and so mu, is numerically zero, so no cube root T_0 of 1/mu
-    exists; U and t were expected invertible."""
 
 
 class ScalarCube(NamedTuple):

@@ -110,6 +110,15 @@ def test_array_json_round_trip():
     assert back.b == arr.b and back.c == arr.c and back.a == arr.a
 
 
+def test_numpy_numbers_make_the_same_exact_array():
+    arr = IntersectionArray(b=np.array([3, 2, 1]), c=np.array([1.0, 2.0, 3.0]),
+                            a=[np.int16(0), np.uint8(0), np.int64(0), 0])
+    assert arr == IntersectionArray(b=[3, 2, 1], c=[1, 2, 3], a=[0, 0, 0, 0])
+    assert all(type(x) is Fraction for x in arr.b + arr.c + arr.a)
+    with pytest.raises(TypeError, match="complex"):
+        IntersectionArray(b=[1j], c=[1])
+
+
 def test_invalid_array_writes_without_valencies():
     # a_1 + b_1 + c_1 = 6 misses b_0 = 5, so the array has no valencies to write
     arr = IntersectionArray(b=[5, 4], c=[1, 2], a=[0, 1, 3])
