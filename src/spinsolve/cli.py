@@ -15,8 +15,8 @@ a command that computes no numbers never loads numpy.
 Reports are JSON on stdout (floats use shortest round-trip repr, so a
 fixed invocation is byte-identical run to run); wall-clock timings go to
 stderr unless --timings pulls them into the report.  Exit codes: 0 = ran
-and all assertions passed, 1 = an assertion mismatched, 2 = usage error
-or a numerically singular cube (U diag t)^3.
+and all assertions passed, 1 = an assertion mismatched, 2 = usage error,
+a numerically singular cube (U diag t)^3 or a command out of memory.
 """
 
 from __future__ import annotations
@@ -405,8 +405,8 @@ def main(argv: list[str] | None = None) -> int:
         _report(args, cfg, result, time.perf_counter() - start)
         return code
     except (BuildError, CensusError, DegenerateSchemeError, SingularCubeError,
-            ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+            ValueError, OSError, json.JSONDecodeError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return USAGE_ERROR
 
 

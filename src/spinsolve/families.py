@@ -187,7 +187,7 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     for j in range(1, n):
         if c[j] == 0:  # c_{j+1}
             raise ValueError(f"c_{j + 1} = 0 before the last column")
-        pt[j + 1] = (shifted[j - 1] * pt[j] - b[j - 1] * pt[j - 1]) / c[j]
+        np.divide(shifted[j - 1] * pt[j] - b[j - 1] * pt[j - 1], c[j], out=pt[j + 1])
     return pt.T.copy()
 
 
@@ -285,34 +285,19 @@ def _closed_form_eigenvalues(spec: FamilySpec, arr: IntersectionArray) -> np.nda
         nn, q = p["N"], p["q"]
         return np.array([float(nn * (q - 1) - q * i) for i in range(n + 1)])
     if fam == "bilinear":
+        # theta_i = (q^(M+N-i) + 1 - q^M - q^N)/(q - 1), exact in integers
+        # because every power of q is 1 mod q - 1
         m, nn, q = p["M"], p["N"], p["q"]
-        d, e = q**m, q**nn
-        theta = []
-        for i in range(n + 1):
-            num, den = d * e + q**i * (1 - d - e), (q - 1) * q**i
-            if num % den:
-                raise BuildError(f"non-integer eigenvalue {Fraction(num, den)} "
-                                 f"for bilinear {p}")
-            theta.append(float(num // den))
-        return np.array(theta)
+        return np.array([float((q ** (m + nn - i) + 1 - q**m - q**nn) // (q - 1))
+                         for i in range(n + 1)])
     if fam == "ngon":
+        # by Niven's theorem the only rational values of 2 cos(2 pi i/n) are
+        # -2..2, which math.cos misses by rounding alone; below n of about
+        # 1.9e5 every irrational value is further than 1e-9 from an integer
         nn = p["n"]
-        return np.array([_two_cos_two_pi(i, nn) for i in range(n + 1)])
+        theta = [2.0 * math.cos(2.0 * math.pi * i / nn) for i in range(n + 1)]
+        return np.array([float(round(t)) if abs(t - round(t)) <= 1e-9 else t for t in theta])
     raise BuildError(f"no closed-form eigenvalues for {fam!r}")
-
-
-# 2 cos(pi r) is rational exactly for r in {0, 1/3, 1/2, 2/3, 1} (mod 2),
-# keyed here by 6 r, which is an integer for each of them
-_EXACT_TWO_COS = {0: 2.0, 2: 1.0, 3: 0.0, 4: -1.0, 6: -2.0, 8: -1.0, 9: 0.0, 10: 1.0}
-
-
-def _two_cos_two_pi(i: int, n: int) -> float:
-    """2 cos(2 pi i / n), exact where the value is rational."""
-    # r = 2 i / n (mod 2), so 6 r = 12 i / n (mod 12), an integer iff n | 12 i
-    six_r, rem = divmod(12 * i, n)
-    if rem == 0 and six_r % 12 in _EXACT_TWO_COS:
-        return _EXACT_TWO_COS[six_r % 12]
-    return 2.0 * math.cos(2.0 * math.pi * i / n)
 
 
 def _float_size(size: Fraction) -> float:

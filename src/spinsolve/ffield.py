@@ -1,10 +1,10 @@
 """Table-driven finite fields GF(p^k) at desk scale (q <= 16).
 
 Elements are represented by indices 0..q-1; index sum(c_i p^i) encodes the
-polynomial c_0 + c_1 t + ... over GF(p) reduced modulo a fixed irreducible.
-The irreducibles are hard-coded so that tables are deterministic across
-runs.  Field axioms are cheap to check exhaustively at this scale, and the
-test suite does so.
+polynomial c_0 + c_1 t + ... over GF(p) reduced modulo a fixed irreducible:
+t for a prime field, and for an extension field one hard-coded here so
+that tables are deterministic across runs.  Field axioms are cheap to
+check exhaustively at this scale, and the test suite does so.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ _IRREDUCIBLES: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 3): (1, 1, 0, 1),       # t^3 + t + 1
     (2, 4): (1, 1, 0, 0, 1),    # t^4 + t + 1
     (3, 2): (2, 2, 1),          # t^2 + 2t + 2
-    (3, 3): (1, 2, 0, 1),       # t^3 + 2t + 1
-    (3, 4): (2, 0, 0, 2, 1),    # t^4 + 2t^3 + 2
 }
 
 
@@ -61,7 +59,7 @@ def is_prime_power(q: int) -> bool:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(q) with exhaustive add/mul/neg/inv tables and the Frobenius map."""
+    """GF(q) with exhaustive add/sub/mul/neg/inv tables."""
 
     q: int
     p: int = field(init=False)
@@ -71,37 +69,27 @@ class FiniteField:
     mul: np.ndarray = field(init=False, repr=False)
     neg: np.ndarray = field(init=False, repr=False)
     inv: np.ndarray = field(init=False, repr=False)
-    frobenius: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p, k = prime_power_decomposition(self.q)
-        if k > 1 and (p, k) not in _IRREDUCIBLES:
+        # a prime field is GF(p)[t]/(t), so every order takes one construction
+        modulus = (0, 1) if k == 1 else _IRREDUCIBLES.get((p, k))
+        if modulus is None:
             raise ValueError(f"no irreducible polynomial on file for GF({p}^{k})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         q = self.q
-
-        def to_vec(i: int) -> list[int]:
-            return [(i // p**j) % p for j in range(k)]
+        vecs = [[(i // p**j) % p for j in range(k)] for i in range(q)]
 
         def to_idx(vec) -> int:
-            return sum(int(c) % p * p**j for j, c in enumerate(vec))
+            return sum(c * p**j for j, c in enumerate(vec))
 
         add = np.zeros((q, q), dtype=np.int16)
         mul = np.zeros((q, q), dtype=np.int16)
-        if k == 1:
-            for x in range(q):
-                for y in range(q):
-                    add[x, y] = (x + y) % p
-                    mul[x, y] = (x * y) % p
-        else:
-            modulus = _IRREDUCIBLES[(p, k)]
-            for x in range(q):
-                vx = to_vec(x)
-                for y in range(q):
-                    vy = to_vec(y)
-                    add[x, y] = to_idx([(cx + cy) % p for cx, cy in zip(vx, vy)])
-                    mul[x, y] = to_idx(_poly_mulmod(vx, vy, modulus, p))
+        for x, vx in enumerate(vecs):
+            for y, vy in enumerate(vecs):
+                add[x, y] = to_idx([(cx + cy) % p for cx, cy in zip(vx, vy)])
+                mul[x, y] = to_idx(_poly_mulmod(vx, vy, modulus, p))
         neg = np.array([int(np.where(add[x] == 0)[0][0]) for x in range(q)], dtype=np.int16)
         inv = np.zeros(q, dtype=np.int16)
         for x in range(1, q):
@@ -109,11 +97,8 @@ class FiniteField:
             if len(hits) != 1:
                 raise ValueError(f"element {x} has no unique inverse in GF({q})")
             inv[x] = hits[0]
-        frob = np.array([_pow_idx(mul, x, p) for x in range(q)], dtype=np.int16)
-        for name, table in (("add", add), ("sub", None), ("mul", mul),
-                            ("neg", neg), ("inv", inv), ("frobenius", frob)):
-            if name == "sub":
-                table = add[:, neg]
+        for name, table in (("add", add), ("sub", add[:, neg]), ("mul", mul),
+                            ("neg", neg), ("inv", inv)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 

@@ -446,8 +446,8 @@ class ProfileParams:
     candidates: tuple[MultiPoly, ...]
 
 
-def hamming_profile_params(depth: int = 4) -> ProfileParams:
-    """Hamming data as rational functions in (x, N, q): c_i = i,
+def hamming_profile_params() -> ProfileParams:
+    """Hamming data (i <= 4) as rational functions in (x, N, q): c_i = i,
     a_i = i(q-2), b_i = (N-i)(q-1), theta_i = N(q-1) - qi,
     v_i = binom(N,i)(q-1)^i."""
     vars_ = ("x", "N", "q")
@@ -460,7 +460,7 @@ def hamming_profile_params(depth: int = 4) -> ProfileParams:
     a = []
     binom = MultiPoly.constant(vars_, 1)
     fact = 1
-    for i in range(depth + 1):
+    for i in range(5):
         b.append(RationalFunction((nn - i) * qm1))
         theta.append(RationalFunction(nn * qm1 - q * i))
         a.append(RationalFunction(i * (q - 2)))
@@ -470,24 +470,24 @@ def hamming_profile_params(depth: int = 4) -> ProfileParams:
             fact *= i
             v.append(RationalFunction(binom * qm1**i, fact))
     candidates = (nn, nn - 1, nn - 2, nn - 3, qm1, q - 2, q)
-    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v[: depth + 1]),
+    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v),
                          tuple(theta), tuple(a), candidates)
 
 
-def bilinear_profile_params(depth: int = 3) -> ProfileParams:
-    """Bilinear-forms data as rational functions in (x, d, e, q), where
-    d and e stand for q^M and q^N: b_i = (d - q^i)(e - q^i)/(q - 1),
+def bilinear_profile_params() -> ProfileParams:
+    """Bilinear-forms data (i <= 3) as rational functions in (x, d, e, q),
+    where d and e stand for q^M and q^N: b_i = (d - q^i)(e - q^i)/(q - 1),
     c_i = q^{i-1}(q^i - 1)/(q - 1), theta_i = (de + q^i(1 - d - e))/((q-1) q^i)."""
     vars_ = ("x", "d", "e", "q")
     x, d, e, q = polynomial_ring(*vars_)
     qm1 = q - 1
-    b = [RationalFunction((d - q**i) * (e - q**i), qm1) for i in range(depth + 1)]
-    c = [RationalFunction(q ** (i - 1) * (q**i - 1), qm1) for i in range(1, depth + 1)]
+    b = [RationalFunction((d - q**i) * (e - q**i), qm1) for i in range(4)]
+    c = [RationalFunction(q ** (i - 1) * (q**i - 1), qm1) for i in range(1, 4)]
     theta = [RationalFunction(d * e + q**i * (1 - d - e), qm1 * q**i)
-             for i in range(depth + 1)]
-    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(depth + 1)]
+             for i in range(4)]
+    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(4)]
     v = [RationalFunction(MultiPoly.constant(vars_, 1))]
-    for i in range(depth):
+    for i in range(3):
         v.append(v[-1] * b[i] / c[i])
     candidates = (
         d - 1, e - 1, d - q, e - q, d - q**2, e - q**2,

@@ -93,15 +93,15 @@ def verify_solution_bound(
     }
 
 
-def _bound_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+def _bound_record(params: dict, sol: SolutionSet) -> dict:
     return {**params, "count": sol.count, "bound_ok": sol.count <= MAX_SOLUTIONS,
             "reciprocal_ok": _reciprocal_closed(sol.accepted_x())}
 
 
 def _instance_record(params: dict, make_scheme: Callable[[], SchemeInstance],
-                     check: Callable[[dict, SchemeInstance, SolutionSet], dict],
+                     check: Callable[[dict, SolutionSet], dict],
                      cfg: SolverConfig) -> dict:
-    """check(params, scheme, solve(scheme)) for the scheme make_scheme()
+    """check(params, solve(scheme)) for the scheme make_scheme()
     builds, each claim's one path for an instance.  An instance that cannot
     be built fails the claim with the reason.  One whose x the solver
     cannot constrain (the 4-cycle, hamming(2,2) = ngon(4)) is not covered
@@ -115,7 +115,7 @@ def _instance_record(params: dict, make_scheme: Callable[[], SchemeInstance],
         sol = solve(scheme, cfg)
     except DegenerateSchemeError as err:
         return {**params, "degenerate": str(err), "asserted": False, "pass": True}
-    return check(params, scheme, sol)
+    return check(params, sol)
 
 
 def _family_maker(family: str, params: dict, cfg: SolverConfig) -> Callable[[], SchemeInstance]:
@@ -124,7 +124,7 @@ def _family_maker(family: str, params: dict, cfg: SolverConfig) -> Callable[[], 
     return partial(build, FamilySpec(family, dict(params)), cfg)
 
 
-def _hamming_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+def _hamming_record(params: dict, sol: SolutionSet) -> dict:
     n, q = params["N"], params["q"]
     expected = 3 if q == 4 else 6
     issues = []
@@ -170,7 +170,7 @@ def verify_bilinear_nonexistence(
             "pass": all(r["pass"] for r in records)}
 
 
-def _bilinear_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+def _bilinear_record(params: dict, sol: SolutionSet) -> dict:
     asserted = min(params["M"], params["N"]) > 2
     return {
         **params,
@@ -183,7 +183,7 @@ def _bilinear_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> 
 
 def _census_family_nonexistence(theorem: int, family: str, asserted_when,
                                 instances, cfg: SolverConfig) -> dict:
-    def check(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+    def check(params: dict, sol: SolutionSet) -> dict:
         asserted = asserted_when(params["params"])
         return {
             **params,
@@ -254,7 +254,7 @@ def _ngon_constant_target(fam: str, sgn: int, n: int) -> complex:
     return sgn * 1j  # n = 4m + 3
 
 
-def _ngon_record(params: dict, scheme: SchemeInstance, sol: SolutionSet) -> dict:
+def _ngon_record(params: dict, sol: SolutionSet) -> dict:
     n = params["n"]
     even = n % 2 == 0
     expected = 12 if even else 6

@@ -642,6 +642,23 @@ def test_singular_cube_exits_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 2.98 GiB"), "error: Unable to allocate 2.98 GiB"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_out_of_memory_exits_2(monkeypatch, capsys, error, line):
+    from spinsolve import families
+
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(families, "eigenmatrix", out_of_memory)
+    code, out, err = run_cli(capsys, "solve", "--family", "ngon", "--n", "12")
+    assert code == 2
+    assert out == ""
+    assert err == line + "\n"
+
+
 @pytest.mark.parametrize("argv", [["solve", "--family", "hamming", "--N", "1020", "--q", "2"],
                                   ["families", "--family", "hamming", "--N", "600", "--q", "2"]],
                          ids=["solve-1020", "families-600"])

@@ -74,6 +74,20 @@ def test_hamming_eigenvalues_match_linear_form():
             assert list(scheme.theta) == [n * (q - 1) - q * i for i in range(n + 1)]
 
 
+def test_bilinear_eigenvalues_match_rational_form():
+    # theta_i = (de + q^i (1 - d - e))/((q - 1) q^i) with d = q^M, e = q^N
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for q in families.DESK_PRIME_POWERS:
+                spec = FamilySpec("bilinear", {"M": m, "N": n, "q": q})
+                d, e = q**m, q**n
+                want = [Fraction(d * e + q**i * (1 - d - e), (q - 1) * q**i)
+                        for i in range(min(m, n) + 1)]
+                theta = families._closed_form_eigenvalues(spec, closed_form_array(spec))
+                assert list(theta) == [float(w) for w in want], (m, n, q)
+                assert all(w.denominator == 1 for w in want)
+
+
 def test_eigenvalues_from_array_hamming_42():
     arr = closed_form_array(FamilySpec("hamming", {"N": 4, "q": 2}))
     assert np.allclose(eigenvalues_from_array(arr), [4, 2, 0, -2, -4])

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from spinsolve.ffield import FiniteField, is_prime_power, prime_power_decomposition
@@ -31,7 +32,7 @@ def test_field_axioms_exhaustively(q):
 @pytest.mark.parametrize("q", DESK_ORDERS)
 def test_frobenius_is_additive_and_multiplicative(q):
     f = FiniteField(q)
-    fr = f.frobenius
+    fr = f.power_map(f.p)
     for a, b in itertools.product(range(q), repeat=2):
         assert fr[f.add[a, b]] == f.add[fr[a], fr[b]]
         assert fr[f.mul[a, b]] == f.mul[fr[a], fr[b]]
@@ -62,5 +63,15 @@ def test_prime_power_detection():
 
 
 def test_unknown_extension_rejected():
-    with pytest.raises(ValueError):
-        FiniteField(25)  # no irreducible on file for 5^2
+    # no irreducible on file for 5^2, 3^3 or 3^4: no family spec admits them
+    for q in (25, 27, 81):
+        with pytest.raises(ValueError, match="no irreducible polynomial on file"):
+            FiniteField(q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_tables_are_arithmetic_mod_p(p):
+    f = FiniteField(p)
+    elems = np.arange(p)
+    assert np.array_equal(f.add, np.add.outer(elems, elems) % p)
+    assert np.array_equal(f.mul, np.multiply.outer(elems, elems) % p)

@@ -29,7 +29,8 @@ import spinsolve as sp
 from spinsolve import families, solver
 from spinsolve.core import (IntersectionArray, max_abs, valencies, valency_sum,
                             validate_array)
-from spinsolve.families import FamilySpec, build, eigenmatrix, eigenvalues_from_array
+from spinsolve.families import (FamilySpec, build, closed_form_array, eigenmatrix,
+                                eigenvalues_from_array)
 from spinsolve.oracle import PointSpace, census
 from spinsolve.solver import filter_x, scalar_and_T0, solve, t_profile
 
@@ -534,9 +535,14 @@ def test_coincidence_error_text_matches_reference(theta):
 
 
 def test_two_cos_two_pi_matches_reference():
+    def signed(values):  # tells 0.0 from -0.0
+        return [(value, math.copysign(1, value)) for value in values]
+
     for n in range(3, 401):
-        for i in range(n // 2 + 1):
-            assert families._two_cos_two_pi(i, n) == reference_two_cos_two_pi(i, n), (i, n)
+        spec = FamilySpec("ngon", {"n": n})
+        theta = families._closed_form_eigenvalues(spec, closed_form_array(spec))
+        want = [reference_two_cos_two_pi(i, n) for i in range(n // 2 + 1)]
+        assert signed(theta) == signed(want), n
 
 
 @given(valid_arrays(max_classes=8))

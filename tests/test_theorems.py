@@ -35,11 +35,11 @@ def with_first(sol, **changes):
 
 
 def hamming_record(sol):
-    return theorems._hamming_record({"N": 3, "q": 3}, sol.scheme, sol)
+    return theorems._hamming_record({"N": 3, "q": 3}, sol)
 
 
 def ngon_record(sol):
-    return theorems._ngon_record({"n": sol.scheme.params["n"]}, sol.scheme, sol)
+    return theorems._ngon_record({"n": sol.scheme.params["n"]}, sol)
 
 
 def test_hamming_record_fails_a_dropped_solution(hamming33):
