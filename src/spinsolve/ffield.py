@@ -78,25 +78,18 @@ class FiniteField:
             raise ValueError(f"no irreducible polynomial on file for GF({p}^{k})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        q = self.q
-        vecs = [[(i // p**j) % p for j in range(k)] for i in range(q)]
-
-        def to_idx(vec) -> int:
-            return sum(c * p**j for j, c in enumerate(vec))
-
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
-        for x, vx in enumerate(vecs):
-            for y, vy in enumerate(vecs):
-                add[x, y] = to_idx([(cx + cy) % p for cx, cy in zip(vx, vy)])
-                mul[x, y] = to_idx(_poly_mulmod(vx, vy, modulus, p))
-        neg = np.array([int(np.where(add[x] == 0)[0][0]) for x in range(q)], dtype=np.int16)
-        inv = np.zeros(q, dtype=np.int16)
-        for x in range(1, q):
-            hits = np.where(mul[x] == 1)[0]
-            if len(hits) != 1:
-                raise ValueError(f"element {x} has no unique inverse in GF({q})")
-            inv[x] = hits[0]
+        # coefficient vectors of every element, constant term first
+        powers = p ** np.arange(k)
+        vecs = np.arange(self.q)[:, np.newaxis] // powers % p
+        x, y = vecs[:, np.newaxis], vecs[np.newaxis]
+        add = ((x + y) % p @ powers).astype(np.int16)
+        mul = (_poly_mulmod(x, y, modulus, p) @ powers).astype(np.int16)
+        neg = (-vecs % p @ powers).astype(np.int16)
+        units = mul[1:] == 1
+        bad = np.flatnonzero(units.sum(axis=1) != 1)
+        if len(bad):
+            raise ValueError(f"element {bad[0] + 1} has no unique inverse in GF({self.q})")
+        inv = np.concatenate([[0], units.argmax(axis=1)]).astype(np.int16)
         for name, table in (("add", add), ("sub", add[:, neg]), ("mul", mul),
                             ("neg", neg), ("inv", inv)):
             table.setflags(write=False)
@@ -119,21 +112,20 @@ class FiniteField:
         return [x for x in range(self.q) if automorphism[x] == x]
 
 
-def _poly_mulmod(vx, vy, modulus, p: int) -> list[int]:
+def _poly_mulmod(vx: np.ndarray, vy: np.ndarray, modulus, p: int) -> np.ndarray:
+    """Coefficients of vx * vy modulo a monic polynomial over GF(p), for
+    every pair of coefficient vectors (last axis, constant term first) that
+    vx and vy broadcast to at once."""
     k = len(modulus) - 1
-    prod = [0] * (2 * k - 1)
-    for i, cx in enumerate(vx):
-        if cx:
-            for j, cy in enumerate(vy):
-                prod[i + j] = (prod[i + j] + cx * cy) % p
-    # reduce modulo the monic irreducible
-    for deg in range(len(prod) - 1, k - 1, -1):
-        coeff = prod[deg]
-        if coeff:
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - coeff * modulus[j]) % p
-    return prod[:k]
+    shape = np.broadcast_shapes(vx.shape, vy.shape)[:-1]
+    prod = np.zeros(shape + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):  # the product is a convolution of the coefficients
+        prod[..., i:i + k] += vx[..., i, np.newaxis] * vy
+    # t^deg = t^(deg-k) t^k, and t^k is minus the modulus's lower terms
+    lower = np.array(modulus[:k])
+    for deg in range(2 * k - 2, k - 1, -1):
+        prod[..., deg - k:deg] -= prod[..., deg, np.newaxis] * lower
+    return prod[..., :k] % p
 
 
 def _pow_idx(mul: np.ndarray, x: int, e: int) -> int:

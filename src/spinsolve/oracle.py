@@ -31,7 +31,11 @@ touches are the same in every block, so the whole-space pass reduces
 them once, reduces each block's own rows against them by linearity, and
 eliminates only those per block, with the elimination `rank_batch_gf2`
 runs.  Over larger fields each block's difference matrices are built as
-one (points, rows, cols) array and ranked by the scalar path.
+one (points, rows, cols) array of field-element indices and ranked by
+`rank_batch`, the same row-by-row elimination driven by the field's
+flattened sub, mul and inv tables, every step one numpy operation over
+the block.  The scalar `rank` is kept as the oracle the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from .core import (DEFAULT_CONFIG, CensusError, IntersectionArray, SchemeCensus,
 from .families import CLOSED_FORM_FAMILIES, FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
-__all__ = ["PointSpace", "CensusError", "rank", "rank_batch_gf2", "census", "verify_family"]
+__all__ = ["PointSpace", "CensusError", "rank", "rank_batch", "rank_batch_gf2", "census",
+           "verify_family"]
 
 # Points per class whose p_{1,j}^r rows must agree.
 CENSUS_REPRESENTATIVES = 5
@@ -59,7 +64,8 @@ GF2_BLOCK = 1 << 15
 
 
 def rank(matrix: Sequence[Sequence[int]], f: FiniteField) -> int:
-    """Row-echelon rank of a matrix of field-element indices."""
+    """Row-echelon rank of a matrix of field-element indices, one entry at
+    a time: the reference the batched kernels are tested against."""
     rows = [list(map(int, r)) for r in matrix]
     if not rows:
         return 0
@@ -82,6 +88,61 @@ def rank(matrix: Sequence[Sequence[int]], f: FiniteField) -> int:
         if rk == len(rows):
             break
     return rk
+
+
+def rank_batch(mats: np.ndarray, f: FiniteField) -> np.ndarray:
+    """Ranks of a batch of matrices over f, given as a (matrices, rows,
+    cols) array of field-element indices, returned as int64.
+
+    A batch with more rows than columns is ranked transposed, as rank is
+    the same and the cost grows with the rows.  The rows are worked on as
+    a (rows, matrices, cols) copy in the narrowest unsigned type that holds
+    q^2 - 1, so that x * q + y indexes the flattened q x q tables.  As in
+    `_eliminate_gf2`, row i of every matrix is reduced at once against the
+    reduced rows 0..i-1, by row = sub[row, mul[row[lead_k], pivot_k]];
+    the reduced row is then scaled by inv of its first nonzero entry, whose
+    column becomes its lead (a zero row stays zero, with lead 0).  Each
+    reduced row is zero at every earlier lead, so it is nonzero iff row i
+    is independent of rows 0..i-1, and the rank is the number of nonzero
+    reduced rows.  Every step is one numpy operation over the batch, in
+    place where it can be; callers keep the batch cache-sized (GF2_BLOCK).
+    """
+    mats = np.asarray(mats)
+    if mats.size and (mats.min() < 0 or mats.max() >= f.q):
+        raise ValueError(f"matrix entries must be element indices 0..{f.q - 1}")
+    if mats.shape[1] > mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)
+    nmat, _, ncols = mats.shape
+    q = f.q
+    dtype = np.min_scalar_type(q * q - 1)
+    sub, mul = f.sub.astype(dtype).ravel(), f.mul.astype(dtype).ravel()
+    inv = f.inv.astype(dtype)
+    pivots = np.array(mats.transpose(1, 0, 2), dtype=dtype, order="C")
+    # leads as indices into a row's flattened (matrices * cols) entries
+    starts = np.arange(0, nmat * ncols, ncols)
+    leads = np.empty(pivots.shape[:2], dtype=np.intp)
+    factor = np.empty(nmat, dtype=dtype)
+    scaled = np.empty(pivots.shape[1:], dtype=dtype)
+    ranks = np.zeros(nmat, dtype=np.min_scalar_type(len(pivots)))  # rank <= rows
+    for i, row in enumerate(pivots):
+        entries = row.reshape(-1)
+        for pivot, lead in zip(pivots[:i], leads[:i]):
+            np.take(entries, lead, out=factor)
+            factor *= q
+            np.add(factor[:, np.newaxis], pivot, out=scaled)
+            np.take(mul, scaled, out=scaled)
+            row *= q
+            row += scaled
+            np.take(sub, row, out=row)
+        nonzero = row != 0
+        np.add(starts, nonzero.argmax(axis=1), out=leads[i])
+        np.take(entries, leads[i], out=factor)
+        np.take(inv, factor, out=factor)
+        factor *= q
+        row += factor[:, np.newaxis]
+        np.take(mul, row, out=row)
+        ranks += nonzero.any(axis=1)
+    return ranks.astype(np.int64)
 
 
 def _gf2_dtype(ncols: int) -> type:
@@ -282,11 +343,11 @@ class PointSpace:
         """Raw distance between each y and each z, the weight of z - y, as
         a (len(codes_y), len(codes_z)) array.
 
-        Every z's digits, rows or matrix are built once for all y.  Over
-        GF(2) the pairs' difference rows are formed and ranked a chunk of
-        at most GF2_BLOCK pairs at a time, into raw_from_zero's distance
-        type; over larger fields each y's difference matrices are formed
-        in turn and ranked by scalar `rank`."""
+        Every z's digits, rows or matrix are built once for all y.  In a
+        matrix space the pairs' difference rows (GF(2), ranked by
+        `rank_batch_gf2`) or difference matrices (larger fields, ranked by
+        `rank_batch`) are formed and ranked a chunk of at most GF2_BLOCK
+        pairs at a time, into raw_from_zero's distance type."""
         codes_y = np.asarray(codes_y, dtype=np.int64)
         codes_z = np.asarray(codes_z, dtype=np.int64)
         shape = (len(codes_y), len(codes_z))
@@ -297,13 +358,13 @@ class PointSpace:
             dy = self._digits(codes_y, self.alphabet, self.word_len)
             dz = self._digits(codes_z, self.alphabet, self.word_len)
             return np.count_nonzero(dz[np.newaxis] != dy[:, np.newaxis], axis=2)
-        # matrix spaces: the matrix of z - y is M(z) - M(y)
+        # matrix spaces: the matrix of z - y is M(z) - M(y).  Each chunk
+        # pairs up to GF2_BLOCK zs with as many ys as fit in GF2_BLOCK
+        # pairs, so memory stays at one chunk however many zs
+        ranks = np.empty(shape, dtype=np.min_scalar_type(self.max_raw))
+        ys_per_chunk = max(1, GF2_BLOCK // max(1, shape[1]))
         if self.gf2_shape:
             rows_y = self._gf2_rows(codes_y)
-            ranks = np.empty(shape, dtype=np.min_scalar_type(self.max_raw))
-            # each chunk pairs up to GF2_BLOCK zs with as many ys as fit in
-            # GF2_BLOCK pairs, so memory stays at one chunk however many zs
-            ys_per_chunk = max(1, GF2_BLOCK // max(1, shape[1]))
             for z0 in range(0, shape[1], GF2_BLOCK):
                 rows_z = self._gf2_rows(codes_z[z0:z0 + GF2_BLOCK])
                 for y0 in range(0, shape[0], ys_per_chunk):
@@ -312,10 +373,13 @@ class PointSpace:
                     block[...] = rank_batch_gf2(diff.reshape(len(diff), -1).T,
                                                 self.gf2_shape[1]).reshape(block.shape)
             return ranks
-        mats_z = self._matrices(codes_z)
-        ranks = np.empty(shape, dtype=np.int64)
-        for row, mat_y in zip(ranks, self._matrices(codes_y)):
-            row[:] = [rank(mat, self.field) for mat in self.field.sub[mats_z, mat_y].tolist()]
+        f, mats_y = self.field, self._matrices(codes_y)
+        for z0 in range(0, shape[1], GF2_BLOCK):
+            mats_z = self._matrices(codes_z[z0:z0 + GF2_BLOCK])
+            for y0 in range(0, shape[0], ys_per_chunk):
+                diff = f.sub[mats_z, mats_y[y0:y0 + ys_per_chunk, np.newaxis]]
+                block = ranks[y0:y0 + ys_per_chunk, z0:z0 + GF2_BLOCK]
+                block[...] = rank_batch(diff.reshape(-1, *self.shape), f).reshape(block.shape)
         return ranks
 
     # -- internals --------------------------------------------------------

@@ -328,18 +328,21 @@ def scalar_and_T0(u: np.ndarray, t: np.ndarray, size: float,
     three cube roots of 1/mu (in _cube_roots' order) when it is."""
     t = np.asarray(t, dtype=complex)
     col = t[:, np.newaxis]
-    r = _real_times(u, col * u)  # A = U diag(t) U
-    r *= col
-    r *= t  # R_ij = A_ij t_i t_j
-    abs_t = np.abs(t)
-    rows = abs_t * np.sqrt((u * u) @ abs_t)
-    weights = np.abs(u.diagonal()) / (rows * rows)
-    k = int(np.argmax(weights))
-    kappa = complex(r[k, k] / u[k, k])
-    r -= kappa * u
-    scale = np.multiply.outer(rows, rows)
-    scale += np.abs(u) / weights[k]
-    gap = float((np.abs(r) / scale).max())
+    # a t too large for float64 overflows here; its non-finite rows reject
+    # the pair below, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _real_times(u, col * u)  # A = U diag(t) U
+        r *= col
+        r *= t  # R_ij = A_ij t_i t_j
+        abs_t = np.abs(t)
+        rows = abs_t * np.sqrt((u * u) @ abs_t)
+        weights = np.abs(u.diagonal()) / (rows * rows)
+        k = int(np.argmax(weights))
+        kappa = complex(r[k, k] / u[k, k])
+        r -= kappa * u
+        scale = np.multiply.outer(rows, rows)
+        scale += np.abs(u) / weights[k]
+        gap = float((np.abs(r) / scale).max())
     mu = size * kappa
     if not (gap <= cfg.residual_tol and np.isfinite(rows).all()):
         return ScalarCube(False, mu, (), gap)

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinsolve import ffield
 from spinsolve.ffield import FiniteField, is_prime_power, prime_power_decomposition
 
 DESK_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -27,6 +28,43 @@ def test_field_axioms_exhaustively(q):
         assert f.add[a, f.neg[a]] == 0
         if a:
             assert f.mul[a, f.inv[a]] == 1
+
+
+def reference_tables(q):
+    """GF(q)'s five tables one pair at a time: coefficient vectors added
+    and multiplied as polynomials, products reduced degree by degree by the
+    field's monic modulus (t for a prime field)."""
+    p, k = prime_power_decomposition(q)
+    modulus = (0, 1) if k == 1 else ffield._IRREDUCIBLES[(p, k)]
+    vecs = [[(x // p**j) % p for j in range(k)] for x in range(q)]
+
+    def index(vec):
+        return sum(c * p**j for j, c in enumerate(vec))
+
+    def mulmod(vx, vy):
+        prod = [0] * (2 * k - 1)
+        for i, cx in enumerate(vx):
+            for j, cy in enumerate(vy):
+                prod[i + j] = (prod[i + j] + cx * cy) % p
+        for deg in range(2 * k - 2, k - 1, -1):
+            coeff, prod[deg] = prod[deg], 0
+            for j in range(k):
+                prod[deg - k + j] = (prod[deg - k + j] - coeff * modulus[j]) % p
+        return prod[:k]
+
+    add = [[index([(a + b) % p for a, b in zip(vx, vy)]) for vy in vecs] for vx in vecs]
+    mul = [[index(mulmod(vx, vy)) for vy in vecs] for vx in vecs]
+    neg = [add[x].index(0) for x in range(q)]
+    return {"add": add, "sub": [[add[x][neg[y]] for y in range(q)] for x in range(q)],
+            "mul": mul, "neg": neg, "inv": [0] + [mul[x].index(1) for x in range(1, q)]}
+
+
+@pytest.mark.parametrize("q", DESK_ORDERS)
+def test_tables_match_pairwise_polynomial_arithmetic(q):
+    f = FiniteField(q)
+    for name, table in reference_tables(q).items():
+        assert getattr(f, name).dtype == np.int16
+        assert getattr(f, name).tolist() == table, name
 
 
 @pytest.mark.parametrize("q", DESK_ORDERS)

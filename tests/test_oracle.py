@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import spinsolve as sp
 from spinsolve import oracle
 from spinsolve.core import SchemeCensus, dumps_report
-from spinsolve.families import family_size
+from spinsolve.families import DESK_PRIME_POWERS, family_size
 from spinsolve.ffield import FiniteField
 from spinsolve.oracle import (
     CENSUS_REPRESENTATIVES,
@@ -20,6 +20,7 @@ from spinsolve.oracle import (
     PointSpace,
     census,
     rank,
+    rank_batch,
     rank_batch_gf2,
     verify_family,
 )
@@ -130,6 +131,56 @@ def test_batch_rank_input_check_at_its_edges(rows, ncols, ok):
     else:
         with pytest.raises(ValueError, match=f"column {ncols}"):
             rank_batch_gf2(rows, ncols)
+
+
+def _of_rank(f, rng, count, nrows, ncols, inner):
+    """count matrices of rank exactly inner over f: products B C with
+    B = [I; X] (nrows x inner) and C = [I | Y] (inner x ncols), X and Y
+    random, each with its rows and columns then shuffled.  Rank 0 is the
+    zero matrix."""
+    left = rng.integers(0, f.q, size=(count, nrows, inner))
+    left[:, :inner] = np.eye(inner, dtype=int)
+    right = rng.integers(0, f.q, size=(count, inner, ncols))
+    right[:, :, :inner] = np.eye(inner, dtype=int)
+    mats = np.zeros((count, nrows, ncols), dtype=np.int16)
+    for k in range(inner):
+        mats = f.add[mats, f.mul[left[:, :, k, np.newaxis], right[:, np.newaxis, k, :]]]
+    rows = rng.permuted(np.tile(np.arange(nrows), (count, 1)), axis=1)
+    cols = rng.permuted(np.tile(np.arange(ncols), (count, 1)), axis=1)
+    return mats[np.arange(count)[:, np.newaxis, np.newaxis], rows[:, :, np.newaxis],
+                cols[:, np.newaxis, :]]
+
+
+@pytest.mark.parametrize("q", DESK_PRIME_POWERS)
+def test_table_rank_matches_scalar_rank(q):
+    # uniform matrices are almost always of full rank, so every rank up to
+    # min(r, c) is made on purpose
+    f = FiniteField(q)
+    rng = np.random.default_rng(q)
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            inners = range(min(nrows, ncols) + 1)
+            mats = np.concatenate([_of_rank(f, rng, 6, nrows, ncols, k) for k in inners])
+            expected = [rank(m, f) for m in mats.tolist()]
+            assert expected == [k for k in inners for _ in range(6)]
+            ranks = rank_batch(mats, f)
+            assert ranks.dtype == np.int64
+            assert ranks.tolist() == expected, (nrows, ncols)
+
+
+def test_table_rank_of_a_batch_beyond_a_block():
+    f = FiniteField(7)
+    rng = np.random.default_rng(29)
+    base = np.concatenate([_of_rank(f, rng, 4, 3, 5, k) for k in range(4)])
+    picks = rng.integers(0, len(base), size=GF2_BLOCK + 3)
+    assert np.array_equal(rank_batch(base[picks], f), picks // 4)
+    assert rank_batch(base[:0], f).shape == (0,)
+
+
+@pytest.mark.parametrize("entry", [-1, 9])
+def test_table_rank_rejects_entries_outside_the_field(entry):
+    with pytest.raises(ValueError, match="0..8"):
+        rank_batch(np.array([[[1, entry]]]), FiniteField(9))
 
 
 def test_blocked_distance_is_the_rank_of_the_difference():
@@ -373,6 +424,43 @@ def test_batched_distance_is_a_loop_of_scalar_distances(family, params):
     assert dists.shape == (5, 40)
     assert dists.tolist() == [[_scalar_distance(family, params, int(y), int(z)) for z in zs]
                               for y in ys]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("bilinear", {"M": 2, "N": 3, "q": 3}),
+    ("bilinear", {"M": 3, "N": 2, "q": 5}),  # transposed
+    ("hermitian", {"n": 2, "q": 4}),
+    ("alternating", {"n": 4, "q": 5}),
+])
+@pytest.mark.parametrize("block,n_ys,n_zs", [
+    (16, 3, 40),  # one y per chunk, its zs in three chunks
+    (64, 7, 20),  # three ys per chunk: chunks of 3, 3 and 1 ys
+])
+def test_batched_gfq_distances_across_chunks(family, params, block, n_ys, n_zs, monkeypatch):
+    monkeypatch.setattr(oracle, "GF2_BLOCK", block)
+    space = PointSpace(sp.FamilySpec(family, params))
+    rng = np.random.default_rng(31)
+    ys = rng.integers(0, space.n_points, size=n_ys)
+    ys[0] = 0
+    zs = rng.integers(0, space.n_points, size=n_zs)
+    dists = space.raw_between(ys, zs)
+    assert dists.shape == (n_ys, n_zs)
+    assert dists.tolist() == [[_scalar_distance(family, params, int(y), int(z)) for z in zs]
+                              for y in ys]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("hermitian", {"n": 3, "q": 3}),
+    ("alternating", {"n": 4, "q": 5}),
+    ("alternating", {"n": 5, "q": 3}),
+])
+def test_gfq_census_class_sizes_are_the_valencies(family, params):
+    report = verify_family(sp.FamilySpec(family, params))
+    assert report["match"], report["mismatches"]
+    cen = report["census"]
+    arr = sp.IntersectionArray.from_dict(cen["array"])
+    assert [int(v) for v in sp.valencies(arr)] == cen["class_sizes"]
+    assert sum(cen["class_sizes"]) == cen["point_count"] == family_size(sp.FamilySpec(family, params))
 
 
 @pytest.mark.parametrize("n_ys,n_zs", [

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -539,6 +540,17 @@ def test_krawtchouk_counts_are_even_and_reciprocal_closed(n, q):
     assert sol.count % 2 == 0 and sol.count <= 12
     for x in xs:
         assert any(abs(1 / x - y) <= 1e-8 * max(1, abs(1 / x)) for y in xs), x
+
+
+def test_a_profile_beyond_float_range_is_rejected_without_numpy_warnings():
+    # hamming(29, 259) entered as a custom array: its profiles overflow
+    # float64 in the cube, and the non-finite row scales reject each pair
+    n, q = 29, 259
+    arr = sp.IntersectionArray([(n - i) * (q - 1) for i in range(n)], range(1, n + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(build_custom(arr))
+    assert sol.count == 0
 
 
 @pytest.mark.parametrize("spec,pairs", [(FamilySpec("hamming", {"N": 4, "q": 3}), 1),
