@@ -64,10 +64,15 @@ def _one(value, flag: str) -> int:
     return vals[0]
 
 
+def _given(**flags) -> dict:
+    """The flags that were given; one not given keeps its reader's default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _config(args) -> SolverConfig:
     """--tol and --max-points; a flag not given keeps its default."""
-    given = {"residual_tol": args.tol, "census_max_points": args.max_points}
-    return DEFAULT_CONFIG.with_(**{k: v for k, v in given.items() if v is not None})
+    return DEFAULT_CONFIG.with_(**_given(residual_tol=args.tol,
+                                         census_max_points=args.max_points))
 
 
 def _report(args, cfg: SolverConfig, result, elapsed: float) -> None:
@@ -79,7 +84,7 @@ def _report(args, cfg: SolverConfig, result, elapsed: float) -> None:
             "command": command,
             "version": __version__,
             "config": dataclasses.asdict(cfg),
-            "args": _echo(args),
+            "args": _given(**{**vars(args), "func": None}),  # the flags, not the handler
             "result": result,
         }
         if args.timings:
@@ -231,21 +236,21 @@ def _cmd_verify(args, cfg: SolverConfig):
     return result, 0 if result["pass"] else ASSERTION_ERROR
 
 
-# The range flags each claim reads; giving a claim any other is a usage error.
-CLAIM_FLAGS = {1: ("random_arrays",), 2: ("N", "q"), 3: ("M", "N", "q"),
+# The flags each claim reads; giving a claim any other is a usage error.
+CLAIM_FLAGS = {1: ("random_arrays", "seed"), 2: ("N", "q"), 3: ("M", "N", "q"),
                4: ("n", "q"), 5: ("n", "q"), 6: ("n",)}
 
 
 def _claim_kwargs(args) -> dict:
-    """verify_theorem's keyword arguments from the range flags of one claim."""
+    """verify_theorem's keyword arguments from the flags of one claim that
+    were given; the claim's own defaults fill the rest."""
     claim, reads = args.theorem, CLAIM_FLAGS[args.theorem]
     _refuse_stray_flags(args, f"--theorem {claim}", CLAIM_FLAGS, claim)
-    given = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
+    given = _given(**{name: getattr(args, name) for name in reads})
     if claim == 1:
-        n_random = given.get("random_arrays", 200)
-        if n_random < 1:
-            raise ValueError(f"--random-arrays must be at least 1, got {n_random}")
-        return {"n_random": n_random, "seed": args.seed}
+        if given.get("random_arrays", 1) < 1:
+            raise ValueError(f"--random-arrays must be at least 1, got {args.random_arrays}")
+        return _given(n_random=args.random_arrays, seed=args.seed)
     ranges = {name: _parse_range(value) for name, value in given.items()}
     if claim == 2:
         return {key: ranges[name] for name, key in (("N", "n_range"), ("q", "q_range"))
@@ -270,20 +275,6 @@ def _claim_kwargs(args) -> dict:
 SYMBOLIC_FLAGS = {"quartic": ("family", "N", "M", "q", "n", "array_file"),
                   "hamming-resultant": (),
                   "bilinear-identities": ("seed", "points")}
-
-# The defaults of the flags that verify and symbolic declare without one.
-# main fills them in after the stray-flag check, so only a flag that was
-# given is refused, and every report echoes the value that was used.
-FLAG_DEFAULTS = {"seed": 7, "points": 20}
-
-
-def _fill_defaults(args) -> None:
-    """Give each flag of FLAG_DEFAULTS that the subcommand declares and
-    that was not given its default."""
-    given = vars(args)
-    for name, value in FLAG_DEFAULTS.items():
-        if name in given and given[name] is None:
-            given[name] = value
 
 
 def _cmd_symbolic(args, cfg: SolverConfig):
@@ -313,13 +304,8 @@ def _cmd_symbolic(args, cfg: SolverConfig):
                   "resultant": hamming_resultant_check()}
         result["ok"] = result["factorization"]["ok"] and result["resultant"]["ok"]
     else:  # bilinear-identities
-        result = bilinear_identity_checks(seed=args.seed, points=args.points)
+        result = bilinear_identity_checks(**_given(seed=args.seed, points=args.points))
     return result, 0 if result["ok"] else ASSERTION_ERROR
-
-
-def _echo(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 # -- parser ------------------------------------------------------------------
@@ -398,7 +384,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "symbolic":  # stray flags are refused before --tol is read
             action = args.symbolic_action
             _refuse_stray_flags(args, f"symbolic {action}", SYMBOLIC_FLAGS, action)
-        _fill_defaults(args)
         cfg = _config(args)
         start = time.perf_counter()
         result, code = args.func(args, cfg)

@@ -451,13 +451,11 @@ class PointSpace:
 def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensus:
     """Measure p_{1,j}^r and class sizes over the whole point space.
 
-    Class sizes are counted block by block from `raw_from_zero()`, one
-    `count_nonzero` per raw value and block (no cast, no whole-space
-    temporary), and each class's first CENSUS_REPRESENTATIVES codes are
-    found block by block, stopping once every class has them.  One
-    `raw_between` call measures every representative against every
-    first-class point, and each representative's row is histogrammed in
-    its own type (`_bincount`)."""
+    Class sizes are `raw_from_zero()` histogrammed by `_bincount`, and
+    each class's first CENSUS_REPRESENTATIVES codes are found block by
+    block, stopping once every class has them.  One `raw_between` call
+    measures every representative against every first-class point, and
+    `_bincount` histograms each representative's row too."""
     n = space.n_points
     if n > cfg.census_max_points:
         raise CensusError(
@@ -469,10 +467,7 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
         raise CensusError(f"{space.family} {space.spec.params} space has {n} points, "
                           "more than int64 codes can index")
     raws = space.raw_from_zero()
-    counts = np.zeros(space.max_raw + 1, dtype=np.int64)
-    for start in range(0, n, GF2_BLOCK):
-        block = raws[start:start + GF2_BLOCK]
-        counts += [np.count_nonzero(block == r) for r in range(space.max_raw + 1)]
+    counts = np.array(_bincount(raws, space.max_raw + 1))
 
     observed = np.flatnonzero(counts)
     if space.family == "alternating" and np.any(observed % 2 != 0):
@@ -538,11 +533,14 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
 
 def _bincount(row: np.ndarray, minlength: int) -> list[int]:
     """np.bincount(row, minlength=minlength) of a row of distances, counted
-    in the row's own type by one comparison with every value per
-    GF2_BLOCK entries, so that no intp copy of a long row is made."""
-    values = np.arange(max(int(row.max()) + 1, minlength), dtype=row.dtype)[:, np.newaxis]
-    return sum(np.count_nonzero(row[start:start + GF2_BLOCK] == values, axis=1)
-               for start in range(0, len(row), GF2_BLOCK)).tolist()
+    in the row's own type by one `count_nonzero` per value and GF2_BLOCK
+    entries, so that a long row gets no intp copy and no whole-row temporary."""
+    n_values = max(int(row.max()) + 1, minlength)
+    counts = np.zeros(n_values, dtype=np.int64)
+    for start in range(0, len(row), GF2_BLOCK):
+        block = row[start:start + GF2_BLOCK]
+        counts += [np.count_nonzero(block == v) for v in range(n_values)]
+    return counts.tolist()
 
 
 def _array_text(arr: IntersectionArray) -> str:

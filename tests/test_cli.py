@@ -214,7 +214,8 @@ def test_verify_solution_bound_defaults_to_200_arrays(capsys):
     code, out, _ = run_cli(capsys, "verify", "--theorem", "1")
     assert code == 0
     report = json.loads(out)
-    assert "random_arrays" not in report["args"]
+    assert not {"random_arrays", "seed"} & set(report["args"])
+    assert (report["result"]["seed"], report["result"]["n_random"]) == (7, 200)
     records = report["result"]["instances"]
     assert sum(r["kind"] == "random" for r in records) == 200
 
@@ -381,11 +382,40 @@ def test_custom_array_beyond_float_range_exits_2(tmp_path, capsys):
     (("--theorem", "2", "--M", "3"), "--M"),
     (("--theorem", "6", "--N", "8", "--M", "2"), "--N, --M"),
     (("--theorem", "6", "--M", "2", "--N", "8"), "--N, --M"),
+    *[(("--theorem", claim, "--seed", "3"), "--seed") for claim in "23456"],
 ])
 def test_verify_rejects_range_flags_its_claim_does_not_read(capsys, argv, flag):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --theorem") and flag in err
+
+
+def test_verify_solution_bound_reads_seed(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "1", "--random-arrays", "5",
+                           "--seed", "3")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["seed"], result["n_random"]) == (3, 5)
+    code, _, err = run_cli(capsys, "verify", "--theorem", "1", "--N", "4")
+    assert code == 2
+    assert err == "error: --theorem 1 does not read --N (it reads --random-arrays, --seed)\n"
+
+
+def test_bilinear_identities_report_states_the_default_seed_and_points(capsys):
+    code, out, _ = run_cli(capsys, "symbolic", "bilinear-identities")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["result"]["seed"], report["result"]["points"]) == (7, 20)
+    assert not {"seed", "points"} & set(report["args"])
+
+
+def test_solve_refuses_more_classes_than_the_bound_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "solve", "--family", "ngon", "--n", "40000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"error: 20000 classes exceed the bound of {spinsolve.families.MAX_CLASSES} "
+                   "that build and solve accept (families.MAX_CLASSES)\n")
 
 
 def test_verify_hermitian_range_defaults_q_to_2(capsys):

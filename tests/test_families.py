@@ -285,3 +285,23 @@ def test_build_custom_refuses_a_size_beyond_float_range():
     arr = sp.IntersectionArray(b=[2e200, 1e200], c=[1e-200, 1e200])
     with pytest.raises(BuildError, match="too large for float arithmetic"):
         build_custom(arr)
+
+
+def _refuse_to_allocate(*args):
+    raise AssertionError("an eigen-array was allocated")
+
+
+def test_build_refuses_more_classes_than_the_bound_before_allocating(monkeypatch):
+    monkeypatch.setattr(families, "eigenmatrix", _refuse_to_allocate)
+    monkeypatch.setattr(families, "eigenvalues_from_array", _refuse_to_allocate)
+    over = families.MAX_CLASSES + 1
+    with pytest.raises(BuildError, match=f"{over} classes exceed the bound of "
+                                         f"{families.MAX_CLASSES}"):
+        build(FamilySpec("ngon", {"n": 2 * over}))
+    with pytest.raises(BuildError, match=f"{over} classes exceed the bound"):
+        build_custom(closed_form_array(FamilySpec("ngon", {"n": 2 * over + 1})))
+    # at the bound itself the build goes on to the eigenmatrix
+    with pytest.raises(AssertionError, match="allocated"):
+        build(FamilySpec("ngon", {"n": 2 * families.MAX_CLASSES}))
+    with pytest.raises(AssertionError, match="allocated"):
+        build_custom(closed_form_array(FamilySpec("ngon", {"n": 2 * families.MAX_CLASSES})))

@@ -716,3 +716,15 @@ def test_census_histograms_rows_without_a_wide_cast():
         tracemalloc.stop()
     assert cen.representatives_checked == (1, 5)
     assert peak < 20 * space.n_points
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("length", [1, GF2_BLOCK, GF2_BLOCK + 1])
+def test_bincount_matches_numpy(dtype, length):
+    rng = np.random.default_rng(length)
+    minlength = 6
+    row = rng.integers(0, 9, size=length).astype(dtype)  # values at and beyond minlength
+    row[-1] = minlength
+    assert oracle._bincount(row, minlength) == np.bincount(row, minlength=minlength).tolist()
+    low = row % 3  # every value below minlength: the histogram is padded to it
+    assert oracle._bincount(low, minlength) == np.bincount(low, minlength=minlength).tolist()
