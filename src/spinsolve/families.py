@@ -110,28 +110,39 @@ def _check_gf_order(q: int) -> None:
 
 def closed_form_array(spec: FamilySpec) -> IntersectionArray:
     """Exact intersection array for the families with closed-form parameters."""
+    return _closed_form(spec)[0]
+
+
+def _closed_form(spec: FamilySpec) -> tuple[IntersectionArray, list]:
+    """A closed-form family's exact array and its spectrum theta_0..theta_N,
+    descending: integers for Hamming and bilinear, floats for the n-gon."""
     fam, p = spec.family, spec.params
     if fam == "hamming":
         n, q = p["N"], p["q"]
         b = [(n - i) * (q - 1) for i in range(n)]
-        c = list(range(1, n + 1))
-        a = [i * (q - 2) for i in range(n + 1)]
-        return IntersectionArray(b, c, a)
+        theta = [n * (q - 1) - q * i for i in range(n + 1)]
+        return IntersectionArray(b, range(1, n + 1)), theta
     if fam == "bilinear":
-        # q - 1 divides q^k - 1, so both quotients are exact
+        # every power of q is 1 mod q - 1, so all three quotients are exact
         m, n, q = p["M"], p["N"], p["q"]
         d, e = q**m, q**n
         nc = min(m, n)
         b = [(d - q**i) * (e - q**i) // (q - 1) for i in range(nc)]
         c = [q ** (i - 1) * (q**i - 1) // (q - 1) for i in range(1, nc + 1)]
-        return IntersectionArray(b, c)
+        theta = [(q ** (m + n - i) + 1 - d - e) // (q - 1) for i in range(nc + 1)]
+        return IntersectionArray(b, c), theta
     if fam == "ngon":
         n = p["n"]
         nc = n // 2
         one, two = Fraction(1), Fraction(2)  # shared: every entry is 1 but two
         b = [two] + [one] * (nc - 1)
         c = [one] * (nc - 1) + [two if n % 2 == 0 else one]
-        return IntersectionArray(b, c)
+        # by Niven's theorem the only rational values of 2 cos(2 pi i/n) are
+        # -2..2, which math.cos misses by rounding alone; below n of about
+        # 1.9e5 every irrational value is further than 1e-9 from an integer
+        theta = [2.0 * math.cos(2.0 * math.pi * i / n) for i in range(nc + 1)]
+        theta = [float(round(t)) if abs(t - round(t)) <= 1e-9 else t for t in theta]
+        return IntersectionArray(b, c), theta
     raise BuildError(f"no closed-form array for family {fam!r}")
 
 
@@ -259,8 +270,7 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
     size = family_size(spec)
     size_float = _float_size(size)
     if fam in CLOSED_FORM_FAMILIES:
-        arr = closed_form_array(spec)
-        theta = _closed_form_eigenvalues(spec, arr)
+        arr, theta = _closed_form(spec)
     else:  # alternating, hermitian
         from .oracle import PointSpace, census  # deferred: oracle imports this module
 
@@ -282,28 +292,6 @@ def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstanc
         )
     return SchemeInstance(family=fam, params=dict(p), array=arr, size=size,
                           theta=theta_arr, eigenmatrix=pmat, self_dual_defect=defect)
-
-
-def _closed_form_eigenvalues(spec: FamilySpec, arr: IntersectionArray) -> np.ndarray:
-    fam, p = spec.family, spec.params
-    n = arr.n_classes
-    if fam == "hamming":
-        nn, q = p["N"], p["q"]
-        return np.array([float(nn * (q - 1) - q * i) for i in range(n + 1)])
-    if fam == "bilinear":
-        # theta_i = (q^(M+N-i) + 1 - q^M - q^N)/(q - 1), exact in integers
-        # because every power of q is 1 mod q - 1
-        m, nn, q = p["M"], p["N"], p["q"]
-        return np.array([float((q ** (m + nn - i) + 1 - q**m - q**nn) // (q - 1))
-                         for i in range(n + 1)])
-    if fam == "ngon":
-        # by Niven's theorem the only rational values of 2 cos(2 pi i/n) are
-        # -2..2, which math.cos misses by rounding alone; below n of about
-        # 1.9e5 every irrational value is further than 1e-9 from an integer
-        nn = p["n"]
-        theta = [2.0 * math.cos(2.0 * math.pi * i / nn) for i in range(n + 1)]
-        return np.array([float(round(t)) if abs(t - round(t)) <= 1e-9 else t for t in theta])
-    raise BuildError(f"no closed-form eigenvalues for {fam!r}")
 
 
 def _check_class_count(arr: IntersectionArray) -> None:

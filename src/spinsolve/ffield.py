@@ -96,9 +96,17 @@ class FiniteField:
             object.__setattr__(self, name, table)
 
     def power_map(self, exponent: int) -> np.ndarray:
-        """Index table of x -> x^exponent (exponent >= 1)."""
-        return np.array([_pow_idx(self.mul, x, exponent) for x in range(self.q)],
-                        dtype=np.int16)
+        """Index table of x -> x^exponent (exponent >= 1), every x at once."""
+        if exponent < 1:
+            raise ValueError(f"power_map needs an exponent >= 1, got {exponent}")
+        result = np.ones(self.q, dtype=np.int16)
+        base = np.arange(self.q, dtype=np.int16)
+        while exponent:
+            if exponent & 1:
+                result = self.mul[result, base]
+            base = self.mul[base, base]
+            exponent >>= 1
+        return result
 
     def conjugation(self) -> np.ndarray:
         """x -> x^sqrt(q), the involutive automorphism used for Hermitian
@@ -127,13 +135,3 @@ def _poly_mulmod(vx: np.ndarray, vy: np.ndarray, modulus, p: int) -> np.ndarray:
         prod[..., deg - k:deg] -= prod[..., deg, np.newaxis] * lower
     return prod[..., :k] % p
 
-
-def _pow_idx(mul: np.ndarray, x: int, e: int) -> int:
-    result = 1
-    base = x
-    while e:
-        if e & 1:
-            result = int(mul[result, base])
-        base = int(mul[base, base])
-        e >>= 1
-    return result

@@ -381,9 +381,11 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
     arr = scheme.array
     theta = scheme.theta
     coeffs = candidate_quartic(arr, theta)
-    th1 = float(theta[1])
-    coeff_scale = max(1.0, th1 * th1, float(arr.a[1]) ** 2, float(arr.b[0]) ** 2)
-    if max(abs(c) for c in coeffs) <= 1e-12 * coeff_scale:
+    if not all(map(math.isfinite, coeffs)):  # max() would pass over a NaN
+        raise ValueError("quartic coefficients are too large for float arithmetic")
+    # the coefficients are quadratic in theta_1, a_1, b_0: divide by s twice, not by s^2
+    scale = max(1.0, abs(float(theta[1])), abs(float(arr.a[1])), float(arr.b[0]))
+    if max(abs(c) for c in coeffs) / scale / scale <= 1e-12:
         raise DegenerateSchemeError(
             "candidate polynomial vanishes identically; the diagonal ratio "
             "x is unconstrained for this array"

@@ -446,32 +446,27 @@ class ProfileParams:
     candidates: tuple[MultiPoly, ...]
 
 
+def _profile_params(vars_, b, c, theta, candidates) -> ProfileParams:
+    """ProfileParams from b, c and theta, with a_i = b_0 - b_i - c_i and
+    v_{i+1} = v_i b_i / c_{i+1} derived as core.IntersectionArray does."""
+    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(len(b))]
+    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
+    for i in range(len(c)):
+        v.append(v[-1] * b[i] / c[i])
+    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v), tuple(theta), tuple(a), candidates)
+
+
 def hamming_profile_params() -> ProfileParams:
     """Hamming data (i <= 4) as rational functions in (x, N, q): c_i = i,
-    a_i = i(q-2), b_i = (N-i)(q-1), theta_i = N(q-1) - qi,
-    v_i = binom(N,i)(q-1)^i."""
+    b_i = (N-i)(q-1), theta_i = N(q-1) - qi."""
     vars_ = ("x", "N", "q")
     x, nn, q = polynomial_ring(*vars_)
     qm1 = q - 1
-    b = []
-    c = []
-    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
-    theta = []
-    a = []
-    binom = MultiPoly.constant(vars_, 1)
-    fact = 1
-    for i in range(5):
-        b.append(RationalFunction((nn - i) * qm1))
-        theta.append(RationalFunction(nn * qm1 - q * i))
-        a.append(RationalFunction(i * (q - 2)))
-        if i >= 1:
-            c.append(RationalFunction(MultiPoly.constant(vars_, i)))
-            binom = binom * (nn - (i - 1))
-            fact *= i
-            v.append(RationalFunction(binom * qm1**i, fact))
+    b = [RationalFunction((nn - i) * qm1) for i in range(5)]
+    c = [RationalFunction(MultiPoly.constant(vars_, i)) for i in range(1, 5)]
+    theta = [RationalFunction(nn * qm1 - q * i) for i in range(5)]
     candidates = (nn, nn - 1, nn - 2, nn - 3, qm1, q - 2, q)
-    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v),
-                         tuple(theta), tuple(a), candidates)
+    return _profile_params(vars_, b, c, theta, candidates)
 
 
 def bilinear_profile_params() -> ProfileParams:
@@ -485,17 +480,12 @@ def bilinear_profile_params() -> ProfileParams:
     c = [RationalFunction(q ** (i - 1) * (q**i - 1), qm1) for i in range(1, 4)]
     theta = [RationalFunction(d * e + q**i * (1 - d - e), qm1 * q**i)
              for i in range(4)]
-    a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(4)]
-    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
-    for i in range(3):
-        v.append(v[-1] * b[i] / c[i])
     candidates = (
         d - 1, e - 1, d - q, e - q, d - q**2, e - q**2,
         d * e - q**3,  # shows up when clearing theta_3 denominators
         q, qm1, q + 1, q**2 + q + 1,
     )
-    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v),
-                         tuple(theta), tuple(a), candidates)
+    return _profile_params(vars_, b, c, theta, candidates)
 
 
 def symbolic_t(i: int, params: ProfileParams) -> RationalFunction:

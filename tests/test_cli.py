@@ -702,3 +702,22 @@ def test_overflowing_eigenmatrix_refusal_prints_one_error_line(argv):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "error: no eigenvalue ordering meets the self-duality tolerance")
+
+
+@pytest.mark.parametrize("case", ["hamming", "custom"])
+def test_quartic_beyond_float_range_prints_one_error_line(case, tmp_path):
+    # b_0 = 10^200 fits a float, but the quartic's coefficients, quadratic
+    # in b_0, do not: the refusal is one error line, not an OverflowError
+    if case == "hamming":
+        argv = ["solve", "--family", "hamming", "--N", "1", "--q", str(10**200 + 1)]
+    else:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"b": [10**200, 10**200 - 1], "c": [1, 10**199]}))
+        argv = ["solve", "--family", "custom", "--array-file", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsolve.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "spinsolve.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: quartic coefficients are too large for float arithmetic"]

@@ -1,6 +1,10 @@
 """Exhaustive checks of the table-driven finite fields."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,32 @@ def test_frobenius_is_additive_and_multiplicative(q):
     for a, b in itertools.product(range(q), repeat=2):
         assert fr[f.add[a, b]] == f.add[fr[a], fr[b]]
         assert fr[f.mul[a, b]] == f.mul[fr[a], fr[b]]
+
+
+@pytest.mark.parametrize("q", DESK_ORDERS)
+def test_power_map_is_repeated_multiplication(q):
+    f = FiniteField(q)
+    want = np.arange(q)
+    for e in range(1, 2 * q + 1):
+        got = f.power_map(e)
+        assert got.dtype == np.int16 and got.tolist() == want.tolist(), e
+        want = f.mul[want, np.arange(q)]
+
+
+def test_power_map_refuses_exponents_below_one():
+    with pytest.raises(ValueError, match="exponent >= 1, got 0"):
+        FiniteField(4).power_map(0)
+    # a negative exponent never ends a right shift at 0, so should the guard
+    # go, the loop must not hang the suite: run it in a child under a time limit
+    code = ("from spinsolve.ffield import FiniteField\n"
+            "try:\n"
+            "    FiniteField(4).power_map(-1)\n"
+            "except ValueError as err:\n"
+            "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ffield.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.stdout == "power_map needs an exponent >= 1, got -1\n"
 
 
 @pytest.mark.parametrize("q2", [4, 9, 16])

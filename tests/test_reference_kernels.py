@@ -29,8 +29,7 @@ import spinsolve as sp
 from spinsolve import families, solver
 from spinsolve.core import (IntersectionArray, max_abs, valencies, valency_sum,
                             validate_array)
-from spinsolve.families import (FamilySpec, build, closed_form_array, eigenmatrix,
-                                eigenvalues_from_array)
+from spinsolve.families import FamilySpec, build, eigenmatrix, eigenvalues_from_array
 from spinsolve.oracle import PointSpace, census
 from spinsolve.solver import filter_x, scalar_and_T0, solve, t_profile
 
@@ -540,7 +539,7 @@ def test_two_cos_two_pi_matches_reference():
 
     for n in range(3, 401):
         spec = FamilySpec("ngon", {"n": n})
-        theta = families._closed_form_eigenvalues(spec, closed_form_array(spec))
+        theta = families._closed_form(spec)[1]
         want = [reference_two_cos_two_pi(i, n) for i in range(n // 2 + 1)]
         assert signed(theta) == signed(want), n
 

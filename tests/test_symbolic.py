@@ -249,6 +249,18 @@ def test_bilinear_elimination_is_pinned():
         ).hexdigest().startswith(digest)
 
 
+def test_hamming_cofactors_are_pinned():
+    # term counts and digests of the exact quotients of the numerators of
+    # t_2(x)t_2(1/x)-1 and t_3(x)t_3(1/x)-1 by 1 - 2x + qx + x^2
+    _, _, cofactors = _hamming_cofactors()
+    for i, n_terms, digest in ((2, 8, "4958804d2a00604c"), (3, 59, "9af9a5fdf280692b")):
+        terms = cofactors[i].terms
+        assert len(terms) == n_terms
+        assert hashlib.sha256(
+            repr(sorted(terms.items())).encode()
+        ).hexdigest().startswith(digest)
+
+
 def test_identity_systems_are_computed_once_per_process():
     assert _bilinear_system() is _bilinear_system()
     assert _hamming_cofactors() is _hamming_cofactors()
