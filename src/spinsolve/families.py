@@ -164,9 +164,15 @@ def family_size(spec: FamilySpec) -> Fraction:
 
 def eigenvalues_from_array(arr: IntersectionArray) -> np.ndarray:
     """The N+1 distinct eigenvalues of the tridiagonal intersection matrix,
-    sorted descending so theta_0 = b_0 leads."""
+    sorted descending so theta_0 = b_0 leads.  A product b_i c_{i+1}
+    beyond the float range is a BuildError; below it the spectrum is
+    finite, bounded by the row sum b_0."""
     _, a, b, c = arr.float_params()
-    off = np.sqrt(np.multiply(b, c))
+    with np.errstate(over="ignore"):
+        off = np.sqrt(np.multiply(b, c))
+    if not np.isfinite(off).all():
+        i = int(np.argmin(np.isfinite(off)))
+        raise BuildError(f"b_{i} c_{i + 1} is beyond the float range")
     sym = np.diag(a)
     sym += np.diag(off, 1) + np.diag(off, -1)
     eigs = np.linalg.eigvalsh(sym)[::-1]

@@ -169,9 +169,10 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> list[complex]:
 
 
 def roots_of_quartic(coeffs) -> list[complex]:
-    """All distinct nonzero roots of a palindromic candidate polynomial
-    A4 x^4 + A3 x^3 + A2 x^2 + A3 x + A4, multiplicity collapsed (x = 0
-    never yields an invertible T).
+    """All distinct roots of a palindromic candidate polynomial
+    A4 x^4 + A3 x^3 + A2 x^2 + A3 x + A4, multiplicity collapsed.  No root
+    is 0: each pair solves x^2 - z x + 1 = 0, so both members are listed,
+    however small the partner 1/x of a large x.
 
     Every candidate polynomial the pipeline produces is palindromic, so
     its roots come in reciprocal pairs and z = x + 1/x solves
@@ -221,8 +222,6 @@ def roots_of_quartic(coeffs) -> list[complex]:
         found.extend([x, x.conjugate() if on_circle else 1 / x])
     roots: list[complex] = []
     for z in sorted(found, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
-        if abs(z) <= ROOT_DEDUP_TOL:
-            continue
         if all(abs(z - kept) > ROOT_DEDUP_TOL * max(1.0, abs(z)) for kept in roots):
             roots.append(z)
     return roots

@@ -106,7 +106,7 @@ def _instance_record(params: dict, make_scheme: Callable[[], SchemeInstance],
     be built fails the claim with the reason.  One whose x the solver
     cannot constrain (the 4-cycle, hamming(2,2) = ngon(4)) is not covered
     by the claim: reported with the reason and, as with the unasserted
-    bilinear records, never failing it."""
+    non-existence records, never failing it."""
     try:
         scheme = make_scheme()
     except BuildError as err:
@@ -158,20 +158,12 @@ def verify_hamming_classification(
             "pass": all(r["pass"] for r in records)}
 
 
-def verify_bilinear_nonexistence(
-    instances: Sequence[tuple[int, int, int]] = ((3, 3, 2), (3, 4, 2), (3, 3, 3)),
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> dict:
-    """No solutions when min(M, N) > 2; rejected x values must be present
-    (the quartic always has roots, they just fail the filters)."""
-    records = [_instance_record(p, _family_maker("bilinear", p, cfg), _bilinear_record, cfg)
-               for p in ({"M": m, "N": n, "q": q} for m, n, q in instances)]
-    return {"theorem": 3, "instances": records,
-            "pass": all(r["pass"] for r in records)}
-
-
-def _bilinear_record(params: dict, sol: SolutionSet) -> dict:
-    asserted = min(params["M"], params["N"]) > 2
+def _nonexistence_record(params: dict, sol: SolutionSet) -> dict:
+    """Claims 3-5: a forms scheme of three classes or more has no
+    solutions, so it passes on count 0 with at least one rejected x (the
+    quartic always has roots, they just fail the filters); a scheme of
+    fewer classes is reported, not asserted."""
+    asserted = sol.scheme.n_classes >= 3
     return {
         **params,
         "count": sol.count,
@@ -181,19 +173,21 @@ def _bilinear_record(params: dict, sol: SolutionSet) -> dict:
     }
 
 
-def _census_family_nonexistence(theorem: int, family: str, asserted_when,
-                                instances, cfg: SolverConfig) -> dict:
-    def check(params: dict, sol: SolutionSet) -> dict:
-        asserted = asserted_when(params["params"])
-        return {
-            **params,
-            "count": sol.count,
-            "rejected": [reason for _, reason in sol.rejected_x],
-            "asserted": asserted,
-            "pass": (not asserted) or sol.count == 0,
-        }
+def verify_bilinear_nonexistence(
+    instances: Sequence[tuple[int, int, int]] = ((3, 3, 2), (3, 4, 2), (3, 3, 3)),
+    cfg: SolverConfig = DEFAULT_CONFIG,
+) -> dict:
+    """No solutions when min(M, N) > 2, the scheme's class count."""
+    records = [_instance_record(p, _family_maker("bilinear", p, cfg), _nonexistence_record, cfg)
+               for p in ({"M": m, "N": n, "q": q} for m, n, q in instances)]
+    return {"theorem": 3, "instances": records,
+            "pass": all(r["pass"] for r in records)}
 
-    records = [_instance_record({"params": dict(p)}, _family_maker(family, p, cfg), check, cfg)
+
+def _census_family_nonexistence(theorem: int, family: str, instances,
+                                cfg: SolverConfig) -> dict:
+    records = [_instance_record({"params": dict(p)}, _family_maker(family, p, cfg),
+                                _nonexistence_record, cfg)
                for p in instances]
     return {"theorem": theorem, "family": family, "instances": records,
             "pass": all(r["pass"] for r in records)}
@@ -203,13 +197,11 @@ def verify_alternating_nonexistence(
     instances: Sequence[dict] = ({"n": 6, "q": 2},),
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
-    """No solutions for n x n alternating forms with n > 5 (census-built
-    schemes); smaller n (two classes) is reported but not asserted.  The
-    default fits the default census cap; alternating(7,2) has 2,097,152
-    points and needs census_max_points raised."""
-    return _census_family_nonexistence(
-        4, "alternating", lambda p: p["n"] > 5, instances, cfg
-    )
+    """No solutions for n x n alternating forms with n > 5, floor(n/2)
+    classes (census-built schemes); smaller n is reported but not
+    asserted.  The default fits the default census cap; alternating(7,2)
+    has 2,097,152 points and needs census_max_points raised."""
+    return _census_family_nonexistence(4, "alternating", instances, cfg)
 
 
 def verify_hermitian_nonexistence(
@@ -217,10 +209,8 @@ def verify_hermitian_nonexistence(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """No solutions for n x n Hermitian forms (entries over GF(q^2)) with
-    n > 2; census-built schemes."""
-    return _census_family_nonexistence(
-        5, "hermitian", lambda p: p["n"] > 2, instances, cfg
-    )
+    n > 2, n classes (census-built schemes); smaller n is not asserted."""
+    return _census_family_nonexistence(5, "hermitian", instances, cfg)
 
 
 def _match_ngon_profile(t: Sequence[complex], n: int) -> tuple[str, int, float]:

@@ -92,7 +92,8 @@ def test_malformed_array_file(tmp_path, capsys):
     '{"c": [1, 2, 3]}',
     '{"b": [3, "x", 1], "c": [1, 2, 3]}',
     '[[3, 2, 1], [1, 2, 3]]',
-], ids=["infinity", "missing-b", "string-entry", "top-level-list"])
+    '{"b": [3, true, 1], "c": [1, 2, 3]}',
+], ids=["infinity", "missing-b", "string-entry", "top-level-list", "true-entry"])
 def test_malformed_array_schema_exits_2(tmp_path, capsys, payload):
     path = tmp_path / "arr.json"
     path.write_text(payload, encoding="utf-8")
@@ -101,6 +102,12 @@ def test_malformed_array_schema_exits_2(tmp_path, capsys, payload):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_custom_family_without_array_file_exits_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "--family", "custom")
+    assert code == 2 and out == ""
+    assert err == "error: --family custom requires --array-file\n"
 
 
 def test_invalid_parameters_exit_2(capsys):
@@ -704,20 +711,40 @@ def test_overflowing_eigenmatrix_refusal_prints_one_error_line(argv):
         "error: no eigenvalue ordering meets the self-duality tolerance")
 
 
+def _big_array_file(tmp_path) -> str:
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"b": [10**200, 10**200 - 1], "c": [1, 10**199]}))
+    return str(path)
+
+
 @pytest.mark.parametrize("case", ["hamming", "custom"])
 def test_quartic_beyond_float_range_prints_one_error_line(case, tmp_path):
     # b_0 = 10^200 fits a float, but the quartic's coefficients, quadratic
-    # in b_0, do not: the refusal is one error line, not an OverflowError
+    # in b_0, do not: the refusal is one error line, not an OverflowError.
+    # The custom array's b_1 c_2 = 10^399 leaves the float range first, so
+    # its build refuses it before any quartic is formed.
     if case == "hamming":
         argv = ["solve", "--family", "hamming", "--N", "1", "--q", str(10**200 + 1)]
+        expected = "error: quartic coefficients are too large for float arithmetic"
     else:
-        path = tmp_path / "big.json"
-        path.write_text(json.dumps({"b": [10**200, 10**200 - 1], "c": [1, 10**199]}))
-        argv = ["solve", "--family", "custom", "--array-file", str(path)]
+        argv = ["solve", "--family", "custom", "--array-file", _big_array_file(tmp_path)]
+        expected = "error: b_1 c_2 is beyond the float range"
     env = dict(os.environ, PYTHONPATH=str(Path(spinsolve.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "spinsolve.cli", *argv],
                           env=env, capture_output=True, text=True)
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: quartic coefficients are too large for float arithmetic"]
+    assert errors == [expected]
+
+
+@pytest.mark.parametrize("command", ["solve", "families"])
+def test_intersection_matrix_beyond_float_range_prints_one_error_line(command, tmp_path):
+    # every warning shown: b_1 c_2 = 10^399 overflows in numpy; neither
+    # that overflow nor the NaN eigenvalues it would give reach the output
+    argv = [command, "--family", "custom", "--array-file", _big_array_file(tmp_path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(spinsolve.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "always", "-m", "spinsolve.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: b_1 c_2 is beyond the float range\n"

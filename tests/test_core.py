@@ -55,6 +55,16 @@ def test_negative_parameters_are_violations():
     assert any("b_1" in p for p in validate_array(arr))
 
 
+@pytest.mark.parametrize("b, c, a, message", [
+    ([2, 1], [1], None, "b and c must have the same length N"),
+    ([], [], None, r"need at least one class \(N >= 1\)"),
+    ([2], [1], [0, 1, 1, 0], r"a must have length N \+ 1"),
+], ids=["b-longer-than-c", "no-classes", "a-too-long"])
+def test_array_shape_is_refused(b, c, a, message):
+    with pytest.raises(ValueError, match=message):
+        IntersectionArray(b, c, a)
+
+
 def test_valencies_hamming():
     arr = IntersectionArray(b=[3, 2, 1], c=[1, 2, 3])
     assert valencies(arr) == [1, 3, 3, 1]

@@ -184,6 +184,20 @@ def test_parameter_range_errors():
         FamilySpec("ngon", {"n": 2})
     with pytest.raises(BuildError):
         FamilySpec("alternating", {"n": 6, "q": 32})  # beyond desk scale
+    with pytest.raises(BuildError, match="bilinear requires M, N >= 1"):
+        FamilySpec("bilinear", {"M": 0, "N": 2, "q": 2})
+    with pytest.raises(BuildError, match="alternating requires n >= 4"):
+        FamilySpec("alternating", {"n": 3, "q": 2})
+    with pytest.raises(BuildError, match="hermitian requires n >= 1"):
+        FamilySpec("hermitian", {"n": 0, "q": 2})
+
+
+def test_eigenvalues_from_array_refuses_a_repeated_eigenvalue():
+    # a_0 = a_2 = 0 couple only through b_0 c_1 = b_1 c_2 = 2e-20, so two
+    # eigenvalues near 0 lie closer than the tolerance
+    arr = sp.IntersectionArray(b=[2, 1e-20], c=[1e-20, 2])
+    with pytest.raises(BuildError, match="repeated eigenvalue in intersection matrix"):
+        eigenvalues_from_array(arr)
 
 
 def test_custom_build_measures_self_duality():

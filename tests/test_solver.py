@@ -102,6 +102,15 @@ def test_roots_exclude_zero_after_degree_drop():
     assert roots_of_quartic([0, 0, 1, 0, 0]) == []
 
 
+def test_roots_keep_the_small_member_of_a_large_pair():
+    # (x^2 + 10^9 x + 1)(x^2 + 1): z = -10^9 gives x near -10^9, whose
+    # partner 1/x lies below any absolute cut of 1e-8
+    roots = roots_of_quartic([1, 1e9, 2, 1e9, 1])
+    assert _roots_match(roots, [-1e9, -1e-9, 1j, -1j])
+    big, small = sorted((z for z in roots if z.imag == 0), key=abs, reverse=True)
+    assert abs(big * small - 1) <= 1e-12
+
+
 def test_roots_all_zero_is_an_error():
     with pytest.raises(ValueError, match="all-zero"):
         roots_of_quartic([0, 0, 0, 0, 0])
@@ -504,6 +513,15 @@ def test_large_complete_graphs_keep_both_members_of_the_pair(spec):
     # K_n: the quartic is the squared terminal equation, whose big root
     # failed the terminal check on its own forward profile
     assert solve(build(spec)).count == 6
+
+
+@pytest.mark.parametrize("q", [10**8 + 2, 10**9, 10**11])
+def test_hamming_2_keeps_the_small_partner_of_its_large_root(q):
+    # x is near -q, so its partner 1/x has modulus below 1e-8
+    xs = solve(build(FamilySpec("hamming", {"N": 2, "q": q}))).accepted_x()
+    assert len(xs) == 6
+    for x in xs:
+        assert any(abs(1 / x - y) <= 1e-8 * abs(1 / x) for y in xs), x
 
 
 NGON_SAMPLE = sorted((set(range(3, 401, 7)) | {398, 399, 400}) - {4})

@@ -1,6 +1,9 @@
 """Exact engine: ring laws, division, resultants, identity reports."""
 
 import hashlib
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from spinsolve.symbolic import (
     MultiPoly,
     NonExactDivision,
     RationalFunction,
+    _bareiss_determinant,
     _bilinear_system,
     _hamming_cofactors,
     bilinear_identity_checks,
@@ -150,6 +154,57 @@ def test_resultant_swap_symmetry_and_multiplicativity():
     assert res_pq == res_qp or res_pq == -res_qp
     lhs = sylvester_resultant(p, q * r, "x")
     assert lhs == res_pq * sylvester_resultant(p, r, "x")
+
+
+def _leibniz_determinant(matrix: list[list[Fraction]]) -> Fraction:
+    """Sum over permutations, the reference the elimination is checked against."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_bareiss_determinant_swaps_rows_past_a_zero_pivot():
+    # a zero at (0, 0), and at times a zero column below a later pivot,
+    # forces the row swap and its sign flip; each determinant is compared
+    # at a rational point with the Leibniz expansion of the evaluated matrix
+    a, b = polynomial_ring("a", "b")
+    one = MultiPoly.constant(("a", "b"), 1)
+    pool = [MultiPoly.constant(("a", "b"), 0), one, -one, a, b - 2, a * b + 3, a * a - b]
+    rng = random.Random(5)
+    point = {"a": Fraction(3, 7), "b": Fraction(-5, 2)}
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        matrix[0][0] = pool[0]
+        if rng.random() < 0.3:
+            for row in matrix[1:]:
+                row[1] = pool[0]
+        det = _bareiss_determinant(matrix, one)
+        values = [[Fraction(entry.substitute(point)) for entry in row] for row in matrix]
+        assert det.substitute(point) == _leibniz_determinant(values)
+
+
+def test_resultant_with_a_constant_operand_is_its_power():
+    x, a = polynomial_ring("x", "a")
+    q = x**3 + a * x + 2
+    for c in (MultiPoly.constant(("x", "a"), 3), a + 1, -a):
+        assert sylvester_resultant(c, q, "x") == c**3
+        assert sylvester_resultant(q, c, "x") == c**3
+        assert sylvester_resultant(c, a - 4, "x") == MultiPoly.constant(("x", "a"), 1)
+
+
+def test_rational_function_makes_a_negative_leading_denominator_positive():
+    x, y = polynomial_ring("x", "y")
+    for num, den in ((x + 1, -y), (x * y - 2, 3 - 2 * y * y), (x, -5)):
+        f = RationalFunction(num, den)
+        assert f.den.leading_term()[1] > 0
+        point = {"x": Fraction(2, 3), "y": Fraction(7, 5)}
+        den_value = den if isinstance(den, int) else den.substitute(point)
+        assert Fraction(f.num.substitute(point)) / f.den.substitute(point) == \
+            Fraction(num.substitute(point)) / den_value
 
 
 def test_rational_function_reduction():
