@@ -113,11 +113,15 @@ class SolutionSet:
     scheme: SchemeInstance
     accepted: tuple[SolutionCandidate, ...]
     rejected_x: tuple[tuple[complex, str], ...]
-    raw_count: int
 
     @property
     def count(self) -> int:
         return len(self.accepted)
+
+    @property
+    def raw_count(self) -> int:
+        """Diagonals formed; no root is tested on its own, so it is count."""
+        return self.count
 
     def accepted_x(self) -> list[complex]:
         return [sol.x for sol in self.accepted]
@@ -229,16 +233,15 @@ def roots_of_quartic(coeffs) -> list[complex]:
 
 def t_profile(arr: IntersectionArray, theta, x: complex) -> np.ndarray:
     """Profile t_0..t_N from t_0 = 1, t_1 = x and the forward recurrence
-    v_i t_i (x theta_i - a_i) = b_{i-1} v_{i-1} t_{i-1} + c_{i+1} v_{i+1} t_{i+1}."""
+    b_i t_{i+1} = t_i (x theta_i - a_i) - c_i t_{i-1}."""
     if x == 0:
         raise ValueError("x must be nonzero")
-    v, a, b, c = arr.float_params()
+    _, a, b, c = arr.float_params()
     th = np.asarray(theta, dtype=float).tolist()
     x = complex(x)
     t = [1 + 0j, x]
     for i in range(1, arr.n_classes):
-        num = v[i] * t[i] * (x * th[i] - a[i]) - b[i - 1] * v[i - 1] * t[i - 1]
-        t.append(num / (c[i] * v[i + 1]))
+        t.append((t[i] * (x * th[i] - a[i]) - c[i - 1] * t[i - 1]) / b[i])
     return np.array(t)
 
 
@@ -256,35 +259,34 @@ def _pair_check(arr: IntersectionArray, theta, x: complex, t: np.ndarray) -> str
     """Why the pair {x, 1/x} fails (module docstring), or None, from
     t = t_profile(x) of its dominant member x.  Row i of the recurrence
     of s = 1/t at y = 1/x is
-        v_i s_i y theta_i - v_i s_i a_i - b_{i-1} v_{i-1} s_{i-1}
-            - c_{i+1} v_{i+1} s_{i+1} = 0,
+        s_i y theta_i - s_i a_i - c_i s_{i-1} - b_i s_{i+1} = 0,
     with no forward term in row N.  The rows go in order, so most failing
     pairs are decided in a few; each modulus is a product of moduli."""
     n = arr.n_classes
-    v, a, b, c = arr.float_params()
+    _, a, b, c = arr.float_params()
     th = np.asarray(theta, dtype=float).tolist()
     tl = t.tolist()
     y = 1.0 / x
     abs_y = math.hypot(y.real, y.imag)
-    # v_j s_j and its modulus, for j = i - 1, i, i + 1
-    prev, cur = v[0] / tl[0], v[1] / tl[1]
+    # s_j and its modulus, for j = i - 1, i, i + 1
+    prev, cur = 1.0 / tl[0], 1.0 / tl[1]
     abs_prev, abs_cur = math.hypot(prev.real, prev.imag), math.hypot(cur.real, cur.imag)
     for i in range(1, n):
         ti = tl[i + 1]
         if ti == 0 or not cmath.isfinite(ti):
             return f"reciprocal_identity_failed at i={i + 1}"
-        nxt = v[i + 1] / ti
+        nxt = 1.0 / ti
         abs_nxt = math.hypot(nxt.real, nxt.imag)
-        gap = cur * (th[i] * y) - cur * a[i] - b[i - 1] * prev - c[i] * nxt
-        total = abs_cur * (abs(th[i]) * abs_y + abs(a[i])) + b[i - 1] * abs_prev + c[i] * abs_nxt
+        gap = cur * (th[i] * y) - cur * a[i] - c[i - 1] * prev - b[i] * nxt
+        total = abs_cur * (abs(th[i]) * abs_y + abs(a[i])) + c[i - 1] * abs_prev + b[i] * abs_nxt
         if not _within(gap, total):
             return f"reciprocal_identity_failed at i={i + 1}"
         prev, cur, abs_prev, abs_cur = cur, nxt, abs_cur, abs_nxt
-    gap = cur * (th[n] * y) - cur * a[n] - b[n - 1] * prev
-    total = abs_cur * (abs(th[n]) * abs_y + abs(a[n])) + b[n - 1] * abs_prev
+    gap = cur * (th[n] * y) - cur * a[n] - c[n - 1] * prev
+    total = abs_cur * (abs(th[n]) * abs_y + abs(a[n])) + c[n - 1] * abs_prev
     if not _within(gap, total):
         return "terminal_failed"
-    last, before = v[n] * tl[n], b[n - 1] * v[n - 1] * tl[n - 1]
+    last, before = tl[n], c[n - 1] * tl[n - 1]
     gap = last * (x * th[n]) - last * a[n] - before
     total = (math.hypot(last.real, last.imag) * (math.hypot(x.real, x.imag) * abs(th[n]) + abs(a[n]))
              + math.hypot(before.real, before.imag))
@@ -431,9 +433,4 @@ def solve(scheme: SchemeInstance, cfg: SolverConfig = DEFAULT_CONFIG) -> Solutio
                               diag=tuple((t0 * t).tolist()), residual=cube.gap)
             for t0 in t0_roots)
 
-    return SolutionSet(
-        scheme=scheme,
-        accepted=tuple(accepted),
-        rejected_x=tuple(rejected),
-        raw_count=len(accepted),
-    )
+    return SolutionSet(scheme=scheme, accepted=tuple(accepted), rejected_x=tuple(rejected))

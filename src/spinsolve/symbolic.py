@@ -435,25 +435,22 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 @dataclass(frozen=True)
 class ProfileParams:
     """Array data of a parametric family as exact rational functions, plus
-    the factors its recurrence can introduce (for cancellation)."""
+    the candidate factors for cancellation: the factors of the b_j the
+    recurrence divides by, and of the denominators the data carries."""
 
     vars: tuple[str, ...]
     b: tuple[RationalFunction, ...]  # b_0..b_{N-1} as needed
     c: tuple[RationalFunction, ...]  # c_1..c_N
-    v: tuple[RationalFunction, ...]  # v_0..v_N
     theta: tuple[RationalFunction, ...]  # theta_0..theta_N (theta_i = P_1(i))
     a: tuple[RationalFunction, ...]  # a_0..a_N
     candidates: tuple[MultiPoly, ...]
 
 
 def _profile_params(vars_, b, c, theta, candidates) -> ProfileParams:
-    """ProfileParams from b, c and theta, with a_i = b_0 - b_i - c_i and
-    v_{i+1} = v_i b_i / c_{i+1} derived as core.IntersectionArray does."""
+    """ProfileParams from b, c and theta, with a_i = b_0 - b_i - c_i
+    derived as core.IntersectionArray does."""
     a = [b[0] - b[i] - (c[i - 1] if i >= 1 else 0) for i in range(len(b))]
-    v = [RationalFunction(MultiPoly.constant(vars_, 1))]
-    for i in range(len(c)):
-        v.append(v[-1] * b[i] / c[i])
-    return ProfileParams(vars_, tuple(b), tuple(c), tuple(v), tuple(theta), tuple(a), candidates)
+    return ProfileParams(vars_, tuple(b), tuple(c), tuple(theta), tuple(a), candidates)
 
 
 def hamming_profile_params() -> ProfileParams:
@@ -465,7 +462,7 @@ def hamming_profile_params() -> ProfileParams:
     b = [RationalFunction((nn - i) * qm1) for i in range(5)]
     c = [RationalFunction(MultiPoly.constant(vars_, i)) for i in range(1, 5)]
     theta = [RationalFunction(nn * qm1 - q * i) for i in range(5)]
-    candidates = (nn, nn - 1, nn - 2, nn - 3, qm1, q - 2, q)
+    candidates = (nn - 1, nn - 2, nn - 3, qm1)
     return _profile_params(vars_, b, c, theta, candidates)
 
 
@@ -480,19 +477,15 @@ def bilinear_profile_params() -> ProfileParams:
     c = [RationalFunction(q ** (i - 1) * (q**i - 1), qm1) for i in range(1, 4)]
     theta = [RationalFunction(d * e + q**i * (1 - d - e), qm1 * q**i)
              for i in range(4)]
-    candidates = (
-        d - 1, e - 1, d - q, e - q, d - q**2, e - q**2,
-        d * e - q**3,  # shows up when clearing theta_3 denominators
-        q, qm1, q + 1, q**2 + q + 1,
-    )
+    candidates = (d - q, e - q, d - q**2, e - q**2, qm1, q)
     return _profile_params(vars_, b, c, theta, candidates)
 
 
 def symbolic_t(i: int, params: ProfileParams) -> RationalFunction:
     """Exact t_i(x) from the forward recurrence
-    c_{j+1} v_{j+1} t_{j+1} = v_j t_j (x theta_j - a_j) - b_{j-1} v_{j-1} t_{j-1},
+    b_j t_{j+1} = t_j (x theta_j - a_j) - c_j t_{j-1},
     reduced against the family's candidate factors after each step."""
-    if i < 0 or i > min(len(params.c), len(params.v) - 1):
+    if i < 0 or i > len(params.c):
         raise ValueError(f"profile index {i} out of range at this depth")
     x = RationalFunction(MultiPoly.variable(params.vars, "x"))
     t_prev = RationalFunction(MultiPoly.constant(params.vars, 1))
@@ -500,9 +493,8 @@ def symbolic_t(i: int, params: ProfileParams) -> RationalFunction:
         return t_prev
     t_cur = x
     for j in range(1, i):
-        rhs = params.v[j] * t_cur * (x * params.theta[j] - params.a[j]) \
-            - params.b[j - 1] * params.v[j - 1] * t_prev
-        t_next = rhs / (params.c[j] * params.v[j + 1])
+        rhs = t_cur * (x * params.theta[j] - params.a[j]) - params.c[j - 1] * t_prev
+        t_next = rhs / params.b[j]
         t_prev, t_cur = t_cur, t_next.reduced(params.candidates)
     return t_cur
 
@@ -626,11 +618,10 @@ def _bilinear_system() -> dict:
     """The two cleared recurrence identities for the bilinear family, as
     polynomials in (x, d, e, q) with all removable content stripped.
 
-    The degree-1 and degree-2 instances of the reciprocal recurrence,
-    multiplied by their natural denominators, share the factor
-    (d-1)(e-1); what remains after also removing the integer-visible
-    q-power and (q-1), (q+1) content is stored here.  g1 reproduces the
-    four printed division remainders verbatim.  Computed once per process.
+    Rows 1 and 2 of the recurrence of 1/t at 1/x, multiplied by their
+    natural denominators, with the integer-visible q-power and (q-1),
+    (q+1) content removed, are stored here.  g1 reproduces the four
+    printed division remainders verbatim.  Computed once per process.
     """
     params = bilinear_profile_params()
     vars_ = params.vars
@@ -694,8 +685,9 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
 
     Per point (values >= 10^6, big-int/Fraction arithmetic throughout):
 
-      * the construction identity: the cleared degree-1 recurrence equals
-        (d-1)(e-1)(q-1) times the stored g1 over its clearing multiple;
+      * the construction identity: row 1 of the recurrence of 1/t at 1/x,
+        times x^2 t_2, is theta_1 t_2 - x^2 t_2 - a_1 x t_2 - b_1 x^2
+        (c_1 = 1), and that times q^2 (d-q)(e-q) equals the stored g1;
       * remainders of g1 modulo x-1 and modulo 1-2x+ex+x^2 equal the
         printed products exactly; modulo the two non-monic factors they
         equal the printed field remainders (denominators (q)^2 and
@@ -729,16 +721,12 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
 
         # construction identity at (x, d, e, q), exact rationals
         t2v = Fraction(t2.num.substitute(record), t2.den.substitute(record))
-        b0 = Fraction((dv - 1) * (ev - 1), qv - 1)
-        v1 = b0
         th1 = Fraction(dv * ev + qv * (1 - dv - ev), (qv - 1) * qv)
         a1 = Fraction(dv * qv + ev * qv - dv - ev - qv**2 - qv + 2, qv - 1)
-        c2v2 = v1 * Fraction((dv - qv) * (ev - qv), qv - 1)
-        identity = v1 * th1 * t2v - b0 * xv**2 * t2v - a1 * v1 * xv * t2v \
-            - c2v2 * xv**2
-        clearing = (qv - 1) ** 2 * qv**2 * (dv - qv) * (ev - qv)
-        record["construction"] = identity * clearing == \
-            (dv - 1) * (ev - 1) * (qv - 1) * g1.substitute(record)
+        b1 = Fraction((dv - qv) * (ev - qv), qv - 1)
+        identity = th1 * t2v - xv**2 * t2v - a1 * xv * t2v - b1 * xv**2
+        record["construction"] = \
+            identity * qv**2 * (dv - qv) * (ev - qv) == g1.substitute(record)
 
         g1x = _coeffs_at(g1, "x", {"x": 0, "d": dv, "e": ev, "q": qv})
 

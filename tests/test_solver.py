@@ -560,6 +560,24 @@ def test_krawtchouk_counts_are_even_and_reciprocal_closed(n, q):
         assert any(abs(1 / x - y) <= 1e-8 * max(1, abs(1 / x)) for y in xs), x
 
 
+# Bipartite antipodal double covers with every a_i = 0 that reach the bound
+# of 12: the crown arrays {k, k-1, 1; 1, k-1, k} (k = 3 is the 3-cube) and
+# the Hadamard arrays {2m, 2m-1, m, 1; 1, m, 2m-1, 2m} (m = 2 is H(4,2)),
+# each from the smallest parameter to the largest that float still decides.
+CROWN_K, HADAMARD_M = (3, 4, 30, 285), (2, 3, 7, 78)
+
+
+@pytest.mark.parametrize("b,c,expected", [
+    *[([k, k - 1, 1], [1, k - 1, k], 6 if k == 3 else 12) for k in CROWN_K],
+    *[([2 * m, 2 * m - 1, m, 1], [1, m, 2 * m - 1, 2 * m], 6 if m == 2 else 12)
+      for m in HADAMARD_M],
+], ids=[f"crown({k})" for k in CROWN_K] + [f"hadamard({m})" for m in HADAMARD_M])
+def test_crown_and_hadamard_arrays_count_12(b, c, expected):
+    sol = solve(build_custom(sp.IntersectionArray(b, c)))
+    # at k = 3 and m = 2 the quartic is a multiple of (x^2 + 1)^2: one pair, +-i
+    assert sol.count == expected and not sol.rejected_x
+
+
 def test_a_profile_beyond_float_range_is_rejected_without_numpy_warnings():
     # hamming(29, 259) entered as a custom array: its profiles overflow
     # float64 in the cube, and the non-finite row scales reject each pair

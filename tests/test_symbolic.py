@@ -20,6 +20,7 @@ from spinsolve.symbolic import (
     _bilinear_system,
     _hamming_cofactors,
     bilinear_identity_checks,
+    bilinear_profile_params,
     divide_with_remainder,
     exact_divide,
     hamming_factor_check,
@@ -240,6 +241,68 @@ def test_symbolic_profile_at_x_equals_numeric_profile():
         assert abs(complex(numeric[i]) - float(exact)) < 1e-12
 
 
+def _digest(obj) -> str:
+    return hashlib.sha256(str(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("params,i,digest", [
+    (hamming_profile_params, 2, "385a65c32c7fe14a"),
+    (hamming_profile_params, 3, "2d9ca52c28d715cc"),
+    (hamming_profile_params, 4, "4d3fb02df9dac873"),
+    (bilinear_profile_params, 2, "fb6f8fcfe93bd1f3"),
+    (bilinear_profile_params, 3, "5b7c67d886056e14"),
+], ids=["hamming-t2", "hamming-t3", "hamming-t4", "bilinear-t2", "bilinear-t3"])
+def test_reduced_profiles_are_pinned(params, i, digest):
+    # the printed reduced form, num and den, as the report code sees it
+    assert _digest(symbolic_t(i, params())) == digest
+
+
+def _weighted_profile(x, b, c, theta, n):
+    """t_0..t_n in Fractions by the valency-weighted recurrence
+    c_{j+1} v_{j+1} t_{j+1} = v_j t_j (x theta_j - a_j) - b_{j-1} v_{j-1} t_{j-1},
+    with v_{j+1} = v_j b_j / c_{j+1}; b, c, theta map j to b_j, c_j, theta_j."""
+    a = [b(0) - b(j) - (c(j) if j else 0) for j in range(n)]
+    v = [Fraction(1)]
+    for j in range(n):
+        v.append(v[j] * b(j) / c(j + 1))
+    t = [Fraction(1), x]
+    for j in range(1, n):
+        rhs = v[j] * t[j] * (x * theta(j) - a[j]) - b(j - 1) * v[j - 1] * t[j - 1]
+        t.append(rhs / (c(j + 1) * v[j + 1]))
+    return t
+
+
+def _rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 50))
+
+
+def test_hamming_profiles_match_the_weighted_recurrence():
+    params = hamming_profile_params()
+    profiles = [symbolic_t(i, params) for i in range(5)]
+    rng = random.Random(3)
+    for _ in range(15):
+        nn, q, x = _rational(rng, 200, 900), _rational(rng, 60, 900), _rational(rng, -500, 500)
+        point = {"x": x, "N": nn, "q": q}
+        weighted = _weighted_profile(x, lambda j: (nn - j) * (q - 1), lambda j: Fraction(j),
+                                     lambda j: nn * (q - 1) - q * j, 4)
+        assert [Fraction(t.num.substitute(point)) / t.den.substitute(point)
+                for t in profiles] == weighted, point
+
+
+def test_bilinear_profiles_match_the_weighted_recurrence():
+    params = bilinear_profile_params()
+    profiles = [symbolic_t(i, params) for i in range(4)]
+    rng = random.Random(5)
+    for _ in range(15):
+        d, e, q, x = (_rational(rng, 200, 900) for _ in range(4))
+        point = {"x": x, "d": d, "e": e, "q": q}
+        weighted = _weighted_profile(x, lambda j: (d - q**j) * (e - q**j) / (q - 1),
+                                     lambda j: q ** (j - 1) * (q**j - 1) / (q - 1),
+                                     lambda j: (d * e + q**j * (1 - d - e)) / ((q - 1) * q**j), 3)
+        assert [Fraction(t.num.substitute(point)) / t.den.substitute(point)
+                for t in profiles] == weighted, point
+
+
 def test_profile_numerators_share_the_quadratic_factor():
     report = hamming_factor_check()
     assert report["ok"]
@@ -293,15 +356,16 @@ def test_exact_quartic_matches_numeric_for_integer_instances():
 
 def test_bilinear_elimination_is_pinned():
     # term counts and digests of g1, g2 as the whole-polynomial reference
-    # division produced them
+    # division produced them, and of their printed form
     system = _bilinear_system()
-    for name, n_terms, digest in (("g1", 43, "3864db7905d91a25"),
-                                  ("g2", 464, "1c12e8b5cc25b78d")):
+    for name, n_terms, digest, printed in (("g1", 43, "3864db7905d91a25", "2782881b9ec2d035"),
+                                           ("g2", 464, "1c12e8b5cc25b78d", "64d89f4fefb7420a")):
         terms = system[name].terms
         assert len(terms) == n_terms
         assert hashlib.sha256(
             repr(sorted(terms.items())).encode()
         ).hexdigest().startswith(digest)
+        assert _digest(system[name]) == printed
 
 
 def test_hamming_cofactors_are_pinned():
