@@ -70,9 +70,9 @@ def _given(**flags) -> dict:
 
 
 def _config(args) -> SolverConfig:
-    """--tol and --max-points; a flag not given keeps its default."""
+    """--tol and the oracle's --max-points; a flag not given keeps its default."""
     return DEFAULT_CONFIG.with_(**_given(residual_tol=args.tol,
-                                         census_max_points=args.max_points))
+                                         census_max_points=getattr(args, "max_points", None)))
 
 
 def _report(args, cfg: SolverConfig, result, elapsed: float) -> None:
@@ -183,7 +183,7 @@ def _check_family_flags(args) -> None:
     _refuse_stray_flags(args, subject, FAMILY_FLAGS, args.family or "custom")
 
 
-def _build_scheme(args, cfg: SolverConfig):
+def _build_scheme(args):
     if not (args.family or args.array_file):  # only symbolic quartic may name neither
         raise ValueError("symbolic quartic needs --family or --array-file")
     _check_family_flags(args)
@@ -196,7 +196,7 @@ def _build_scheme(args, cfg: SolverConfig):
         return build_custom(arr)
     from .families import build
 
-    return build(_family_spec(args), cfg)
+    return build(_family_spec(args))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -208,14 +208,14 @@ def _build_scheme(args, cfg: SolverConfig):
 
 
 def _cmd_solve(args, cfg: SolverConfig):
-    scheme = _build_scheme(args, cfg)
+    scheme = _build_scheme(args)
     from .solver import solve
 
     return solve(scheme, cfg), 0
 
 
 def _cmd_families(args, cfg: SolverConfig):
-    return _build_scheme(args, cfg), 0
+    return _build_scheme(args), 0
 
 
 def _cmd_oracle(args, cfg: SolverConfig):
@@ -286,7 +286,7 @@ def _cmd_symbolic(args, cfg: SolverConfig):
     )
 
     if args.symbolic_action == "quartic":
-        scheme = _build_scheme(args, cfg)
+        scheme = _build_scheme(args)
         arr = scheme.array
         theta1 = scheme.theta[1]
         b1 = arr.b_at(1)
@@ -327,10 +327,11 @@ def _add_family_flags(parser: argparse.ArgumentParser, with_custom: bool = True,
         parser.add_argument("--array-file", help="JSON intersection array")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, census: bool = False) -> None:
     parser.add_argument("--format", choices=["json", "table"], default="json")
     parser.add_argument("--tol", type=float, help="residual tolerance override")
-    parser.add_argument("--max-points", type=int, help="census size cap override")
+    if census:  # only the oracle runs a census
+        parser.add_argument("--max-points", type=int, help="census size cap override")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the JSON report")
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="point-space census utilities")
     p.add_argument("oracle_action", choices=["census", "verify"])
     _add_family_flags(p, with_custom=False)
-    _add_common_flags(p)
+    _add_common_flags(p, census=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="check a numbered classification claim")

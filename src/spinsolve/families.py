@@ -1,14 +1,17 @@
 """Builders for the five named self-dual families.
 
-Hamming, bilinear-forms and n-gon instances come from closed-form
-parameters.  Alternating- and Hermitian-forms arrays are not transcribed
-from anywhere: they are measured by the finite-field census, which keeps
-this module honest about schemes it cannot write down directly.
+Every named family is built from closed forms.  Hamming, bilinear-,
+alternating- and Hermitian-forms graphs have classical parameters
+(Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989, section 6.1
+and Corollary 8.4.2), one formula for the exact array and integer
+spectrum of all four.  Writing the alternating and Hermitian arrays down
+is deliberate: the census derives them independently of this module, and
+`oracle verify` and the tests hold every census to these closed forms.
 
-Eigenvalues are computed from the tridiagonal intersection matrix
-(rows c_i, a_i, b_i) after symmetrizing it; the array's positivity makes
-the symmetrized matrix real tridiagonal with positive off-diagonals, so
-the spectrum is real and simple.  The row order of P comes from the
+A custom array's eigenvalues come from its intersection matrix (rows
+c_i, a_i, b_i) after symmetrizing it; the array's positivity makes the
+symmetrized matrix real tridiagonal with positive off-diagonals, so the
+spectrum is real and simple.  The row order of P comes from the
 self-duality identity theta_i = k P_i(theta_1)/k_i (Bannai-Ito,
 Algebraic Combinatorics I, 1984, section 2.3): once theta_1 is chosen the
 rest follows, so at most N + 2 orders are measured against P^2 = |X| I
@@ -29,12 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DEFAULT_CONFIG,
     FAMILY_PARAMS,
     BuildError,
     IntersectionArray,
     SchemeInstance,
-    SolverConfig,
     max_abs,
     valency_sum,
     validate_array,
@@ -50,10 +51,6 @@ __all__ = [
     "eigenvalues_from_array",
     "BuildError",
 ]
-
-# The named families whose arrays closed_form_array writes down; the rest
-# are measured by the census.
-CLOSED_FORM_FAMILIES = ("hamming", "bilinear", "ngon")
 
 # GF families stay within orders whose tables we can build and afford.
 DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -109,28 +106,28 @@ def _check_gf_order(q: int) -> None:
 
 
 def closed_form_array(spec: FamilySpec) -> IntersectionArray:
-    """Exact intersection array for the families with closed-form parameters."""
+    """Exact intersection array of a named family."""
     return _closed_form(spec)[0]
 
 
+# Each translation family's classical parameters (d, b, alpha, beta).
+CLASSICAL_PARAMETERS = {
+    "hamming": lambda p: (p["N"], 1, 0, p["q"] - 1),
+    "bilinear": lambda p: (min(p["M"], p["N"]), p["q"], p["q"] - 1,
+                           p["q"] ** max(p["M"], p["N"]) - 1),
+    "alternating": lambda p: (p["n"] // 2, p["q"] ** 2, p["q"] ** 2 - 1,
+                              p["q"] ** (p["n"] if p["n"] % 2 else p["n"] - 1) - 1),
+    "hermitian": lambda p: (p["n"], -p["q"], -p["q"] - 1, -(-p["q"]) ** p["n"] - 1),
+}
+
+
 def _closed_form(spec: FamilySpec) -> tuple[IntersectionArray, list]:
-    """A closed-form family's exact array and its spectrum theta_0..theta_N,
-    descending: integers for Hamming and bilinear, floats for the n-gon."""
+    """A named family's exact array and its spectrum theta_0..theta_N,
+    descending: floats for the n-gon, integers for classical parameters
+    (d, b, alpha, beta), which with [i] = 1 + b + ... + b^(i-1) give
+    b_i = ([d] - [i])(beta - alpha [i]), c_i = [i](1 + alpha [i-1]) and
+    theta_i = [d-i](beta - alpha [i]) - [i] (alternating in sign for b < 0)."""
     fam, p = spec.family, spec.params
-    if fam == "hamming":
-        n, q = p["N"], p["q"]
-        b = [(n - i) * (q - 1) for i in range(n)]
-        theta = [n * (q - 1) - q * i for i in range(n + 1)]
-        return IntersectionArray(b, range(1, n + 1)), theta
-    if fam == "bilinear":
-        # every power of q is 1 mod q - 1, so all three quotients are exact
-        m, n, q = p["M"], p["N"], p["q"]
-        d, e = q**m, q**n
-        nc = min(m, n)
-        b = [(d - q**i) * (e - q**i) // (q - 1) for i in range(nc)]
-        c = [q ** (i - 1) * (q**i - 1) // (q - 1) for i in range(1, nc + 1)]
-        theta = [(q ** (m + n - i) + 1 - d - e) // (q - 1) for i in range(nc + 1)]
-        return IntersectionArray(b, c), theta
     if fam == "ngon":
         n = p["n"]
         nc = n // 2
@@ -143,7 +140,14 @@ def _closed_form(spec: FamilySpec) -> tuple[IntersectionArray, list]:
         theta = [2.0 * math.cos(2.0 * math.pi * i / n) for i in range(nc + 1)]
         theta = [float(round(t)) if abs(t - round(t)) <= 1e-9 else t for t in theta]
         return IntersectionArray(b, c), theta
-    raise BuildError(f"no closed-form array for family {fam!r}")
+    d, b, alpha, beta = CLASSICAL_PARAMETERS[fam](p)
+    gauss = [0]
+    for _ in range(d):
+        gauss.append(b * gauss[-1] + 1)
+    bs = [(gauss[d] - gauss[i]) * (beta - alpha * gauss[i]) for i in range(d)]
+    cs = [gauss[i] * (1 + alpha * gauss[i - 1]) for i in range(1, d + 1)]
+    theta = [gauss[d - i] * (beta - alpha * gauss[i]) - gauss[i] for i in range(d + 1)]
+    return IntersectionArray(bs, cs), sorted(theta, reverse=True)
 
 
 def family_size(spec: FamilySpec) -> Fraction:
@@ -268,21 +272,14 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
     return by_magnitude if by_magnitude[0] < desc[0] else desc
 
 
-def build(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeInstance:
+def build(spec: FamilySpec) -> SchemeInstance:
     """Construct a validated SchemeInstance for a named family."""
     fam, p = spec.family, spec.params
     if fam not in FAMILY_PARAMS:
         raise BuildError(f"build() does not handle family {fam!r}")
     size = family_size(spec)
     size_float = _float_size(size)
-    if fam in CLOSED_FORM_FAMILIES:
-        arr, theta = _closed_form(spec)
-    else:  # alternating, hermitian
-        from .oracle import PointSpace, census  # deferred: oracle imports this module
-
-        cen = census(PointSpace(spec), cfg)
-        arr = cen.derived_array()
-        theta = eigenvalues_from_array(arr)
+    arr, theta = _closed_form(spec)
     _check_class_count(arr)
     problems = validate_array(arr)
     if problems:

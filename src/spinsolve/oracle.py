@@ -48,7 +48,7 @@ import numpy as np
 
 from .core import (DEFAULT_CONFIG, CensusError, IntersectionArray, SchemeCensus,
                    SolverConfig, validate_array, valencies)
-from .families import CLOSED_FORM_FAMILIES, FamilySpec, closed_form_array, family_size
+from .families import FamilySpec, closed_form_array, family_size
 from .ffield import FiniteField
 
 __all__ = ["PointSpace", "CensusError", "rank", "rank_batch", "rank_batch_gf2", "census",
@@ -550,8 +550,8 @@ def _array_text(arr: IntersectionArray) -> str:
 
 
 def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
-    """Census vs closed form (exact), or internal consistency for the
-    families whose arrays the census itself supplies."""
+    """The census's own consistency checks, then its array against the
+    family's closed form, exactly."""
     cen = census(PointSpace(spec), cfg)
     arr = cen.derived_array()
     mismatches: list[str] = []
@@ -571,11 +571,10 @@ def verify_family(spec: FamilySpec, cfg: SolverConfig = DEFAULT_CONFIG) -> dict:
         if sum(row) != b0:
             mismatches.append(f"row {r} of the p-table sums to {sum(row)} != {b0}")
 
-    if spec.family in CLOSED_FORM_FAMILIES:
-        closed = closed_form_array(spec)
-        if closed.b != arr.b or closed.c != arr.c or closed.a != arr.a:
-            mismatches.append(f"census array {_array_text(arr)} differs from the "
-                              f"closed form {_array_text(closed)}")
+    closed = closed_form_array(spec)
+    if closed.b != arr.b or closed.c != arr.c or closed.a != arr.a:
+        mismatches.append(f"census array {_array_text(arr)} differs from the "
+                          f"closed form {_array_text(closed)}")
 
     return {
         "family": spec.family,

@@ -118,10 +118,10 @@ def _instance_record(params: dict, make_scheme: Callable[[], SchemeInstance],
     return check(params, sol)
 
 
-def _family_maker(family: str, params: dict, cfg: SolverConfig) -> Callable[[], SchemeInstance]:
+def _family_maker(family: str, params: dict) -> Callable[[], SchemeInstance]:
     """make_scheme of a named family; parameters out of range are a usage
     error, raised here rather than recorded."""
-    return partial(build, FamilySpec(family, dict(params)), cfg)
+    return partial(build, FamilySpec(family, dict(params)))
 
 
 def _hamming_record(params: dict, sol: SolutionSet) -> dict:
@@ -152,7 +152,7 @@ def verify_hamming_classification(
 ) -> dict:
     """Every solution is T_i = c x^i with 1 - 2x + qx + x^2 = 0 and
     c^3 (q(1+(q-1)x))^N = 1: 6 solutions for q != 4, 3 for q = 4."""
-    records = [_instance_record(p, _family_maker("hamming", p, cfg), _hamming_record, cfg)
+    records = [_instance_record(p, _family_maker("hamming", p), _hamming_record, cfg)
                for p in ({"N": n, "q": q} for n in n_range for q in q_range)]
     return {"theorem": 2, "instances": records,
             "pass": all(r["pass"] for r in records)}
@@ -178,15 +178,14 @@ def verify_bilinear_nonexistence(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """No solutions when min(M, N) > 2, the scheme's class count."""
-    records = [_instance_record(p, _family_maker("bilinear", p, cfg), _nonexistence_record, cfg)
+    records = [_instance_record(p, _family_maker("bilinear", p), _nonexistence_record, cfg)
                for p in ({"M": m, "N": n, "q": q} for m, n, q in instances)]
     return {"theorem": 3, "instances": records,
             "pass": all(r["pass"] for r in records)}
 
 
-def _census_family_nonexistence(theorem: int, family: str, instances,
-                                cfg: SolverConfig) -> dict:
-    records = [_instance_record({"params": dict(p)}, _family_maker(family, p, cfg),
+def _forms_nonexistence(theorem: int, family: str, instances, cfg: SolverConfig) -> dict:
+    records = [_instance_record({"params": dict(p)}, _family_maker(family, p),
                                 _nonexistence_record, cfg)
                for p in instances]
     return {"theorem": theorem, "family": family, "instances": records,
@@ -198,10 +197,8 @@ def verify_alternating_nonexistence(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """No solutions for n x n alternating forms with n > 5, floor(n/2)
-    classes (census-built schemes); smaller n is reported but not
-    asserted.  The default fits the default census cap; alternating(7,2)
-    has 2,097,152 points and needs census_max_points raised."""
-    return _census_family_nonexistence(4, "alternating", instances, cfg)
+    classes; smaller n is reported but not asserted."""
+    return _forms_nonexistence(4, "alternating", instances, cfg)
 
 
 def verify_hermitian_nonexistence(
@@ -209,8 +206,8 @@ def verify_hermitian_nonexistence(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> dict:
     """No solutions for n x n Hermitian forms (entries over GF(q^2)) with
-    n > 2, n classes (census-built schemes); smaller n is not asserted."""
-    return _census_family_nonexistence(5, "hermitian", instances, cfg)
+    n > 2, n classes; smaller n is not asserted."""
+    return _forms_nonexistence(5, "hermitian", instances, cfg)
 
 
 def _match_ngon_profile(t: Sequence[complex], n: int) -> tuple[str, int, float]:
@@ -291,7 +288,7 @@ def verify_ngon_classification(
     exactly 6, all alternating-sign, the others failing the terminal
     equation (the triangle, n = 3, has one class and rejects no x);
     constants match the quarter-turn case table."""
-    records = [_instance_record({"n": n}, _family_maker("ngon", {"n": n}, cfg), _ngon_record, cfg)
+    records = [_instance_record({"n": n}, _family_maker("ngon", {"n": n}), _ngon_record, cfg)
                for n in n_range]
     return {"theorem": 6, "instances": records,
             "pass": all(r["pass"] for r in records)}

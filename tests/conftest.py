@@ -2,7 +2,8 @@ import pytest
 
 import spinsolve as sp
 
-# The large alternating-forms space needs a cap above the desk-scale default.
+# A census of the large alternating-forms space needs a cap above the
+# desk-scale default.
 BIG_CFG = sp.DEFAULT_CONFIG.with_(census_max_points=4_000_000)
 
 
@@ -28,14 +29,14 @@ def ngon6():
 
 @pytest.fixture(scope="session")
 def alternating62():
-    return sp.build(sp.FamilySpec("alternating", {"n": 6, "q": 2}), BIG_CFG)
+    return sp.build(sp.FamilySpec("alternating", {"n": 6, "q": 2}))
 
 
 @pytest.fixture(scope="session")
 def alternating72():
-    return sp.build(sp.FamilySpec("alternating", {"n": 7, "q": 2}), BIG_CFG)
+    return sp.build(sp.FamilySpec("alternating", {"n": 7, "q": 2}))
 
 
 @pytest.fixture(scope="session")
 def hermitian32():
-    return sp.build(sp.FamilySpec("hermitian", {"n": 3, "q": 2}), BIG_CFG)
+    return sp.build(sp.FamilySpec("hermitian", {"n": 3, "q": 2}))

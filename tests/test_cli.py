@@ -42,10 +42,24 @@ def test_config_echoes_the_two_values_a_caller_sets(capsys):
     code, out, _ = run_cli(capsys, "families", "--family", "hermitian", "--n", "2", "--q", "2")
     assert code == 0
     assert json.loads(out)["config"] == {"residual_tol": 1e-10, "census_max_points": 1_000_000}
-    code, out, _ = run_cli(capsys, "families", "--family", "hermitian", "--n", "2", "--q", "2",
-                           "--tol", "1e-9", "--max-points", "5000")
+    # --max-points is declared only where a census runs
+    code, out, _ = run_cli(capsys, "oracle", "census", "--family", "hermitian", "--n", "2",
+                           "--q", "2", "--tol", "1e-9", "--max-points", "5000")
     assert code == 0
     assert json.loads(out)["config"] == {"residual_tol": 1e-9, "census_max_points": 5000}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "hermitian", "--n", "2", "--q", "2"],
+    ["families", "--family", "alternating", "--n", "7", "--q", "2"],
+    ["verify", "--theorem", "4"],
+    ["symbolic", "quartic", "--family", "hermitian", "--n", "2", "--q", "2"],
+], ids=["solve", "families", "verify", "symbolic"])
+def test_max_points_is_refused_where_no_census_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-points", "4000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-points 4000000" in capsys.readouterr().err
 
 
 def test_solve_ngon6_count(capsys):
@@ -324,13 +338,19 @@ def test_verify_alternating_default_fits_the_cap(capsys):
 
 
 def test_verify_alternating_needs_cap_override(capsys):
-    code, _, err = run_cli(capsys, "verify", "--theorem", "4", "--n", "7",
+    # the census of alternating(7,2), 2,097,152 points, needs the cap raised
+    code, _, err = run_cli(capsys, "oracle", "verify", "--family", "alternating", "--n", "7",
                            "--q", "2")
     assert code == 2 and "cap" in err
-    code, out, _ = run_cli(capsys, "verify", "--theorem", "4", "--n", "7",
+    code, out, _ = run_cli(capsys, "oracle", "verify", "--family", "alternating", "--n", "7",
                            "--q", "2", "--max-points", "4000000")
     assert code == 0
-    assert json.loads(out)["result"]["pass"]
+    assert json.loads(out)["result"]["match"]
+    # the claim builds the scheme from its closed form, under no cap
+    code, out, _ = run_cli(capsys, "verify", "--theorem", "4", "--n", "7", "--q", "2")
+    assert code == 0
+    records = json.loads(out)["result"]["instances"]
+    assert [(r["count"], r["asserted"]) for r in records] == [(0, True)]
 
 
 def test_verify_hermitian(capsys):

@@ -1,5 +1,6 @@
 """Family builders: arrays, eigenvalues, eigenmatrices, self-duality."""
 
+import json
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve import families
+from spinsolve.cli import main
 from spinsolve.core import max_abs, validate_array, valencies
 from spinsolve.families import (
     BuildError,
@@ -22,6 +24,7 @@ from spinsolve.families import (
     eigenmatrix,
     eigenvalues_from_array,
 )
+from spinsolve.oracle import PointSpace, census
 from spinsolve.theorems import random_intersection_array
 
 
@@ -173,6 +176,44 @@ def test_census_built_families_validate(alternating62, hermitian32):
 def test_hermitian_eigenvalues_alternate_in_sign(hermitian32):
     assert np.allclose(hermitian32.theta, [21, -11, 5, -3])
     assert hermitian32.theta[1] < hermitian32.theta[2]  # ordered by |theta|, not value
+
+
+# Every alternating- and Hermitian-forms space the tests and CI census.
+FORMS_SPACES = ([FamilySpec("alternating", {"n": n, "q": 2}) for n in range(4, 8)]
+                + [FamilySpec("alternating", {"n": 4, "q": q}) for q in (3, 4, 5)]
+                + [FamilySpec("alternating", {"n": 5, "q": 3})]
+                + [FamilySpec("hermitian", {"n": n, "q": 2}) for n in range(1, 5)]
+                + [FamilySpec("hermitian", {"n": n, "q": q}) for n in (1, 2, 3) for q in (3, 4)])
+
+
+@pytest.mark.parametrize("spec", FORMS_SPACES,
+                         ids=lambda s: f"{s.family}({s.params['n']},{s.params['q']})")
+def test_classical_parameters_give_the_census_array_and_spectrum(spec, big_cfg):
+    measured = census(PointSpace(spec), big_cfg).derived_array()
+    arr, theta = families._closed_form(spec)
+    assert (arr.b, arr.c, arr.a) == (measured.b, measured.c, measured.a)
+    assert all(type(t) is int for t in theta)
+    eigs = eigenvalues_from_array(measured)
+    scale = max(abs(t) for t in theta)
+    assert np.max(np.abs(np.sort(eigs) - sorted(theta))) <= 1e-12 * scale
+
+
+def test_alternating_82_builds_without_a_census():
+    # 2^28 points, far beyond any census cap
+    scheme = build(FamilySpec("alternating", {"n": 8, "q": 2}))
+    assert scheme.size == 2 ** 28
+    assert scheme.self_dual_defect == 0.0
+    assert sp.solve(scheme).count == 0
+
+
+@pytest.mark.parametrize("family, n, coefficients", [
+    ("hermitian", "3", [-11, 0, 278, 0, -11]),
+    ("alternating", "6", [139, 12420, 286178, 12420, 139]),
+])
+def test_symbolic_quartic_of_forms_is_exact(capsys, family, n, coefficients):
+    assert main(["symbolic", "quartic", "--family", family, "--n", n, "--q", "2"]) == 0
+    written = json.loads(capsys.readouterr().out)["result"]["coefficients_high_to_low"]
+    assert written == coefficients and all(type(c) is int for c in written)
 
 
 def test_parameter_range_errors():

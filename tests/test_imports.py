@@ -121,8 +121,11 @@ def test_a_malformed_array_file_is_refused_before_numpy_loads(tmp_path, payload)
 
 
 def test_solve_loads_neither_oracle_nor_symbolic_nor_theorems():
-    loaded = loads(["solve", "--family", "hamming", "--N", "3", "--q", "3"])
-    assert loaded["code"] == 0
-    assert "numpy" in loaded["modules"]
-    assert not {"spinsolve.oracle", "spinsolve.symbolic",
-                "spinsolve.theorems"} & set(loaded["modules"])
+    # every named family is built from its closed form, never by a census
+    for family in (["hamming", "--N", "3", "--q", "3"], ["alternating", "--n", "8", "--q", "2"],
+                   ["hermitian", "--n", "3", "--q", "2"]):
+        loaded = loads(["solve", "--family", *family])
+        assert loaded["code"] == 0
+        assert "numpy" in loaded["modules"]
+        assert not {"spinsolve.oracle", "spinsolve.symbolic",
+                    "spinsolve.theorems"} & set(loaded["modules"])

@@ -302,13 +302,17 @@ def test_verify_family_reports_a_closed_form_the_census_contradicts(monkeypatch)
     # an entry off the band, which the derived array does not read
     (dict(measured_p=((0, 5, 1), (1, 0, 4), (0, 2, 3))),
      ["row 0 of the p-table sums to 6 != 5"]),
-    # an entry in the band: the derived array itself misses b_0
+    # an entry in the band: the derived array itself misses b_0, and the
+    # closed form
     (dict(measured_p=((0, 5, 0), (1, 1, 4), (0, 2, 3))),
      ["census array b=[5, 4] c=[1, 2] a=[0, 1, 3] is invalid: a_1+b_1+c_1 = 6 != b_0 = 5",
-      "row 1 of the p-table sums to 6 != 5"]),
+      "row 1 of the p-table sums to 6 != 5",
+      "census array b=[5, 4] c=[1, 2] a=[0, 1, 3] differs from the closed form "
+      "b=[5, 4] c=[1, 2] a=[0, 0, 3]"]),
 ], ids=["moved-point", "extra-point", "row-sum", "in-band"])
 def test_verify_family_reports_a_doctored_census(monkeypatch, doctor, mismatches):
-    # hermitian(2, 2) has no closed form, so only the census's own checks run
+    # on hermitian(2, 2) the census's own checks run before the comparison
+    # with the closed form, which only a doctored derived array fails
     real = oracle.census
     monkeypatch.setattr(oracle, "census",
                         lambda *args: dataclasses.replace(real(*args), **doctor))

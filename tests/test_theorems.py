@@ -113,8 +113,7 @@ def test_ngon_record_fails_a_swapped_odd_rejection_reason(ngon7):
 
 @pytest.mark.parametrize("params", [{"n": 3, "q": 3}, {"n": 4, "q": 2}])
 def test_claim_5_counts_no_solution_on_larger_hermitian_spaces(params):
-    # Hermitian forms over GF(9) and four-class forms over GF(4), both
-    # census-built through the table-driven GF(q) rank
+    # Hermitian forms over GF(9) and four-class forms over GF(4)
     report = theorems.verify_hermitian_nonexistence(instances=(params,))
     (record,) = report["instances"]
     assert record["asserted"] and record["count"] == 0 and report["pass"]
