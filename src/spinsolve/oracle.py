@@ -20,7 +20,10 @@ the first-class points' rows or matrices are built once.
 The census streams the whole space once, in blocks of GF2_BLOCK codes,
 into one array of distances in the narrowest unsigned type that holds the
 largest possible distance, and reads class sizes (one count per distance
-value and block), neighbours and representatives off it.  GF(2) matrices are
+value and block), neighbours and representatives off it in one more
+blocked scan, which keeps the codes as uint32 while the space has at most
+2^32 points; an alternating space's odd ranks are not counted, so a block
+whose counts fall short of its length is an error.  GF(2) matrices are
 bit-packed, one unsigned integer per row; a bilinear matrix with more
 rows than columns is packed transposed, as rank is the same and the
 kernel's cost grows with the rows.  A block at a multiple b of GF2_BLOCK
@@ -298,7 +301,7 @@ class PointSpace:
         base rows do, so those two tables are checked, not each block.
         """
         out = np.empty(self.n_points, dtype=np.min_scalar_type(self.max_raw))
-        starts = np.arange(0, self.n_points, GF2_BLOCK)
+        starts = np.arange(0, self.n_points, GF2_BLOCK, dtype=_code_type(self.n_points))
         if not self.gf2_shape:
             for start in starts.tolist():
                 codes = np.arange(start, min(start + GF2_BLOCK, self.n_points))
@@ -347,9 +350,11 @@ class PointSpace:
         matrix space the pairs' difference rows (GF(2), ranked by
         `rank_batch_gf2`) or difference matrices (larger fields, ranked by
         `rank_batch`) are formed and ranked a chunk of at most GF2_BLOCK
-        pairs at a time, into raw_from_zero's distance type."""
+        pairs at a time, into raw_from_zero's distance type.  The z codes
+        are used in their own integer type, so the census's uint32
+        first-class codes are not copied."""
         codes_y = np.asarray(codes_y, dtype=np.int64)
-        codes_z = np.asarray(codes_z, dtype=np.int64)
+        codes_z = np.asarray(codes_z)
         shape = (len(codes_y), len(codes_z))
         if self.family == "ngon":
             diff = (codes_z[np.newaxis, :] - codes_y[:, np.newaxis]) % self.n
@@ -398,7 +403,7 @@ class PointSpace:
     @cached_property
     def _gf2_offsets(self) -> np.ndarray:
         """Rows of the codes 0..GF2_BLOCK-1 (fewer in a smaller space)."""
-        return self._gf2_rows(np.arange(min(self.n_points, GF2_BLOCK)))
+        return self._gf2_rows(np.arange(min(self.n_points, GF2_BLOCK), dtype=np.uint32))
 
     def _gf2_rows(self, codes: np.ndarray) -> np.ndarray:
         """GF(2) matrices as per-row bitmasks, shape (gf2_shape[0], points)."""
@@ -451,11 +456,13 @@ class PointSpace:
 def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensus:
     """Measure p_{1,j}^r and class sizes over the whole point space.
 
-    Class sizes are `raw_from_zero()` histogrammed by `_bincount`, and
-    each class's first CENSUS_REPRESENTATIVES codes are found block by
-    block, stopping once every class has them.  One `raw_between` call
-    measures every representative against every first-class point, and
-    `_bincount` histograms each representative's row too."""
+    One blocked scan of `raw_from_zero()` (`_tally`) counts every distance
+    the family allows (only even ranks in an alternating space) and keeps
+    each class's first CENSUS_REPRESENTATIVES codes and the first class's
+    codes, as uint32 while the space has at most 2^32 points.  A distance
+    outside those values is an error.  One `raw_between` call measures
+    every representative against every first-class point, and `_tally`
+    histograms each representative's row too."""
     n = space.n_points
     if n > cfg.census_max_points:
         raise CensusError(
@@ -466,32 +473,26 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
     if n > np.iinfo(np.int64).max:
         raise CensusError(f"{space.family} {space.spec.params} space has {n} points, "
                           "more than int64 codes can index")
-    raws = space.raw_from_zero()
-    counts = np.array(_bincount(raws, space.max_raw + 1))
-
-    observed = np.flatnonzero(counts)
-    if space.family == "alternating" and np.any(observed % 2 != 0):
-        raise CensusError(f"odd ranks {observed[observed % 2 != 0]} in an "
-                          "alternating-forms space")
-    class_of_raw = {int(r): k for k, r in enumerate(observed)}
+    step = 2 if space.family == "alternating" else 1  # alternating forms have even rank
+    values = range(0, space.max_raw + 1, step)
+    counts, stray, firsts, neighbors = _tally(space.raw_from_zero(), values,
+                                              CENSUS_REPRESENTATIVES)
+    odd = [v for v in stray if v % 2]
+    if step == 2 and odd:
+        raise CensusError(f"odd ranks {np.array(odd)} in an alternating-forms space")
+    if stray:
+        raise CensusError(f"distances {stray} from the base point exceed {space.max_raw}, "
+                          f"the largest {space.family} {space.spec.params} allows")
+    observed = [v for v, c in zip(values, counts) if c]
+    class_of_raw = {r: k for k, r in enumerate(observed)}
     n_classes = len(observed) - 1
     if n_classes != space.n_classes:
         raise CensusError(
             f"observed {n_classes + 1} distance classes, expected "
             f"{space.n_classes + 1} for {space.family} {space.spec.params}"
         )
-    class_sizes = counts[observed]
-    neighbors = np.flatnonzero(raws == observed[1])
-
-    wanted = np.minimum(class_sizes, CENSUS_REPRESENTATIVES)
-    members: list[list[int]] = [[] for _ in observed]
-    for start in range(0, n, GF2_BLOCK):
-        if all(len(m) == w for m, w in zip(members, wanted)):
-            break
-        block = raws[start:start + GF2_BLOCK]
-        for m, r, w in zip(members, observed, wanted):
-            if len(m) < w:
-                m += (start + np.flatnonzero(block == r)[:w - len(m)]).tolist()
+    class_sizes = [c for c in counts if c]
+    members = [m for m, c in zip(firsts, counts) if c]
 
     dists = iter(space.raw_between([y for m in members for y in m], neighbors))
     p_table: list[tuple[int, ...]] = []
@@ -499,12 +500,11 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
     for r in range(n_classes + 1):
         rows = []
         for _ in members[r]:
-            hist = _bincount(next(dists), int(observed[-1]) + 1)
-            bad = [v for v, h in enumerate(hist) if h and v not in class_of_raw]
+            hist, bad, _, _ = _tally(next(dists), observed)
             if bad:
                 raise CensusError(f"distances {bad} between points do not occur "
                                   "from the base point")
-            rows.append(tuple(hist[v] for v in observed.tolist()))
+            rows.append(tuple(hist))
         if len(set(rows)) != 1:
             raise CensusError(
                 f"representatives of class {r} disagree: {sorted(set(rows))}; "
@@ -525,22 +525,59 @@ def census(space: PointSpace, cfg: SolverConfig = DEFAULT_CONFIG) -> SchemeCensu
         params=dict(space.spec.params),
         point_count=int(space.n_points),
         class_of_distance=class_of_raw,
-        class_sizes=tuple(int(x) for x in class_sizes),
+        class_sizes=tuple(class_sizes),
         measured_p=tuple(p_table),
         representatives_checked=tuple(reps_checked),
     )
 
 
-def _bincount(row: np.ndarray, minlength: int) -> list[int]:
-    """np.bincount(row, minlength=minlength) of a row of distances, counted
-    in the row's own type by one `count_nonzero` per value and GF2_BLOCK
-    entries, so that a long row gets no intp copy and no whole-row temporary."""
-    n_values = max(int(row.max()) + 1, minlength)
-    counts = np.zeros(n_values, dtype=np.int64)
-    for start in range(0, len(row), GF2_BLOCK):
-        block = row[start:start + GF2_BLOCK]
-        counts += [np.count_nonzero(block == v) for v in range(n_values)]
-    return counts.tolist()
+def _tally(raws: np.ndarray, values: Sequence[int], firsts: int = 0
+           ) -> tuple[list[int], list[int], list[list[int]], np.ndarray]:
+    """Count each of values in a row of distances, in one pass over
+    GF2_BLOCK entries at a time with one `np.equal` into a reused mask and
+    one `count_nonzero` per value and block.
+
+    Returns the counts, the sorted distances outside values (looked for
+    only in a block whose counts fall short of its length), and, when
+    firsts > 0, the first `firsts` positions of each value and every
+    position of the smallest nonzero value that occurs, as `_code_type`
+    codes."""
+    counts = [0] * len(values)
+    members: list[list[int]] = [[] for _ in values]
+    stray: set[int] = set()
+    nearest, near = float("inf"), []  # the smallest nonzero value seen, its positions
+    code_type = _code_type(len(raws))
+    mask = np.empty(min(len(raws), GF2_BLOCK), dtype=bool)
+    for start in range(0, len(raws), GF2_BLOCK):
+        block = raws[start:start + GF2_BLOCK]
+        hits = mask[:len(block)]
+        covered = 0
+        for k, v in enumerate(values):
+            np.equal(block, v, out=hits)
+            count = int(np.count_nonzero(hits))
+            if not count:
+                continue
+            counts[k] += count
+            covered += count
+            wanted = firsts - len(members[k])
+            closer = firsts and 0 < v <= nearest
+            if wanted > 0 or closer:
+                at = np.flatnonzero(hits).astype(code_type)
+                at += start
+                members[k] += at[:max(wanted, 0)].tolist()
+                if closer:
+                    if v != nearest:
+                        nearest, near = v, []
+                    near.append(at)
+        if covered < len(block):
+            stray.update(np.setdiff1d(block, values).tolist())
+    positions = np.concatenate(near) if near else np.empty(0, dtype=code_type)
+    return counts, sorted(stray), members, positions
+
+
+def _code_type(n_points: int) -> type:
+    """Unsigned type of the codes 0..n_points-1: uint32 up to 2^32 points."""
+    return np.uint32 if n_points <= 1 << 32 else np.uint64
 
 
 def _array_text(arr: IntersectionArray) -> str:

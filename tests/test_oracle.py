@@ -547,6 +547,22 @@ class _ShortSpace(PointSpace):
         self.n_classes = 2
 
 
+class _FarSpace(PointSpace):
+    """One point, in the last block, reads a rank above every rank the
+    space allows."""
+
+    def raw_from_zero(self):
+        raws = super().raw_from_zero()
+        raws[-1] = self.max_raw + 1
+        return raws
+
+
+def test_a_distance_above_max_raw_from_the_base_point_is_an_error(big_cfg):
+    space = _FarSpace(sp.FamilySpec("bilinear", {"M": 4, "N": 5, "q": 2}))
+    with pytest.raises(CensusError, match=r"distances \[5\] from the base point exceed 4"):
+        census(space, big_cfg)
+
+
 def test_a_class_count_other_than_the_family_expects_is_an_error():
     space = _ShortSpace(sp.FamilySpec("hamming", {"N": 3, "q": 2}))
     with pytest.raises(CensusError, match="observed 4 distance classes, expected 3"):
@@ -641,6 +657,8 @@ class _RecordingSpace(PointSpace):
     ("hermitian", {"n": 2, "q": 2}),
     ("hamming", {"N": 4, "q": 3}),
     ("ngon", {"n": 9}),
+    ("bilinear", {"M": 5, "N": 4, "q": 2}),  # packed transposed
+    ("alternating", {"n": 7, "q": 2}),  # 64 blocks, only even ranks counted
 ])
 def test_streamed_census_matches_the_reference(family, params, big_cfg):
     spec = sp.FamilySpec(family, params)
@@ -707,9 +725,9 @@ def test_gf2_distances_refuse_bits_beyond_the_row_width(family, params, code, mo
 
 def test_census_histograms_rows_without_a_wide_cast():
     # bilinear(1,19,2): every nonzero point is a neighbour, so the census
-    # holds the uint8 distances (1 byte a point), the int64 neighbour codes
-    # (8) and six representatives' uint8 rows (6).  An intp cast of one
-    # row while histogramming it would add 8 more.
+    # holds the uint8 distances (1 byte a point), the uint32 neighbour codes
+    # (4) and six representatives' uint8 rows (6).  int64 codes, or an intp
+    # cast of one row while histogramming it, would add 4 or 8 more.
     space = PointSpace(sp.FamilySpec("bilinear", {"M": 1, "N": 19, "q": 2}))
     census(PointSpace(space.spec))  # warm numpy's own caches first
     tracemalloc.start()
@@ -719,16 +737,39 @@ def test_census_histograms_rows_without_a_wide_cast():
     finally:
         tracemalloc.stop()
     assert cen.representatives_checked == (1, 5)
-    assert peak < 20 * space.n_points
+    assert peak < 14 * space.n_points
+
+
+def test_census_scans_distances_without_a_whole_space_temporary(big_cfg):
+    # alternating(7,2): the uint8 distances are 1 byte a point and the
+    # first class has 2667 of 2^21 points; one whole-space bool mask or a
+    # widened copy of the distances would add 1 byte a point or more
+    space = PointSpace(sp.FamilySpec("alternating", {"n": 7, "q": 2}))
+    census(PointSpace(space.spec), big_cfg)  # warm numpy's own caches first
+    tracemalloc.start()
+    try:
+        census(space, big_cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * space.n_points
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 @pytest.mark.parametrize("length", [1, GF2_BLOCK, GF2_BLOCK + 1])
 def test_bincount_matches_numpy(dtype, length):
     rng = np.random.default_rng(length)
-    minlength = 6
-    row = rng.integers(0, 9, size=length).astype(dtype)  # values at and beyond minlength
-    row[-1] = minlength
-    assert oracle._bincount(row, minlength) == np.bincount(row, minlength=minlength).tolist()
-    low = row % 3  # every value below minlength: the histogram is padded to it
-    assert oracle._bincount(low, minlength) == np.bincount(low, minlength=minlength).tolist()
+    values = range(6)
+    row = rng.integers(0, 9, size=length).astype(dtype)  # values in and beyond range(6)
+    row[-1] = 6
+    counts, stray, firsts, nearest = oracle._tally(row, values, 3)
+    assert counts == np.bincount(row, minlength=9)[:6].tolist()
+    assert stray == sorted(set(row.tolist()) - set(values))
+    assert firsts == [np.flatnonzero(row == v)[:3].tolist() for v in values]
+    present = [v for v in values if v and v in row]  # the smallest is the first class
+    assert nearest.dtype == np.uint32
+    assert nearest.tolist() == (np.flatnonzero(row == present[0]).tolist() if present else [])
+    low = row % 3  # every value in range(6): the histogram is padded to it
+    counts, stray, firsts, nearest = oracle._tally(low, values)
+    assert counts == np.bincount(low, minlength=6).tolist()
+    assert (stray, firsts, len(nearest)) == ([], [[]] * 6, 0)
