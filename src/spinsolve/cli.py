@@ -274,7 +274,7 @@ def _claim_kwargs(args) -> dict:
 # usage error.
 SYMBOLIC_FLAGS = {"quartic": ("family", "N", "M", "q", "n", "array_file"),
                   "hamming-resultant": (),
-                  "bilinear-identities": ("seed", "points")}
+                  "bilinear-identities": ("seed",)}
 
 
 def _cmd_symbolic(args, cfg: SolverConfig):
@@ -304,7 +304,7 @@ def _cmd_symbolic(args, cfg: SolverConfig):
                   "resultant": hamming_resultant_check()}
         result["ok"] = result["factorization"]["ok"] and result["resultant"]["ok"]
     else:  # bilinear-identities
-        result = bilinear_identity_checks(**_given(seed=args.seed, points=args.points))
+        result = bilinear_identity_checks(**_given(seed=args.seed))
     return result, 0 if result["ok"] else ASSERTION_ERROR
 
 
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["quartic", "hamming-resultant", "bilinear-identities"])
     _add_family_flags(p, required=False)
     p.add_argument("--seed", type=int)
-    p.add_argument("--points", type=int)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_symbolic)
 

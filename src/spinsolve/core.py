@@ -182,10 +182,6 @@ class IntersectionArray:
         """b_i with the convention b_N = 0."""
         return self.b[i] if 0 <= i < len(self.b) else Fraction(0)
 
-    def c_at(self, i: int) -> Fraction:
-        """c_i with the convention c_0 = 0."""
-        return self.c[i - 1] if 1 <= i <= len(self.c) else Fraction(0)
-
     def float_params(self) -> tuple[tuple[float, ...], ...]:
         """The float view (v, a, b, c) of v_0..v_N, a_0..a_N, b_0..b_{N-1}
         and c_1..c_N as tuples of Python floats: the same tuples on every

@@ -7,6 +7,9 @@ and Corollary 8.4.2), one formula for the exact array and integer
 spectrum of all four.  Writing the alternating and Hermitian arrays down
 is deliberate: the census derives them independently of this module, and
 `oracle verify` and the tests hold every census to these closed forms.
+Each classical family is self-dual in the order in which the formula
+lists theta_i, and the n-gon in the order of 2 cos(2 pi i/n), so build()
+forms the eigenmatrix of that one order and measures P^2 = |X| I once.
 
 A custom array's eigenvalues come from its intersection matrix (rows
 c_i, a_i, b_i) after symmetrizing it; the array's positivity makes the
@@ -14,13 +17,12 @@ symmetrized matrix real tridiagonal with positive off-diagonals, so the
 spectrum is real and simple.  The row order of P comes from the
 self-duality identity theta_i = k P_i(theta_1)/k_i (Bannai-Ito,
 Algebraic Combinatorics I, 1984, section 2.3): once theta_1 is chosen the
-rest follows, so at most N + 2 orders are measured against P^2 = |X| I
-before build() gives up with a BuildError.  Each candidate's implied
-values are sorted once; they name an order when the k-th largest lies in
-the cell of the k-th largest eigenvalue, which needs the spectrum
-strictly descending, as eigenvalues_from_array and the closed forms give
-it.  Each SchemeInstance carries the defect of the order chosen; nothing
-else measures self-duality.
+rest follows, so at most N + 2 orders are measured against P^2 = |X| I.
+Each candidate's implied values are sorted once; they name an order when
+the k-th largest lies in the cell of the k-th largest eigenvalue, which
+needs the spectrum strictly descending, as eigenvalues_from_array gives
+it.  Each SchemeInstance carries the defect of the order it reports;
+nothing else measures self-duality.
 """
 
 from __future__ import annotations
@@ -31,15 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    FAMILY_PARAMS,
-    BuildError,
-    IntersectionArray,
-    SchemeInstance,
-    max_abs,
-    valency_sum,
-    validate_array,
-)
+from .core import BuildError, IntersectionArray, SchemeInstance, max_abs, valency_sum
 from .ffield import is_prime_power
 
 __all__ = [
@@ -52,11 +46,8 @@ __all__ = [
     "BuildError",
 ]
 
-# GF families stay within orders whose tables we can build and afford.
-DESK_PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-
-# A named family's eigenvalue order is self-dual when max |P^2 - |X| I|
-# is at most this fraction of |X|.
+# An eigenvalue order is self-dual when max |P^2 - |X| I| is at most this
+# fraction of |X|.
 SELF_DUAL_TOL = 1e-8
 
 # build and build_custom refuse more classes before allocating the eigenmatrix:
@@ -89,8 +80,7 @@ class FamilySpec:
         elif fam == "hermitian":
             if p.get("n", 0) < 1:
                 raise BuildError("hermitian requires n >= 1")
-            q = p.get("q", 0)
-            _check_gf_order(q * q)  # entries live in GF(q^2)
+            _check_gf_order(p.get("q", 0))
         elif fam == "ngon":
             if p.get("n", 0) < 3:
                 raise BuildError("ngon requires n >= 3")
@@ -101,8 +91,6 @@ class FamilySpec:
 def _check_gf_order(q: int) -> None:
     if not (isinstance(q, int) and q >= 2 and is_prime_power(q)):
         raise BuildError(f"q = {q} is not a prime power")
-    if q not in DESK_PRIME_POWERS:
-        raise BuildError(f"q = {q} exceeds desk scale (allowed: {DESK_PRIME_POWERS})")
 
 
 def closed_form_array(spec: FamilySpec) -> IntersectionArray:
@@ -122,8 +110,9 @@ CLASSICAL_PARAMETERS = {
 
 
 def _closed_form(spec: FamilySpec) -> tuple[IntersectionArray, list]:
-    """A named family's exact array and its spectrum theta_0..theta_N,
-    descending: floats for the n-gon, integers for classical parameters
+    """A named family's exact array and its spectrum theta_0..theta_N in
+    the order in which the family is self-dual: floats for the n-gon,
+    descending, and integers for classical parameters
     (d, b, alpha, beta), which with [i] = 1 + b + ... + b^(i-1) give
     b_i = ([d] - [i])(beta - alpha [i]), c_i = [i](1 + alpha [i-1]) and
     theta_i = [d-i](beta - alpha [i]) - [i] (alternating in sign for b < 0)."""
@@ -147,7 +136,7 @@ def _closed_form(spec: FamilySpec) -> tuple[IntersectionArray, list]:
     bs = [(gauss[d] - gauss[i]) * (beta - alpha * gauss[i]) for i in range(d)]
     cs = [gauss[i] * (1 + alpha * gauss[i - 1]) for i in range(1, d + 1)]
     theta = [gauss[d - i] * (beta - alpha * gauss[i]) - gauss[i] for i in range(d + 1)]
-    return IntersectionArray(bs, cs), sorted(theta, reverse=True)
+    return IntersectionArray(bs, cs), theta
 
 
 def family_size(spec: FamilySpec) -> Fraction:
@@ -217,12 +206,20 @@ def eigenmatrix(arr: IntersectionArray, theta) -> np.ndarray:
     return pt.T.copy()
 
 
+def _defect(p: np.ndarray, size: float) -> float:
+    """max |P^2 - |X| I| / |X|, the self-duality defect a scheme reports;
+    NaN when P @ P leaves the float range."""
+    square = p @ p
+    square.reshape(-1)[::len(p) + 1] -= size  # P^2 - |X| I, in place
+    return max_abs(square) / size
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
-    """Order the eigenvalues so that P^2 = |X| I; returns (defect, theta, P),
-    the defect max |P^2 - |X| I| / |X| that the scheme reports.  eigs is the
-    spectrum in strictly descending order.  A P beyond the float range
-    overflows quietly: its NaN defect is the refusal build() raises.
+    """Order a custom array's eigenvalues so that P^2 = |X| I; returns
+    (defect, theta, P), with the defect of that P.  eigs is the spectrum in
+    strictly descending order, as eigenvalues_from_array gives it.  A P
+    beyond the float range overflows quietly, into a NaN defect.
 
     In a self-dual scheme P_i(j)/k_i = Q_j(i)/m_j with P = Q and m_j = k_j,
     so theta_i = k P_i(theta_1)/k_i: the choice of theta_1 fixes the whole
@@ -247,9 +244,7 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
 
     def measure(order):
         p = p_desc[order]
-        square = p @ p
-        square.reshape(-1)[::n + 2] -= size  # P^2 - |X| I, in place
-        return max_abs(square) / size, eigs[order], p
+        return _defect(p, size), eigs[order], p
 
     desc = measure(identity)
     if desc[0] <= SELF_DUAL_TOL:
@@ -273,28 +268,26 @@ def _self_dual_ordering(arr: IntersectionArray, eigs: np.ndarray, size: float):
 
 
 def build(spec: FamilySpec) -> SchemeInstance:
-    """Construct a validated SchemeInstance for a named family."""
-    fam, p = spec.family, spec.params
-    if fam not in FAMILY_PARAMS:
-        raise BuildError(f"build() does not handle family {fam!r}")
+    """Construct a validated SchemeInstance for a named family, with the
+    eigenmatrix of the closed form's eigenvalue order."""
     size = family_size(spec)
     size_float = _float_size(size)
     arr, theta = _closed_form(spec)
     _check_class_count(arr)
-    problems = validate_array(arr)
-    if problems:
-        raise BuildError("family produced an invalid array: " + "; ".join(problems))
     vsum = valency_sum(arr)
     if vsum != size:
         raise BuildError(f"valency sum {vsum} != |X| = {size}")
-    defect, theta_arr, pmat = _self_dual_ordering(arr, np.asarray(theta, float), size_float)
+    theta = np.asarray(theta, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a P beyond the float range
+        pmat = eigenmatrix(arr, theta)
+        defect = _defect(pmat, size_float)
     if not defect <= SELF_DUAL_TOL:  # NaN when P @ P overflows
         raise BuildError(
             f"no eigenvalue ordering meets the self-duality tolerance "
             f"(best defect {defect:.3e} > {SELF_DUAL_TOL:.1e})"
         )
-    return SchemeInstance(family=fam, params=dict(p), array=arr, size=size,
-                          theta=theta_arr, eigenmatrix=pmat, self_dual_defect=defect)
+    return SchemeInstance(family=spec.family, params=dict(spec.params), array=arr,
+                          size=size, theta=theta, eigenmatrix=pmat, self_dual_defect=defect)
 
 
 def _check_class_count(arr: IntersectionArray) -> None:

@@ -1,10 +1,12 @@
 """Table-driven finite fields GF(p^k) at desk scale (q <= 16).
 
-Elements are represented by indices 0..q-1; index sum(c_i p^i) encodes the
-polynomial c_0 + c_1 t + ... over GF(p) reduced modulo a fixed irreducible:
-t for a prime field, and for an extension field one hard-coded here so
-that tables are deterministic across runs.  Field axioms are cheap to
-check exhaustively at this scale, and the test suite does so.
+FiniteField is the one place that bounds a field order: no other module
+refuses a prime power for its size.  Elements are represented by indices
+0..q-1; index sum(c_i p^i) encodes the polynomial c_0 + c_1 t + ... over
+GF(p) reduced modulo a fixed irreducible: t for a prime field, and for an
+extension field one hard-coded here so that tables are deterministic
+across runs.  Field axioms are cheap to check exhaustively at this scale,
+and the test suite does so.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["FiniteField", "is_prime_power", "prime_power_decomposition"]
+
+# The largest order whose tables are built: q^2 entries per table.
+MAX_ORDER = 16
 
 # Monic irreducibles over GF(p), coefficient lists low -> high degree
 # (constant term first, leading 1 last).
@@ -76,6 +81,8 @@ class FiniteField:
         modulus = (0, 1) if k == 1 else _IRREDUCIBLES.get((p, k))
         if modulus is None:
             raise ValueError(f"no irreducible polynomial on file for GF({p}^{k})")
+        if self.q > MAX_ORDER:
+            raise ValueError(f"GF({self.q}) exceeds desk scale (q <= {MAX_ORDER})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         # coefficient vectors of every element, constant term first

@@ -23,13 +23,13 @@ largest possible distance, and reads class sizes (one count per distance
 value and block), neighbours and representatives off it in one more
 blocked scan, which keeps the codes as uint32 while the space has at most
 2^32 points; an alternating space's odd ranks are not counted, so a block
-whose counts fall short of its length is an error.  GF(2) matrices are
-bit-packed, one unsigned integer per row; a bilinear matrix with more
-rows than columns is packed transposed, as rank is the same and the
-kernel's cost grows with the rows.  A block at a multiple b of GF2_BLOCK
-holds the codes b ^ o, so its rows are a cached offset table XOR the rows
-of b, ranked by a branch-free elimination whose every pass is one
-in-place numpy operation over the block.  The leading rows that no base
+whose counts fall short of its length is an error.  Every bilinear
+space is taken as min(M, N) x max(M, N) matrices, as rank is the same
+under transposition and the kernels' cost grows with the rows.  GF(2)
+matrices are bit-packed, one unsigned integer per row.  A block at a
+multiple b of GF2_BLOCK holds the codes b ^ o, so its rows are a cached
+offset table XOR the rows of b, ranked by a branch-free elimination
+whose every pass is one in-place numpy operation over the block.  The leading rows that no base
 touches are the same in every block, so the whole-space pass reduces
 them once, reduces each block's own rows against them by linearity, and
 eliminates only those per block, with the elimination `rank_batch_gf2`
@@ -97,24 +97,23 @@ def rank_batch(mats: np.ndarray, f: FiniteField) -> np.ndarray:
     """Ranks of a batch of matrices over f, given as a (matrices, rows,
     cols) array of field-element indices, returned as int64.
 
-    A batch with more rows than columns is ranked transposed, as rank is
-    the same and the cost grows with the rows.  The rows are worked on as
-    a (rows, matrices, cols) copy in the narrowest unsigned type that holds
-    q^2 - 1, so that x * q + y indexes the flattened q x q tables.  As in
-    `_eliminate_gf2`, row i of every matrix is reduced at once against the
-    reduced rows 0..i-1, by row = sub[row, mul[row[lead_k], pivot_k]];
-    the reduced row is then scaled by inv of its first nonzero entry, whose
-    column becomes its lead (a zero row stays zero, with lead 0).  Each
-    reduced row is zero at every earlier lead, so it is nonzero iff row i
-    is independent of rows 0..i-1, and the rank is the number of nonzero
-    reduced rows.  Every step is one numpy operation over the batch, in
-    place where it can be; callers keep the batch cache-sized (GF2_BLOCK).
+    The cost grows with the rows, so `PointSpace` passes every bilinear
+    batch with no more rows than columns; a tall batch is ranked all the
+    same.  The rows are worked on as a (rows, matrices, cols) copy in the
+    narrowest unsigned type that holds q^2 - 1, so that x * q + y indexes
+    the flattened q x q tables.  As in `_eliminate_gf2`, row i of every
+    matrix is reduced at once against the reduced rows 0..i-1, by
+    row = sub[row, mul[row[lead_k], pivot_k]]; the reduced row is then
+    scaled by inv of its first nonzero entry, whose column becomes its lead
+    (a zero row stays zero, with lead 0).  Each reduced row is zero at
+    every earlier lead, so it is nonzero iff row i is independent of rows
+    0..i-1, and the rank is the number of nonzero reduced rows.  Every
+    step is one numpy operation over the batch, in place where it can be;
+    callers keep the batch cache-sized (GF2_BLOCK).
     """
     mats = np.asarray(mats)
     if mats.size and (mats.min() < 0 or mats.max() >= f.q):
         raise ValueError(f"matrix entries must be element indices 0..{f.q - 1}")
-    if mats.shape[1] > mats.shape[2]:
-        mats = mats.transpose(0, 2, 1)
     nmat, _, ncols = mats.shape
     q = f.q
     dtype = np.min_scalar_type(q * q - 1)
@@ -232,9 +231,10 @@ class PointSpace:
 
     Points are integer codes 0..n_points-1 in a mixed-radix encoding of
     the free coordinates; code 0 is always the zero point.  `max_raw` is
-    the largest distance the family allows.  Over GF(2), `gf2_shape` is
-    (rows, bits per row) of the bit-packed matrices, bilinear ones taken
-    in the orientation with fewer rows; it is None for every other space.
+    the largest distance the family allows.  A matrix space's `shape` is
+    (rows, cols), min(M, N) x max(M, N) for bilinear forms; `gf2` says
+    that its matrices are bit-packed, one row per unsigned integer, which
+    they are over GF(2).
     """
 
     spec: FamilySpec
@@ -242,7 +242,7 @@ class PointSpace:
     def __post_init__(self):
         fam, p = self.spec.family, self.spec.params
         self.family = fam
-        self.gf2_shape = None
+        self.gf2 = False
         if fam == "hamming":
             self.word_len, self.alphabet = p["N"], p["q"]
             self.n_classes = self.max_raw = self.word_len
@@ -251,18 +251,16 @@ class PointSpace:
             self.n_classes = self.max_raw = self.n // 2
         elif fam == "bilinear":
             self.field = FiniteField(p["q"])
-            self.shape = (p["M"], p["N"])
-            self.n_classes = self.max_raw = min(self.shape)
-            if p["q"] == 2:
-                self.gf2_shape = (min(self.shape), max(self.shape))
+            self.shape = (min(p["M"], p["N"]), max(p["M"], p["N"]))
+            self.n_classes = self.max_raw = self.shape[0]
+            self.gf2 = p["q"] == 2
         elif fam == "alternating":
             self.field = FiniteField(p["q"])
             self.shape = (p["n"], p["n"])
             self.upper = np.triu_indices(p["n"], 1)
             self.n_classes = p["n"] // 2
             self.max_raw = p["n"]  # odd ranks must be seen, not wrapped
-            if p["q"] == 2:
-                self.gf2_shape = self.shape
+            self.gf2 = p["q"] == 2
         elif fam == "hermitian":
             q = p["q"]
             self.field = FiniteField(q * q)
@@ -302,13 +300,13 @@ class PointSpace:
         """
         out = np.empty(self.n_points, dtype=np.min_scalar_type(self.max_raw))
         starts = np.arange(0, self.n_points, GF2_BLOCK, dtype=_code_type(self.n_points))
-        if not self.gf2_shape:
+        if not self.gf2:
             for start in starts.tolist():
                 codes = np.arange(start, min(start + GF2_BLOCK, self.n_points))
                 out[start:start + GF2_BLOCK] = self.raw_between([0], codes)[0]
             return out
         offsets, bases = self._gf2_offsets, self._gf2_rows(starts)
-        ncols = self.gf2_shape[1]
+        ncols = self.shape[1]
         for table in (offsets, bases):
             _check_gf2_bits(table, ncols)
         # the rows before the first one a base touches (all if none is)
@@ -368,7 +366,7 @@ class PointSpace:
         # pairs, so memory stays at one chunk however many zs
         ranks = np.empty(shape, dtype=np.min_scalar_type(self.max_raw))
         ys_per_chunk = max(1, GF2_BLOCK // max(1, shape[1]))
-        if self.gf2_shape:
+        if self.gf2:
             rows_y = self._gf2_rows(codes_y)
             for z0 in range(0, shape[1], GF2_BLOCK):
                 rows_z = self._gf2_rows(codes_z[z0:z0 + GF2_BLOCK])
@@ -376,7 +374,7 @@ class PointSpace:
                     diff = rows_z[:, np.newaxis, :] ^ rows_y[:, y0:y0 + ys_per_chunk, np.newaxis]
                     block = ranks[y0:y0 + ys_per_chunk, z0:z0 + GF2_BLOCK]
                     block[...] = rank_batch_gf2(diff.reshape(len(diff), -1).T,
-                                                self.gf2_shape[1]).reshape(block.shape)
+                                                self.shape[1]).reshape(block.shape)
             return ranks
         f, mats_y = self.field, self._matrices(codes_y)
         for z0 in range(0, shape[1], GF2_BLOCK):
@@ -406,16 +404,12 @@ class PointSpace:
         return self._gf2_rows(np.arange(min(self.n_points, GF2_BLOCK), dtype=np.uint32))
 
     def _gf2_rows(self, codes: np.ndarray) -> np.ndarray:
-        """GF(2) matrices as per-row bitmasks, shape (gf2_shape[0], points)."""
+        """GF(2) matrices as per-row bitmasks, shape (rows, points)."""
         m, n = self.shape
-        rows = np.empty((self.gf2_shape[0], len(codes)), dtype=_gf2_dtype(self.gf2_shape[1]))
+        rows = np.empty((m, len(codes)), dtype=_gf2_dtype(n))
         if self.family == "bilinear":
-            if m <= n:
-                for i in range(m):
-                    rows[i] = (codes >> (i * n)) & ((1 << n) - 1)
-            else:  # transposed: bit i of row j is entry (i, j), code bit i*n + j
-                for j in range(n):
-                    rows[j] = sum(((codes >> (i * n + j)) & 1) << i for i in range(m))
+            for i in range(m):
+                rows[i] = (codes >> (i * n)) & ((1 << n) - 1)
             return rows
         # alternating: row i's upper triangle is the next n-1-i bits of the
         # code; its lower triangle mirrors column i of the rows above

@@ -679,9 +679,13 @@ def _univariate_at(poly: MultiPoly, var: str, point: dict) -> MultiPoly:
     return MultiPoly((var,), {(k,): c for k, c in enumerate(coeffs)})
 
 
-def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
+# Seeded points at which bilinear_identity_checks evaluates the identities.
+BILINEAR_POINTS = 20
+
+
+def bilinear_identity_checks(seed: int = 7) -> dict:
     """Verify the bilinear-forms elimination against the printed formulas
-    by exact evaluation at seeded large integer points.
+    by exact evaluation at BILINEAR_POINTS seeded large integer points.
 
     Per point (values >= 10^6, big-int/Fraction arithmetic throughout):
 
@@ -699,11 +703,7 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
         (e-q)^2 q^2 (q-1) (1-2x+ex+x^2)^2 equals the printed product R
         (the fixed factor records the difference between this clearing
         normalization and the printed one).
-
-    At least 20 points are checked; fewer raise ValueError.
     """
-    if points < 20:
-        raise ValueError(f"points must be at least 20, got {points}")
     sys_ = _bilinear_system()
     g1, g2 = sys_["g1"], sys_["g2"]
     t2 = sys_["t2"]
@@ -715,7 +715,7 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
     }
     results = []
     all_ok = True
-    for _ in range(points):
+    for _ in range(BILINEAR_POINTS):
         dv, ev, qv, xv = (rng.randint(10**6, 10**7) for _ in range(4))
         record = {"d": dv, "e": ev, "q": qv, "x": xv}
 
@@ -790,7 +790,7 @@ def bilinear_identity_checks(seed: int = 7, points: int = 20) -> dict:
 
     return {
         "seed": seed,
-        "points": points,
+        "points": BILINEAR_POINTS,
         "value_range": [10**6, 10**7],
         "degree_bounds": degree_bounds,
         "resultant_normalization":

@@ -81,7 +81,7 @@ def test_bilinear_eigenvalues_match_rational_form():
     # theta_i = (de + q^i (1 - d - e))/((q - 1) q^i) with d = q^M, e = q^N
     for m in range(1, 7):
         for n in range(1, 7):
-            for q in families.DESK_PRIME_POWERS:
+            for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 32):
                 spec = FamilySpec("bilinear", {"M": m, "N": n, "q": q})
                 d, e = q**m, q**n
                 want = [Fraction(d * e + q**i * (1 - d - e), (q - 1) * q**i)
@@ -223,14 +223,74 @@ def test_parameter_range_errors():
         FamilySpec("bilinear", {"M": 2, "N": 2, "q": 6})  # not a prime power
     with pytest.raises(BuildError):
         FamilySpec("ngon", {"n": 2})
-    with pytest.raises(BuildError):
-        FamilySpec("alternating", {"n": 6, "q": 32})  # beyond desk scale
+    with pytest.raises(BuildError, match=r"^q = 6 is not a prime power$"):
+        FamilySpec("hermitian", {"n": 2, "q": 6})  # q, not the q^2 of GF(q^2)
     with pytest.raises(BuildError, match="bilinear requires M, N >= 1"):
         FamilySpec("bilinear", {"M": 0, "N": 2, "q": 2})
     with pytest.raises(BuildError, match="alternating requires n >= 4"):
         FamilySpec("alternating", {"n": 3, "q": 2})
     with pytest.raises(BuildError, match="hermitian requires n >= 1"):
         FamilySpec("hermitian", {"n": 0, "q": 2})
+
+
+def test_prime_powers_beyond_the_field_tables_build():
+    # build reads no field table, so only the census bounds q
+    assert sp.solve(build(FamilySpec("bilinear", {"M": 3, "N": 3, "q": 17}))).count == 0
+    assert FamilySpec("alternating", {"n": 6, "q": 32}).params["q"] == 32
+
+
+# A sample of the named rows: each family over small, middle and large q.
+CLOSED_FORM_ROWS = ([FamilySpec("hamming", {"N": n, "q": q})
+                     for n in range(1, 31) for q in (2, 5, 16)]
+                    + [FamilySpec("bilinear", {"M": m, "N": n, "q": q}) for n in range(1, 7)
+                       for m in range(1, n + 1) for q in (2, 3, 16)]
+                    + [FamilySpec("alternating", {"n": n, "q": q})
+                       for n in range(4, 14) for q in (2, 3)]
+                    + [FamilySpec("hermitian", {"n": n, "q": q})
+                       for n in range(1, 10) for q in (2, 3, 4)]
+                    + [FamilySpec("ngon", {"n": n}) for n in [*range(3, 61), 394]])
+
+
+def test_build_keeps_the_closed_form_order_that_the_search_finds():
+    # the order search, given the sorted spectrum, lands on the formula's
+    # order with the same P bit for bit, or refuses with the same defect
+    built = 0
+    for spec in CLOSED_FORM_ROWS:
+        arr, theta = families._closed_form(spec)
+        descending = np.sort(np.asarray(theta, dtype=float))[::-1].copy()
+        defect, found, p = families._self_dual_ordering(arr, descending,
+                                                        float(families.family_size(spec)))
+        try:
+            scheme = build(spec)
+        except BuildError as err:
+            assert not defect <= families.SELF_DUAL_TOL, spec
+            assert f"(best defect {defect:.3e} >" in str(err), spec
+            continue
+        built += 1
+        assert scheme.theta.tolist() == [float(t) for t in theta], spec
+        assert np.array_equal(found, scheme.theta), spec
+        assert np.array_equal(p, scheme.eigenmatrix), spec
+        assert defect == scheme.self_dual_defect, spec
+    assert (len(CLOSED_FORM_ROWS), built) == (259, 232)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_custom_build_of_a_non_finite_p_measures_one_order(monkeypatch):
+    # P itself holds inf and NaN, so every order is as far off: the search
+    # measures descending order alone, and named builds never get here
+    measured = []
+    real = families._defect
+
+    def counted(p, size):
+        measured.append(real(p, size))
+        return measured[-1]
+
+    monkeypatch.setattr(families, "_defect", counted)
+    start = time.perf_counter()
+    scheme = build_custom(closed_form_array(FamilySpec("hamming", {"N": 1020, "q": 2})))
+    assert time.perf_counter() - start < 1.0
+    assert math.isnan(scheme.self_dual_defect)
+    assert len(measured) == 1
 
 
 def test_eigenvalues_from_array_refuses_a_repeated_eigenvalue():

@@ -131,10 +131,21 @@ def test_prime_power_detection():
 
 
 def test_unknown_extension_rejected():
-    # no irreducible on file for 5^2, 3^3 or 3^4: no family spec admits them
+    # no irreducible on file for 5^2, 3^3 or 3^4
     for q in (25, 27, 81):
         with pytest.raises(ValueError, match="no irreducible polynomial on file"):
             FiniteField(q)
+
+
+def test_tables_are_built_for_exactly_the_desk_orders():
+    for q in filter(is_prime_power, range(2, 130)):
+        if q in DESK_ORDERS:
+            assert FiniteField(q).q == q
+        else:
+            with pytest.raises(ValueError, match="exceeds desk scale|no irreducible"):
+                FiniteField(q)
+    with pytest.raises(ValueError, match=r"GF\(17\) exceeds desk scale \(q <= 16\)"):
+        FiniteField(17)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])

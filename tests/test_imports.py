@@ -100,7 +100,7 @@ def loads(argv: list[str]) -> dict:
 @pytest.mark.parametrize("argv, code", [
     (["symbolic", "hamming-resultant"], 0),
     (["symbolic", "bilinear-identities", "--seed", "3"], 0),
-    (["symbolic", "bilinear-identities", "--points", "3"], 2),
+    (["symbolic", "quartic", "--array-file", "no-such-array.json"], 2),
 ])
 def test_exact_symbolic_reports_load_no_numpy(argv, code):
     assert loads(argv) == {"code": code, "modules": ["spinsolve", "spinsolve.cli",

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import spinsolve as sp
 from spinsolve import oracle
+from spinsolve.cli import main
 from spinsolve.core import SchemeCensus, dumps_report
-from spinsolve.families import DESK_PRIME_POWERS, family_size
-from spinsolve.ffield import FiniteField
+from spinsolve.families import family_size
+from spinsolve.ffield import MAX_ORDER, FiniteField, is_prime_power
 from spinsolve.oracle import (
     CENSUS_REPRESENTATIVES,
     GF2_BLOCK,
@@ -26,6 +27,8 @@ from spinsolve.oracle import (
 )
 
 GF2 = FiniteField(2)
+# the orders whose tables FiniteField builds
+DESK_ORDERS = [q for q in range(2, MAX_ORDER + 1) if is_prime_power(q)]
 
 
 def test_rank_zero_matrix():
@@ -151,7 +154,7 @@ def _of_rank(f, rng, count, nrows, ncols, inner):
                 cols[:, np.newaxis, :]]
 
 
-@pytest.mark.parametrize("q", DESK_PRIME_POWERS)
+@pytest.mark.parametrize("q", DESK_ORDERS)
 def test_table_rank_matches_scalar_rank(q):
     # uniform matrices are almost always of full rank, so every rank up to
     # min(r, c) is made on purpose
@@ -339,12 +342,13 @@ def _mixed_radix(code, radices):
 
 def _point_matrix(family, params, code):
     """The field and the matrix of one point, decoded digit by digit:
-    row-major entries for bilinear forms, the strict upper triangle
-    (row-major) for alternating and Hermitian forms, whose Hermitian
-    diagonal digits come first and index the fixed subfield."""
+    row-major entries of a min(M, N) x max(M, N) matrix for bilinear
+    forms, the strict upper triangle (row-major) for alternating and
+    Hermitian forms, whose Hermitian diagonal digits come first and index
+    the fixed subfield."""
     q = params["q"]
-    if family == "bilinear":
-        m, n = params["M"], params["N"]
+    if family == "bilinear":  # min(M, N) x max(M, N), the layout rank sees
+        m, n = sorted((params["M"], params["N"]))
         digits = _mixed_radix(code, [q] * (m * n))
         return FiniteField(q), [digits[i * n:(i + 1) * n] for i in range(m)]
     n = params["n"]
@@ -375,7 +379,7 @@ def _point_matrix(family, params, code):
     ("hermitian", {"n": 2, "q": 4}),  # fixed subfield {0, 1, 6, 7}: not the first q indices
     ("bilinear", {"M": 2, "N": 3, "q": 2}),
     ("alternating", {"n": 4, "q": 2}),
-    # more rows than columns: ranked as the transpose
+    # M > N: taken as N x M, like bilinear(N, M)
     ("bilinear", {"M": 5, "N": 3, "q": 2}),
     ("bilinear", {"M": 7, "N": 3, "q": 2}),
 ])
@@ -412,7 +416,7 @@ def _scalar_distance(family, params, y, z):
     ("ngon", {"n": 9}),
     ("hamming", {"N": 4, "q": 3}),
     ("bilinear", {"M": 2, "N": 3, "q": 2}),
-    ("bilinear", {"M": 5, "N": 4, "q": 2}),  # transposed
+    ("bilinear", {"M": 5, "N": 4, "q": 2}),
     ("alternating", {"n": 6, "q": 2}),
     ("bilinear", {"M": 2, "N": 3, "q": 3}),
     ("alternating", {"n": 4, "q": 3}),
@@ -432,7 +436,7 @@ def test_batched_distance_is_a_loop_of_scalar_distances(family, params):
 
 @pytest.mark.parametrize("family,params", [
     ("bilinear", {"M": 2, "N": 3, "q": 3}),
-    ("bilinear", {"M": 3, "N": 2, "q": 5}),  # transposed
+    ("bilinear", {"M": 3, "N": 2, "q": 5}),
     ("hermitian", {"n": 2, "q": 4}),
     ("alternating", {"n": 4, "q": 5}),
 ])
@@ -587,7 +591,7 @@ def test_a_p_table_off_the_tridiagonal_band_is_an_error():
 
 
 def test_census_of_transposed_bilinear_matches_closed_form(big_cfg):
-    # 7 rows x 3 columns: the bit-packed rows are the 3 columns
+    # M > N: taken as 3 x 7 matrices, three bit-packed rows of 7 bits
     report = verify_family(sp.FamilySpec("bilinear", {"M": 7, "N": 3, "q": 2}), big_cfg)
     assert report["match"], report["mismatches"]
     assert report["census"]["point_count"] == 2 ** 21
@@ -599,6 +603,16 @@ def test_census_of_a_space_beyond_int64_is_an_error():
     space = PointSpace(sp.FamilySpec("bilinear", {"M": 1, "N": 70, "q": 2}))
     with pytest.raises(CensusError, match=f"bilinear .* has {2 ** 70} points"):
         census(space, cfg)
+
+
+def test_a_field_beyond_the_tables_is_refused_by_the_census(capsys):
+    # FamilySpec takes any prime power; only FiniteField bounds q
+    spec = sp.FamilySpec("bilinear", {"M": 1, "N": 2, "q": 17})
+    with pytest.raises(ValueError, match=r"GF\(17\) exceeds desk scale \(q <= 16\)"):
+        PointSpace(spec)
+    assert main(["oracle", "census", "--family", "bilinear", "--M", "1", "--N", "2",
+                 "--q", "17"]) == 2
+    assert capsys.readouterr().err == "error: GF(17) exceeds desk scale (q <= 16)\n"
 
 
 def test_distances_of_ngon_wider_than_uint8(big_cfg):
@@ -657,7 +671,7 @@ class _RecordingSpace(PointSpace):
     ("hermitian", {"n": 2, "q": 2}),
     ("hamming", {"N": 4, "q": 3}),
     ("ngon", {"n": 9}),
-    ("bilinear", {"M": 5, "N": 4, "q": 2}),  # packed transposed
+    ("bilinear", {"M": 5, "N": 4, "q": 2}),  # taken as 4 x 5
     ("alternating", {"n": 7, "q": 2}),  # 64 blocks, only even ranks counted
 ])
 def test_streamed_census_matches_the_reference(family, params, big_cfg):
@@ -688,7 +702,7 @@ def test_streamed_distances_match_the_general_distance(family, params):
 @pytest.mark.parametrize("family,params,shared", [
     ("alternating", {"n": 7, "q": 2}, 3),  # 64 blocks
     ("bilinear", {"M": 3, "N": 7, "q": 2}, 2),  # 64 blocks
-    ("bilinear", {"M": 7, "N": 3, "q": 2}, 0),  # transposed, every row its block's own
+    ("bilinear", {"M": 1, "N": 17, "q": 2}, 0),  # 4 blocks, every row its block's own
     ("alternating", {"n": 6, "q": 2}, 6),  # one block: every row shared
     ("bilinear", {"M": 1, "N": 3, "q": 2}, 1),  # smaller than one block
 ])
@@ -700,7 +714,7 @@ def test_prefix_reduced_distances_are_the_batch_ranks(family, params, shared):
     raws = space.raw_from_zero()
     for start in range(0, space.n_points, GF2_BLOCK):
         codes = np.arange(start, min(start + GF2_BLOCK, space.n_points))
-        expected = rank_batch_gf2(space._gf2_rows(codes).T, space.gf2_shape[1])
+        expected = rank_batch_gf2(space._gf2_rows(codes).T, space.shape[1])
         assert np.array_equal(raws[codes], expected), start
 
 
@@ -711,7 +725,7 @@ def test_prefix_reduced_distances_are_the_batch_ranks(family, params, shared):
 ])
 def test_gf2_distances_refuse_bits_beyond_the_row_width(family, params, code, monkeypatch):
     space = PointSpace(sp.FamilySpec(family, params))
-    ncols, rows_of = space.gf2_shape[1], space._gf2_rows
+    ncols, rows_of = space.shape[1], space._gf2_rows
 
     def rows_with_a_stray_bit(codes):
         rows = rows_of(codes)

@@ -69,7 +69,7 @@ def reference_problems(arr):
             problems.append(f"a_{i} = {ai} must be nonnegative")
     b0 = arr.b[0]
     for i in range(n + 1):
-        total = arr.a[i] + arr.b_at(i) + arr.c_at(i)
+        total = arr.a[i] + arr.b_at(i) + (arr.c[i - 1] if i else 0)  # c_0 = 0
         if total != b0:
             problems.append(f"a_{i}+b_{i}+c_{i} = {total} != b_0 = {b0}")
     v = Fraction(1)

@@ -386,19 +386,14 @@ def test_identity_systems_are_computed_once_per_process():
 
 
 def test_bilinear_identity_report():
-    report = bilinear_identity_checks(seed=7, points=20)
+    report = bilinear_identity_checks(seed=7)
     assert report["ok"]
-    assert report["points"] >= 20
+    assert report["points"] == len(report["per_point"]) == 20
     assert all(rec["ok"] for rec in report["per_point"])
     assert report["degree_bounds"]["g1"]["d"] == 2
     assert report["degree_bounds"]["g2"]["d"] == 4
 
 
-def test_bilinear_identity_checks_refuse_fewer_than_20_points():
-    with pytest.raises(ValueError, match="points must be at least 20, got 19"):
-        bilinear_identity_checks(seed=7, points=19)
-
-
 def test_bilinear_identity_alternate_seed():
-    report = bilinear_identity_checks(seed=12345, points=20)
+    report = bilinear_identity_checks(seed=12345)
     assert report["ok"]
